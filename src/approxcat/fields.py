@@ -74,7 +74,7 @@ class FieldSpec:
         raise ApproxcatError(f"unknown field label {s!r}")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.kind == other.kind
             and self.modulus == other.modulus

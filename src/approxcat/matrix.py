@@ -4,10 +4,22 @@ bases, and linear solving. All outputs are deterministic (first-nonzero pivot
 scan, fixed free-variable ordering) so downstream constructions are canonical.
 
 Zero-row and zero-column matrices are first class; they carry their shape.
+
+Every entry is canonical: an int in [0, p) over F_p, a Fraction over Q.
+The public constructors (Matrix(...), from_rows, column, from_jsonable)
+coerce and validate what they are given. Results computed from canonical
+matrices go through the private Matrix._trusted, which keeps the shape
+check and skips coercion, so the kernel never re-coerces its own output.
+Over F_p the inner loops are plain int arithmetic with one `% p` per entry
+or row operation; over Q the same loops run on Fractions with no reduction.
 """
+
+from operator import mul
 
 from .errors import FieldMismatchError, ShapeError
 from .fields import FieldSpec
+
+_set = object.__setattr__
 
 
 class Matrix:
@@ -16,18 +28,28 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_e", "_rref")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries=()):
+        self._fill(field, rows, cols, [field.coerce(x) for x in entries])
+
+    @staticmethod
+    def _trusted(field: FieldSpec, rows: int, cols: int, entries) -> "Matrix":
+        """A matrix from entries already canonical for field (computed from
+        canonical matrices); checks the shape, coerces nothing."""
+        m = object.__new__(Matrix)
+        m._fill(field, rows, cols, entries)
+        return m
+
+    def _fill(self, field, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        entries = tuple(field.coerce(x) for x in entries)
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", entries)
-        object.__setattr__(self, "_rref", None)
+        _set(self, "field", field)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_e", tuple(entries))
+        _set(self, "_rref", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -46,14 +68,14 @@ class Matrix:
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, [field.zero] * (rows * cols))
+        return Matrix._trusted(field, rows, cols, (field.zero,) * (rows * cols))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         e = [field.zero] * (n * n)
         for i in range(n):
             e[i * n + i] = field.one
-        return Matrix(field, n, n, e)
+        return Matrix._trusted(field, n, n, e)
 
     @staticmethod
     def column(field: FieldSpec, values) -> "Matrix":
@@ -141,34 +163,31 @@ class Matrix:
             )
         F = self.field
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = F.zero
-                for t in range(k):
-                    x = arow[t]
-                    if x != 0:
-                        acc = F.add(acc, F.mul(x, b[t * m + j]))
-                out.append(acc)
-        return Matrix(F, n, m, out)
+        a, b, zero, p = self._e, other._e, F.zero, F.modulus
+        bcols = [b[j::m] for j in range(m)]
+        out = [
+            sum(map(mul, a[i * k : (i + 1) * k], col), zero)
+            for i in range(n)
+            for col in bcols
+        ]
+        return Matrix._trusted(F, n, m, [x % p for x in out] if p else out)
 
     def transpose(self) -> "Matrix":
         e = self._e
         c = self.cols
         out = [e[i * c + j] for j in range(c) for i in range(self.rows)]
-        return Matrix(self.field, c, self.rows, out)
+        return Matrix._trusted(self.field, c, self.rows, out)
 
     def take_rows(self, indices) -> "Matrix":
-        rows = [self.row_list(i) for i in indices]
-        flat = [x for r in rows for x in r]
-        return Matrix(self.field, len(rows), self.cols, flat)
+        c, e = self.cols, self._e
+        indices = list(indices)
+        flat = [x for i in indices for x in e[i * c : (i + 1) * c]]
+        return Matrix._trusted(self.field, len(indices), c, flat)
 
     def take_cols(self, indices) -> "Matrix":
         indices = list(indices)
         out = [self._e[i * self.cols + j] for i in range(self.rows) for j in indices]
-        return Matrix(self.field, self.rows, len(indices), out)
+        return Matrix._trusted(self.field, self.rows, len(indices), out)
 
     # elimination
 
@@ -183,6 +202,7 @@ class Matrix:
         if self._rref is not None:
             return self._rref
         F = self.field
+        p = F.modulus
         rows, cols = self.rows, self.cols
         m = [self.row_list(i) for i in range(rows)]
         pivots = []
@@ -200,18 +220,20 @@ class Matrix:
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
             pe = m[r][c]
-            if pe != F.one:
-                inv = F.inv(pe)
-                m[r] = [F.mul(inv, x) for x in m[r]]
+            if pe != 1:
+                inv = pow(pe, -1, p) if p else 1 / pe
+                row = [inv * x for x in m[r]]
+                m[r] = [x % p for x in row] if p else row
+            mr = m[r]
             for i in range(rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    mr = m[r]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], mr)]
+                f = m[i][c]
+                if i != r and f != 0:
+                    row = [x - f * y for x, y in zip(m[i], mr)]
+                    m[i] = [x % p for x in row] if p else row
             pivots.append(c)
             r += 1
-        result = (Matrix.from_rows(F, m) if rows else Matrix(F, 0, cols), tuple(pivots))
-        object.__setattr__(self, "_rref", result)
+        result = (Matrix._trusted(F, rows, cols, [x for row in m for x in row]), tuple(pivots))
+        _set(self, "_rref", result)
         return result
 
     def rank(self) -> int:
@@ -228,18 +250,20 @@ class Matrix:
         A matrix with no kernel yields a cols x 0 matrix.
         """
         F = self.field
+        p = F.modulus
         R, pivots = self.rref()
+        e, n = R._e, self.cols
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        free = [c for c in range(n) if c not in pivot_set]
         k = len(free)
-        out = [F.zero] * (self.cols * k)
+        out = [F.zero] * (n * k)
         for idx, fc in enumerate(free):
             out[fc * k + idx] = F.one
             for r, pc in enumerate(pivots):
-                v = R.entry(r, fc)
+                v = e[r * n + fc]
                 if v != 0:
-                    out[pc * k + idx] = F.neg(v)
-        return Matrix(F, self.cols, k, out)
+                    out[pc * k + idx] = p - v if p else -v
+        return Matrix._trusted(F, n, k, out)
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the original columns at the RREF
@@ -261,12 +285,12 @@ class Matrix:
         R, pivots = aug.rref()
         if pivots and pivots[-1] >= self.cols:
             return None
-        F = self.field
-        out = [F.zero] * (self.cols * b.cols)
+        n, k, e = self.cols, b.cols, R._e
+        out = [self.field.zero] * (n * k)
         for r, pc in enumerate(pivots):
-            for j in range(b.cols):
-                out[pc * b.cols + j] = R.entry(r, self.cols + j)
-        return Matrix(F, self.cols, b.cols, out)
+            base = r * (n + k) + n
+            out[pc * k : (pc + 1) * k] = e[base : base + k]
+        return Matrix._trusted(self.field, n, k, out)
 
     # serialization
 
@@ -308,8 +332,8 @@ def hstack(mats) -> Matrix:
     out = []
     for i in range(rows):
         for m in mats:
-            out.extend(m.row_list(i))
-    return Matrix(field, rows, sum(m.cols for m in mats), out)
+            out.extend(m._e[i * m.cols : (i + 1) * m.cols])
+    return Matrix._trusted(field, rows, sum(m.cols for m in mats), out)
 
 
 def vstack(mats) -> Matrix:
@@ -326,7 +350,7 @@ def vstack(mats) -> Matrix:
         if m.cols != cols:
             raise ShapeError("column count mismatch in vstack")
         out.extend(m._e)
-    return Matrix(field, sum(m.rows for m in mats), cols, out)
+    return Matrix._trusted(field, sum(m.rows for m in mats), cols, out)
 
 
 def block_diag(field: FieldSpec, mats) -> Matrix:
@@ -341,7 +365,7 @@ def block_diag(field: FieldSpec, mats) -> Matrix:
             raise FieldMismatchError("mixed fields in block_diag")
         for i in range(m.rows):
             base = (r0 + i) * cols + c0
-            out[base : base + m.cols] = m.row_list(i)
+            out[base : base + m.cols] = m._e[i * m.cols : (i + 1) * m.cols]
         r0 += m.rows
         c0 += m.cols
-    return Matrix(field, rows, cols, out)
+    return Matrix._trusted(field, rows, cols, out)

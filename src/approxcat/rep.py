@@ -317,38 +317,31 @@ def _hom_system(v: Rep, w: Rep) -> Matrix:
         raise FieldMismatchError("hom system needs a common quiver and field")
     F = v.field
     offs, n = _hom_offsets(v, w)
-    rows = []
+    out = []
     for a in v.quiver.arrows:
         s, t = a.source, a.target
-        va, wa = v.map(a.id), w.map(a.id)
+        va, wa = v.map(a.id)._e, w.map(a.id)._e
+        vs, vt, ws = v.dims[s], v.dims[t], w.dims[s]
         for i in range(w.dims[t]):
-            for j in range(v.dims[s]):
+            for j in range(vs):
                 row = [F.zero] * n
-                for k in range(v.dims[t]):
-                    c = va.entry(k, j)
-                    if c != 0:
-                        row[offs[t] + i * v.dims[t] + k] = F.add(
-                            row[offs[t] + i * v.dims[t] + k], c
-                        )
-                for k in range(w.dims[s]):
-                    c = wa.entry(i, k)
-                    if c != 0:
-                        row[offs[s] + k * v.dims[s] + j] = F.sub(
-                            row[offs[s] + k * v.dims[s] + j], c
-                        )
-                rows.append(row)
-    if rows:
-        return Matrix.from_rows(F, rows)
-    return Matrix(F, 0, n)
+                for k in range(vt):
+                    row[offs[t] + i * vt + k] += va[k * vs + j]
+                for k in range(ws):
+                    row[offs[s] + k * vs + j] -= wa[i * ws + k]
+                out.extend(row)
+    p = F.modulus
+    rows = _ext_row_layout(v, w)[1]
+    return Matrix._trusted(F, rows, n, [x % p for x in out] if p else out)
 
 
-def _unpack_hom_vector(v: Rep, w: Rep, col: Matrix) -> RepMorphism:
+def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
+    """The morphism whose vectorized components are the sequence col."""
     offs, _ = _hom_offsets(v, w)
     comps = []
     for x in range(v.quiver.vertex_count):
         r, c = w.dims[x], v.dims[x]
-        entries = [col.entry(offs[x] + i, 0) for i in range(r * c)]
-        comps.append(Matrix(v.field, r, c, entries))
+        comps.append(Matrix._trusted(v.field, r, c, col[offs[x] : offs[x] + r * c]))
     return RepMorphism(v, w, comps, check=False)
 
 
@@ -356,13 +349,13 @@ def _vec_morphism(f: RepMorphism) -> Matrix:
     entries = []
     for c in f.components:
         entries.extend(c._e)
-    return Matrix(f.source.field, len(entries), 1, entries)
+    return Matrix._trusted(f.source.field, len(entries), 1, entries)
 
 
 def hom_basis(v: Rep, w: Rep):
     """Deterministic basis of Hom(v, w) as a list of morphisms."""
     ker = _hom_system(v, w).kernel_basis()
-    return [_unpack_hom_vector(v, w, ker.take_cols([j])) for j in range(ker.cols)]
+    return [_unpack_hom_vector(v, w, ker._e[j :: ker.cols]) for j in range(ker.cols)]
 
 
 def hom_dim(v: Rep, w: Rep) -> int:
@@ -402,7 +395,7 @@ def ext1_basis(v: Rep, w: Rep):
             rows_, cols_ = w.dims[arr.target], v.dims[arr.source]
             base = offs[arr.id]
             entries = [F.one if base + k == r else F.zero for k in range(rows_ * cols_)]
-            blocks[arr.id] = Matrix(F, rows_, cols_, entries)
+            blocks[arr.id] = Matrix._trusted(F, rows_, cols_, entries)
         out.append(blocks)
     return out
 
@@ -429,9 +422,8 @@ def _vec_cocycle(v: Rep, w: Rep, blocks) -> Matrix:
         if m is None:
             continue
         base = offs[a.id]
-        for k, val in enumerate(m._e):
-            entries[base + k] = val
-    return Matrix(F, total, 1, entries)
+        entries[base : base + len(m._e)] = m._e
+    return Matrix._trusted(F, total, 1, entries)
 
 
 def cocycles_equivalent(v: Rep, w: Rep, c1, c2) -> bool:
@@ -591,14 +583,13 @@ def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = Non
         proj_comps = []
         for x in range(q.vertex_count):
             n, d, off = dims[x], r.dims[x], offsets[x][i]
-            inj = Matrix.zeros(F, n, d).to_lists()
+            inj = [F.zero] * (n * d)
+            proj = [F.zero] * (d * n)
             for j in range(d):
-                inj[off + j][j] = F.one
-            inj_comps.append(Matrix.from_rows(F, inj) if n else Matrix(F, 0, d))
-            proj = Matrix.zeros(F, d, n).to_lists()
-            for j in range(d):
-                proj[j][off + j] = F.one
-            proj_comps.append(Matrix.from_rows(F, proj) if d else Matrix(F, 0, n))
+                inj[(off + j) * d + j] = F.one
+                proj[j * n + off + j] = F.one
+            inj_comps.append(Matrix._trusted(F, n, d, inj))
+            proj_comps.append(Matrix._trusted(F, d, n, proj))
         injections.append(RepMorphism(r, s, inj_comps, check=False))
         projections.append(RepMorphism(s, r, proj_comps, check=False))
     return s, injections, projections
