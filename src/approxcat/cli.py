@@ -8,13 +8,15 @@ a short human summary on stderr; --json-only silences the summary.
 Exit codes: 0 for success or a found object, 1 for a sound negative (a
 member that is not there, a candidate that is refuted, a certificate that
 does not verify, a failed scenario), 2 for input problems, 3 for budget,
-hypothesis or structural errors. Library errors carry their own code and
-exit value.
+hypothesis or structural errors, 4 for an internal error (any other
+exception: a crash never reads as a negative answer). Library errors carry
+their own code and exit value.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from .approx import (
     AddCategory,
@@ -39,7 +41,7 @@ from .fields import FieldSpec
 from .quiver import Quiver
 from .rep import ext1_dim, hom_basis
 from .scenarios import SCENARIOS, run_scenario
-from .search import Budget, default_budget
+from .search import Budget, budget_limit, default_budget
 from .serialize import (
     certificate_to_jsonable,
     evidence_from_jsonable,
@@ -53,6 +55,7 @@ from .serialize import (
 )
 
 WORKSPACE_FORMAT = 1
+INTERNAL_ERROR_EXIT = 4
 
 
 class Workspace:
@@ -395,12 +398,12 @@ def _shared_flags(parser, defaults: bool):
         help="suppress the human summary on stderr",
     )
     parser.add_argument(
-        "--max-total-dim", type=int,
+        "--max-total-dim", type=budget_limit,
         default=None if defaults else argparse.SUPPRESS,
         help="enumeration budget: largest total dimension searched",
     )
     parser.add_argument(
-        "--max-subspaces", type=int,
+        "--max-subspaces", type=budget_limit,
         default=None if defaults else argparse.SUPPRESS,
         help="enumeration budget: largest subspace count searched",
     )
@@ -505,11 +508,15 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ApproxcatError as exc:
-        payload = {"error": {"code": exc.code, "message": str(exc)}}
-        print(json.dumps(payload, sort_keys=True))
-        if not args.json_only:
-            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        code, message, exit_code = exc.code, str(exc), exc.exit_code
+    except Exception as exc:
+        traceback.print_exc()
+        code, message = "InternalError", f"{type(exc).__name__}: {exc}"
+        exit_code = INTERNAL_ERROR_EXIT
+    print(json.dumps({"error": {"code": code, "message": message}}, sort_keys=True))
+    if not args.json_only:
+        print(f"error[{code}]: {message}", file=sys.stderr)
+    return exit_code
 
 
 if __name__ == "__main__":

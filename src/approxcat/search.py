@@ -14,7 +14,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, RationalFieldUnsupportedError
+from .errors import ApproxcatError, BudgetExceededError, RationalFieldUnsupportedError
 from .fields import PRIME, FieldSpec
 from .matrix import Matrix
 from .quiver import Quiver
@@ -27,15 +27,30 @@ class Budget:
     max_subspaces: int = 1_000_000
 
 
+def budget_limit(text: str) -> int:
+    """A budget limit given as text: a non-negative integer, else ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"budget limits are non-negative, got {value}")
+    return value
+
+
 def default_budget() -> Budget:
     """Defaults, overridable through the environment."""
-    b = Budget()
-    td = os.environ.get("APPROXCAT_MAX_TOTAL_DIM")
-    ms = os.environ.get("APPROXCAT_MAX_SUBSPACES")
-    return Budget(
-        max_total_dim=int(td) if td is not None else b.max_total_dim,
-        max_subspaces=int(ms) if ms is not None else b.max_subspaces,
-    )
+    limits = {}
+    for name, var in (
+        ("max_total_dim", "APPROXCAT_MAX_TOTAL_DIM"),
+        ("max_subspaces", "APPROXCAT_MAX_SUBSPACES"),
+    ):
+        text = os.environ.get(var)
+        if text is not None:
+            try:
+                limits[name] = budget_limit(text)
+            except ValueError:
+                raise ApproxcatError(
+                    f"{var} must be a non-negative integer, got {text!r}"
+                ) from None
+    return Budget(**limits)
 
 
 def _require_prime(field: FieldSpec, what: str):

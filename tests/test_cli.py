@@ -305,6 +305,37 @@ class TestMembership:
         assert out["error"]["code"] == "BudgetExceeded"
         assert err == ""
 
+    @pytest.mark.parametrize("flag", ["--max-total-dim", "--max-subspaces"])
+    @pytest.mark.parametrize("value", ["-5", "abc", "2.5"])
+    def test_bad_budget_flag_is_an_input_error(self, capsys, one_loop_ws, flag, value):
+        member_filt = [
+            "member-filt", "--workspace", one_loop_ws, "--rep", "J2",
+            "--family", "S", "--depth", "1",
+        ]
+        for argv in ([flag, value] + member_filt, member_filt + [flag, value]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert flag in captured.err
+
+    @pytest.mark.parametrize("var", ["APPROXCAT_MAX_TOTAL_DIM", "APPROXCAT_MAX_SUBSPACES"])
+    @pytest.mark.parametrize("value", ["abc", "-5", ""])
+    def test_bad_budget_variable_is_an_input_error(
+        self, capsys, monkeypatch, one_loop_ws, var, value
+    ):
+        monkeypatch.setenv(var, value)
+        code, out, _ = run(
+            capsys,
+            [
+                "member-filt", "--workspace", one_loop_ws, "--rep", "J2",
+                "--family", "S", "--depth", "1",
+            ],
+        )
+        assert code == 2
+        assert var in out["error"]["message"]
+
 
 def _split_pair_certificate():
     """S1 + S2 filtered as S1 below, S2 above, over the family (S2, S1)."""
@@ -527,3 +558,19 @@ class TestWorkspaceErrors:
             ["member-add", "--workspace", a2_ws, "--rep", "P1", "--in", "S1"],
         )
         assert code == 2
+
+
+class TestInternalError:
+    def test_crash_is_not_a_negative(self, capsys, monkeypatch, a2_ws):
+        def crash(*_):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr("approxcat.cli.hom_basis", crash)
+        code, out, err = run(
+            capsys, ["hom", "--workspace", a2_ws, "--from", "S1", "--to", "P1"]
+        )
+        assert code == 4
+        assert out["error"] == {
+            "code": "InternalError", "message": "RuntimeError: simulated defect",
+        }
+        assert "Traceback" in err
