@@ -16,7 +16,6 @@ their own code and exit value.
 import argparse
 import json
 import sys
-import traceback
 
 from .approx import (
     AddCategory,
@@ -510,6 +509,8 @@ def main(argv=None) -> int:
     except ApproxcatError as exc:
         code, message, exit_code = exc.code, str(exc), exc.exit_code
     except Exception as exc:
+        import traceback  # only a crash pays for the import
+
         traceback.print_exc()
         code, message = "InternalError", f"{type(exc).__name__}: {exc}"
         exit_code = INTERNAL_ERROR_EXIT

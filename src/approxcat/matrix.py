@@ -179,10 +179,9 @@ class Matrix:
         return Matrix._trusted(self.field, c, self.rows, out)
 
     def take_rows(self, indices) -> "Matrix":
-        c, e = self.cols, self._e
-        indices = list(indices)
-        flat = [x for i in indices for x in e[i * c : (i + 1) * c]]
-        return Matrix._trusted(self.field, len(indices), c, flat)
+        rows = [self.row_list(i) for i in indices]
+        flat = [x for r in rows for x in r]
+        return Matrix._trusted(self.field, len(rows), self.cols, flat)
 
     def take_cols(self, indices) -> "Matrix":
         indices = list(indices)
