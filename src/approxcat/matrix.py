@@ -164,12 +164,9 @@ class Matrix:
         F = self.field
         n, k, m = self.rows, self.cols, other.cols
         a, b, zero, p = self._e, other._e, F.zero, F.modulus
+        arows = [a[i * k : (i + 1) * k] for i in range(n)]
         bcols = [b[j::m] for j in range(m)]
-        out = [
-            sum(map(mul, a[i * k : (i + 1) * k], col), zero)
-            for i in range(n)
-            for col in bcols
-        ]
+        out = [sum(map(mul, row, col), zero) for row in arows for col in bcols]
         return Matrix._trusted(F, n, m, [x % p for x in out] if p else out)
 
     def transpose(self) -> "Matrix":

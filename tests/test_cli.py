@@ -305,13 +305,14 @@ class TestMembership:
         assert out["error"]["code"] == "BudgetExceeded"
         assert err == ""
 
+    @staticmethod
+    def _member_filt_j2(ws):
+        return ["member-filt", "--workspace", ws, "--rep", "J2", "--family", "S", "--depth", "1"]
+
     @pytest.mark.parametrize("flag", ["--max-total-dim", "--max-subspaces"])
     @pytest.mark.parametrize("value", ["-5", "abc", "2.5"])
     def test_bad_budget_flag_is_an_input_error(self, capsys, one_loop_ws, flag, value):
-        member_filt = [
-            "member-filt", "--workspace", one_loop_ws, "--rep", "J2",
-            "--family", "S", "--depth", "1",
-        ]
+        member_filt = self._member_filt_j2(one_loop_ws)
         for argv in ([flag, value] + member_filt, member_filt + [flag, value]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -326,13 +327,7 @@ class TestMembership:
         self, capsys, monkeypatch, one_loop_ws, var, value
     ):
         monkeypatch.setenv(var, value)
-        code, out, _ = run(
-            capsys,
-            [
-                "member-filt", "--workspace", one_loop_ws, "--rep", "J2",
-                "--family", "S", "--depth", "1",
-            ],
-        )
+        code, out, _ = run(capsys, self._member_filt_j2(one_loop_ws))
         assert code == 2
         assert var in out["error"]["message"]
 
