@@ -73,6 +73,27 @@ def filtration(label):
     return certificate_to_jsonable(member_filt(jordan, [s], 3))
 
 
+def filtration_search(label):
+    """Depth 2 over the loop family [J2], which is not vertex-simple, so
+    the certificate comes from the subrepresentation peel search."""
+    F, c = FIELDS[label], C[label]
+    q = loop_quiver(1)
+    j2 = Rep(q, F, [2], {"alpha1": Matrix(F, 2, 2, [0, 0, 1, 0])})
+    j4 = Rep(q, F, [4], {"alpha1": Matrix(
+        F, 4, 4, [0, 0, 0, 0, 1, 0, 0, 0, c, 1, 0, 0, 0, c, 1, 0])})
+    return certificate_to_jsonable(member_filt(j4, [j2], 3))
+
+
+def filtration_deep(label):
+    """A2 over (S2, S1) at depth 4, beyond the Loewy length 2, so no level
+    peels a radical power; the first peel misses the image of the arrow,
+    which makes the certificate three layers deep."""
+    F, c = FIELDS[label], C[label]
+    s1, s2, _, _ = _a2_reps(F, c)
+    m = Rep(A2, F, [3, 2], {"a": Matrix(F, 2, 3, [0, 0, 0, 1, c, 0])})
+    return certificate_to_jsonable(member_filt(m, [s2, s1], 4))
+
+
 def refutation(label):
     F, c = FIELDS[label], C[label]
     cfg = LoopQuiverConfig(2, F)
@@ -113,6 +134,11 @@ CASES = {
     for kind in (approximation, filtration, refutation)
     for label in FIELDS
 }
+CASES.update({
+    f"filtration_search-{label}": (lambda label=label: filtration_search(label))
+    for label in ("F2", "F3")
+})
+CASES["filtration_deep-F3"] = lambda: filtration_deep("F3")
 CASES["bases-Q"] = bases_q
 
 
