@@ -2,10 +2,19 @@
 
 member_ext decides membership in x*y (objects with a subrepresentation in
 x whose quotient lies in y) by exhaustive subrepresentation search over a
-prime field. member_filt decides membership in F_r(S), the r-fold
-extension closure of add(S), by peeling an add(S) bottom layer from m and
-recursing on the quotient; the minimal usable depth per representation is
-memoized, which is what keeps large exhaustive sweeps affordable.
+prime field.
+
+member_filt decides membership in F_r(S), the r-fold extension closure of
+add(S). For a vertex-simple family (zero arrow maps, and the simple of each
+vertex in a generator's support is a generator, so add(S) is every
+semisimple representation supported on that vertex set T) it reads the
+Loewy series, with no search and no budget: for rad_T(N) = sum_a a(N) +
+sum_{x not in T} N_x, N lies in F_r iff rad_T^r(N) = 0, and m/U lies in
+F_(r-1) iff U contains rad_T^(r-1)(m). Other families peel an add(S)
+bottom layer from m and search the quotients within the budget. The
+minimal depth per representation is memoized, and the certificate is
+lifted to m in one pass: term k is the kernel of the composite projection
+of m onto the k-th peeled quotient.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, and filt_normalize applies the exchange as a bubble
@@ -18,6 +27,7 @@ extension cocycles; it is an independent oracle for member_filt.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +43,7 @@ from .errors import (
     ShapeError,
 )
 from .fields import PRIME
-from .matrix import Matrix, vstack
+from .matrix import Matrix, hstack, vstack
 from .rep import (
     Filtration,
     Rep,
@@ -187,17 +197,21 @@ def member_ext(z: Rep, x, y, budget: Budget | None = None) -> Optional[ExtEviden
 _semis_cache: dict = {}
 
 
-def _handle_semisimple(handle: AddCategory) -> bool:
-    """Whether every generator carries only zero arrow maps. For such a
-    family, membership in add is a dimension count: representations with
-    zero maps are classified by their dimension vectors."""
+def _family_kind(handle: AddCategory):
+    """(semisimple, support): whether every generator has zero arrow maps,
+    which makes add membership a dimension count, and for a vertex-simple
+    family the set T of vertices its generators support, else None."""
     key = handle.key()
     got = _semis_cache.get(key)
     if got is None:
-        got = all(
-            g.map(a.id).is_zero() for g in handle.generators for a in handle.quiver.arrows
+        gens, n = handle.generators, handle.quiver.vertex_count
+        semisimple = all(g.map(a.id).is_zero() for g in gens for a in handle.quiver.arrows)
+        support = frozenset(x for g in gens for x in range(n) if g.dims[x])
+        simples = {g.dims for g in gens}
+        vertex_simple = semisimple and all(
+            tuple(int(y == x) for y in range(n)) in simples for x in support
         )
-        _semis_cache[key] = got
+        got = _semis_cache[key] = (semisimple, support if vertex_simple else None)
     return got
 
 
@@ -226,16 +240,36 @@ def _dims_feasible(handle: AddCategory, dims) -> bool:
 
 def _add_decide(m: Rep, handle: AddCategory) -> bool:
     """Membership decision for add(handle) without evidence construction."""
-    if _handle_semisimple(handle):
+    if _family_kind(handle)[0]:
         if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):
             return False
         return _dims_feasible(handle, m.dims)
     return member_add(m, handle) is not None
 
 
-# minimal filtration depth, memoized per (family, representation):
-# the value is (deepest cap tried, minimal depth or None within that cap).
+# minimal filtration depth, memoized per (family, representation, budget or
+# None for vertex-simple families): the value is (deepest cap tried, minimal
+# depth or None within that cap); the cap is infinite for Loewy lengths.
 _depth_memo: dict = {}
+
+
+def _radical_series(m: Rep, support) -> Optional[list]:
+    """Per-vertex bases of the nonzero terms rad_T^k(m), k = 0, 1, ..., for
+    T = support; their number is the Loewy length. None when the series
+    stops shrinking at a nonzero term, so that m lies in no F_r."""
+    F = m.field
+    series, term = [], [Matrix.identity(F, d) for d in m.dims]
+    while any(b.cols for b in term):
+        series.append(term)
+        parts = [[Matrix.zeros(F, d, 0) if x in support else term[x]]
+                 for x, d in enumerate(m.dims)]
+        for a in m.quiver.arrows:
+            parts[a.target].append(m.map(a.id) @ term[a.source])
+        nxt = [hstack(p).image_basis() for p in parts]
+        if sum(b.cols for b in nxt) == sum(b.cols for b in term):
+            return None
+        term = nxt
+    return series
 
 
 def _kernel_peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
@@ -294,7 +328,7 @@ def _kernel_peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
 def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
     """Quotients of m by its proper nonzero add(handle) subrepresentations,
     cheapest subrepresentation first."""
-    if _handle_semisimple(handle):
+    if _family_kind(handle)[0]:
         yield from _kernel_peel_candidates(m, handle, budget)
         return
     search = SubrepSearch(m, budget)
@@ -312,7 +346,8 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
 def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optional[int]:
     """Minimal r <= cap with m in F_r(add handle), or None. Since the F_r
     form an increasing chain, m is a member of F_r exactly when the minimum
-    is at most r."""
+    is at most r. For a vertex-simple family the minimum is the Loewy
+    length; otherwise a peel search finds it within the budget."""
     if cap < 1:
         return None
     if _add_decide(m, handle):
@@ -324,24 +359,26 @@ def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optiona
             "membership beyond depth 1 needs an exhaustive subrepresentation "
             "search, which is only available over prime fields"
         )
-    key = (handle.key(), m.key())
+    support = _family_kind(handle)[1]
+    key = (handle.key(), m.key(), budget if support is None else None)
     got = _depth_memo.get(key)
-    if got is not None:
-        tried, val = got
-        if val is not None:
-            return val if val <= cap else None
-        if tried >= cap:
-            return None
-    best = None
-    for _, _, incl in _peel_candidates(m, handle, budget):
-        quot, _ = cokernel(incl)
-        inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget)
-        if inner is not None and (best is None or inner + 1 < best):
-            best = inner + 1
-            if best == 2:
-                break
-    _depth_memo[key] = (cap, best)
-    return best
+    if got is None or (got[1] is None and got[0] < cap):
+        if support is not None:
+            series = _radical_series(m, support)
+            got = (math.inf, None if series is None else len(series))
+        else:
+            best = None
+            for _, _, incl in _peel_candidates(m, handle, budget):
+                quot, _ = cokernel(incl)
+                inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget)
+                if inner is not None and (best is None or inner + 1 < best):
+                    best = inner + 1
+                    if best == 2:
+                        break
+            got = (cap, best)
+        _depth_memo[key] = got
+    val = got[1]
+    return val if val is not None and val <= cap else None
 
 
 def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[FiltrationCertificate]:
@@ -349,6 +386,8 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     member of add(S), or None when no such filtration exists.
 
     S may be an OrderedFamily, an AddCategory, or a plain generator list.
+    A vertex-simple family needs the budget only for a certificate deeper
+    than the Loewy length; any other family's peel search stays within it.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
@@ -360,43 +399,60 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     return _build_filtration(m, family, handle, r, budget)
 
 
-def _lift_filtration(m: Rep, incl: RepMorphism, proj: RepMorphism,
-                     inner: Filtration) -> Filtration:
-    """Pull a filtration of quot = m/sub back to one of m: the new bottom
-    term is ker(proj) and term j+1 is the preimage of the j-th inner term.
+def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
+    """The projection of m onto m/U for the first peel candidate U whose
+    quotient lies in F_(r-1), given that m lies in F_r. For a vertex-simple
+    family that is rad_T^(r-1)(m) when it is nonzero: it is the smallest
+    feasible candidate, the only one of its size, and the cokernel depends
+    on its spans alone. Otherwise every candidate is feasible."""
+    support = _family_kind(handle)[1]
+    if support is not None:
+        series = _radical_series(m, support)
+        if len(series) >= r:
+            bases = series[r - 1]
+            sub = Rep(m.quiver, m.field, [b.cols for b in bases])
+            return cokernel(RepMorphism(sub, m, bases, check=False))[1]
+    for _, _, incl in _peel_candidates(m, handle, budget):
+        quot, proj = cokernel(incl)
+        if support is not None or _min_depth(quot, handle, r - 1, budget) is not None:
+            return proj
+    raise CertificateError("membership decision and construction disagree")
 
-    The composite inner steps are injective, so each inner term maps onto a
-    subrepresentation of quot; preimages of a chain form a chain.
-    """
-    field = m.field
-    n = m.quiver.vertex_count
-    composites = [None] * (inner.depth + 1)
-    composites[inner.depth] = RepMorphism.identity(inner.top)
-    for j in range(inner.depth - 1, -1, -1):
-        composites[j] = compose(composites[j + 1], inner.steps[j])
-    terms = []
-    for j in range(inner.depth + 1):
-        terms.append(preimage_subrep(proj, composites[j]))
+
+def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
+    """The injective steps from prev_rep through the terms of chain, a list
+    of (term, inclusion) pairs of subrepresentations of one representation,
+    each containing the previous one."""
     steps = []
-    zero = Rep.zero(m.quiver, field)
-    prev_rep, prev_incl = zero, RepMorphism.zero(zero, m)
-    for t_rep, t_incl in terms:
-        comps = []
-        for x in range(n):
-            sol = t_incl.component(x).solve(prev_incl.component(x))
-            if sol is None:
-                raise ApproxcatError("lifted filtration terms do not chain")
-            comps.append(sol)
+    for t_rep, t_incl in chain:
+        comps = [
+            t_incl.component(x).solve(prev_incl.component(x))
+            for x in range(t_rep.quiver.vertex_count)
+        ]
+        if any(c is None for c in comps):
+            raise ApproxcatError("filtration terms do not chain")
         steps.append(RepMorphism(prev_rep, t_rep, comps))
         prev_rep, prev_incl = t_rep, t_incl
-    return Filtration(steps)
+    return steps
 
 
 def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory,
                       r: int, budget: Budget) -> FiltrationCertificate:
     """Certificate construction mirroring the decision order; the caller
-    guarantees membership."""
-    filt = _build_steps(m, handle, r, budget)
+    guarantees membership. Peels until the quotient lies in add, then lifts
+    in one pass: term k is the kernel of the composite projection onto the
+    k-th quotient, the preimage of the quotient's own filtration."""
+    projs = [Matrix.identity(m.field, d) for d in m.dims]
+    terms = []
+    cur = m
+    while not _add_decide(cur, handle):
+        proj = _peel(cur, handle, r, budget)
+        projs = [p @ c for p, c in zip(proj.components, projs)]
+        terms.append(subrep_from_bases(m, [c.kernel_basis() for c in projs]))
+        cur, r = proj.target, r - 1
+    terms.append((m, RepMorphism.identity(m)))
+    zero = Rep.zero(m.quiver, m.field)
+    filt = Filtration(_chain_steps(zero, RepMorphism.zero(zero, m), terms))
     evidence = []
     for j in range(filt.depth):
         ev = member_add(filt.factor(j), handle)
@@ -404,19 +460,6 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory,
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)
     return FiltrationCertificate(filt, m, family, tuple(evidence))
-
-
-def _build_steps(m: Rep, handle: AddCategory, r: int, budget: Budget) -> Filtration:
-    if _add_decide(m, handle):
-        z = Rep.zero(m.quiver, m.field)
-        return Filtration([RepMorphism.zero(z, m)])
-    for _, _, incl in _peel_candidates(m, handle, budget):
-        quot, proj = cokernel(incl)
-        if _min_depth(quot, handle, r - 1, budget) is None:
-            continue
-        inner = _build_steps(quot, handle, r - 1, budget)
-        return _lift_filtration(m, incl, proj, inner)
-    raise CertificateError("membership decision and construction disagree")
 
 
 # the factors-exchanging operation
@@ -528,18 +571,9 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
         for cols in boundaries:
             _, incl_pref = _prefix_subrep(total, cols)
             mids.append(preimage_subrep(psi, incl_pref))
-        prev_rep, prev_incl = step.source, step
         chain = mids + [(step.target, RepMorphism.identity(step.target))]
-        for t, (t_rep, t_incl) in enumerate(chain):
-            comps = []
-            for x in range(t_rep.quiver.vertex_count):
-                sol = t_incl.component(x).solve(prev_incl.component(x))
-                if sol is None:
-                    raise ApproxcatError("refined filtration terms do not chain")
-                comps.append(sol)
-            steps.append(RepMorphism(prev_rep, t_rep, comps))
-            indices.append(effective[t])
-            prev_rep, prev_incl = t_rep, t_incl
+        steps.extend(_chain_steps(step.source, step, chain))
+        indices.extend(effective)
     return Filtration(steps), indices
 
 

@@ -282,6 +282,18 @@ class TestMembership:
         assert code == 1
         assert out == {"member": False}
 
+    def test_budget_exit_does_not_depend_on_earlier_commands(self, capsys, tmp_path):
+        ws = json.loads(json.dumps(A2_WORKSPACE))
+        ws["reps"]["R"] = {"dims": [3, 3], "maps": {"a": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}}
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps(ws))
+        argv = ["member-filt", "--workspace", str(path), "--rep", "R",
+                "--family", "P1", "--depth", "3"]
+        tight = ["--max-total-dim", "2"] + argv
+        assert run(capsys, tight)[0] == 3
+        assert run(capsys, argv)[:2] == (1, {"member": False})
+        assert run(capsys, tight)[0] == 3
+
     def test_budget_flag_reaches_search(self, capsys, loop_ws):
         code, out, _ = run(
             capsys,

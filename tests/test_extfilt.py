@@ -10,6 +10,7 @@ from approxcat.errors import (
 )
 from approxcat.extfilt import (
     FiltrationCertificate,
+    _family_kind,
     OrderedFamily,
     filt_exchange,
     filt_normalize,
@@ -234,6 +235,37 @@ class TestMemberFilt:
     def test_depth_must_be_positive(self):
         with pytest.raises(ShapeError):
             member_filt(p1(F2), [p1(F2)], 0)
+
+    def test_vertex_simple_classification(self):
+        s1 = Rep.simple(A2, F2, 0)
+        s2 = Rep.simple(A2, F2, 1)
+
+        def support(gens):
+            return _family_kind(AddCategory(gens, quiver=A2, field=F2))[1]
+
+        assert support([]) == frozenset()
+        assert support([s1, direct_sum([s1, s1])[0]]) == frozenset({0})
+        assert support([s2, s1]) == frozenset({0, 1})
+        assert support([direct_sum([s1, s2])[0]]) is None
+        assert support([p1(F2)]) is None
+
+    def test_search_answer_ignores_earlier_budgets(self):
+        # a tight budget refuses the peel search whether or not a call
+        # under the default budget has already settled the same question
+        m = a2_rep(F2, 3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 0])
+        tight = Budget(max_total_dim=2)
+        with pytest.raises(BudgetExceededError):
+            member_filt(m, [p1(F2)], 3, tight)
+        assert member_filt(m, [p1(F2)], 3) is None
+        with pytest.raises(BudgetExceededError):
+            member_filt(m, [p1(F2)], 3, tight)
+
+    def test_vertex_simple_decision_needs_no_budget(self):
+        s = Rep.simple(LOOP, F2, 0)
+        tight = Budget(max_total_dim=1, max_subspaces=0)
+        assert member_filt(jordan(F2, 3), [s], 2, tight) is None
+        cert = member_filt(jordan(F2, 3), [s], 3, tight)
+        assert cert is not None and cert.depth == 3 and cert.verify()
 
 
 def _two_step_filtration(total, sub_bases):
