@@ -207,9 +207,9 @@ def _family_kind(handle: AddCategory):
         gens, n = handle.generators, handle.quiver.vertex_count
         semisimple = all(g.map(a.id).is_zero() for g in gens for a in handle.quiver.arrows)
         support = frozenset(x for g in gens for x in range(n) if g.dims[x])
-        simples = {g.dims for g in gens}
+        gen_dims = {g.dims for g in gens}
         vertex_simple = semisimple and all(
-            tuple(int(y == x) for y in range(n)) in simples for x in support
+            tuple(int(y == x) for y in range(n)) in gen_dims for x in support
         )
         got = _semis_cache[key] = (semisimple, support if vertex_simple else None)
     return got
@@ -404,7 +404,7 @@ def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
     quotient lies in F_(r-1), given that m lies in F_r. For a vertex-simple
     family that is rad_T^(r-1)(m) when it is nonzero: it is the smallest
     feasible candidate, the only one of its size, and the cokernel depends
-    on its spans alone. Otherwise every candidate is feasible."""
+    on its spans alone; when it is zero, every candidate is feasible."""
     support = _family_kind(handle)[1]
     if support is not None:
         series = _radical_series(m, support)
