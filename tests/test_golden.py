@@ -16,7 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from approxcat.approx import AddCategory, left_approx_ext
+from approxcat.approx import (
+    AddCategory,
+    factor_through,
+    factor_through_right,
+    left_approx_add,
+    left_approx_ext,
+    right_approx_add,
+)
 from approxcat.counterex import (
     LoopQuiverConfig,
     assemble_member,
@@ -28,7 +35,7 @@ from approxcat.extfilt import member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import a2_quiver, loop_quiver
-from approxcat.rep import Rep, ext1_basis, hom_basis
+from approxcat.rep import Rep, direct_sum, ext1_basis, hom_basis
 from approxcat.serialize import (
     certificate_from_jsonable,
     certificate_to_jsonable,
@@ -106,6 +113,56 @@ def refutation(label):
     return certificate_to_jsonable(refute(hom_basis(s2, member)[-1], ev))
 
 
+def _components(f):
+    return None if f is None else [c.to_jsonable() for c in f.components]
+
+
+def factorization(label):
+    """factor_through of every hom_basis morphism out of m into split
+    targets, through left approximations by an extension category and by
+    add handles (one of which misses S1 and P1, so some answers are None),
+    on A2 and the one-loop quiver; factor_through_right of every hom_basis
+    morphism from split sources into m, through right add-approximations."""
+    F, c = FIELDS[label], C[label]
+    s1, s2, p1, m = _a2_reps(F, c)
+    q = loop_quiver(1)
+    s = Rep(q, F, [1], {"alpha1": Matrix(F, 1, 1, [0])})
+    j2 = Rep(q, F, [2], {"alpha1": Matrix(F, 2, 2, [0, 0, 1, 0])})
+    j3 = Rep(q, F, [3], {"alpha1": Matrix(F, 3, 3, [0, 0, 0, 1, 0, 0, c, 1, 0])})
+    split = {
+        "a2": [[s1, s2], [p1, s1], [p1, s2, s2], [s1, s1, s2]],
+        "loop": [[s, j2], [j2, j2], [j3]],
+    }
+    left = {
+        "ext_s1_p1s2": (m, left_approx_ext(m, AddCategory([s1]), AddCategory([p1, s2])), "a2"),
+        "add_s2": (m, left_approx_add(m, AddCategory([s2])), "a2"),
+        "add_p1s1": (m, left_approx_add(m, AddCategory([p1, s1])), "a2"),
+        "loop_add_j2": (j3, left_approx_add(j3, AddCategory([j2])), "loop"),
+    }
+    right = {
+        "add_p1s2": (m, right_approx_add(m, AddCategory([p1, s2])), "a2"),
+        "add_s1": (m, right_approx_add(m, AddCategory([s1])), "a2"),
+        "loop_add_s": (j3, right_approx_add(j3, AddCategory([s])), "loop"),
+    }
+    out = {}
+    for side, certs in (("left", left), ("right", right)):
+        for name, (v, cert, quiver) in certs.items():
+            z = cert.morphism
+            rows = []
+            for reps in split[quiver]:
+                w = direct_sum(reps)[0]
+                if side == "left":
+                    pairs = [(f, factor_through(f, z)) for f in hom_basis(v, w)]
+                else:
+                    pairs = [(f, factor_through_right(f, z)) for f in hom_basis(w, v)]
+                rows.append({
+                    "dims": list(w.dims),
+                    "pairs": [{"f": _components(f), "h": _components(h)} for f, h in pairs],
+                })
+            out[f"{side}_{name}"] = {"z": _components(z), "targets": rows}
+    return out
+
+
 def bases_q():
     """hom_basis and ext1_basis over Q, which no benchmark workload runs."""
     F = FIELDS["Q"]
@@ -140,6 +197,12 @@ CASES.update({
 })
 CASES["filtration_deep-F3"] = lambda: filtration_deep("F3")
 CASES["bases-Q"] = bases_q
+CASES.update({
+    f"factorization-{label}": (lambda label=label: factorization(label))
+    for label in FIELDS
+})
+# recomputed data, not certificates
+NOT_CERTIFICATES = {"bases-Q"} | {f"factorization-{label}" for label in FIELDS}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -147,7 +210,7 @@ def test_recomputed_output_is_byte_identical(name):
     assert dumps(CASES[name]()) == (GOLDEN / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CASES if n != "bases-Q"))
+@pytest.mark.parametrize("name", sorted(set(CASES) - NOT_CERTIFICATES))
 def test_certificate_reserializes_and_verifies(name):
     text = (GOLDEN / f"{name}.json").read_text()
     data = json.loads(text)
