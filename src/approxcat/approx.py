@@ -41,7 +41,7 @@ from .rep import (
     projective_epi,
     pushout,
     ses_verify,
-    _vec_morphism,
+    _factor,
 )
 from .search import Budget, default_budget, iter_subreps
 
@@ -270,42 +270,20 @@ def right_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
 
 def factor_through(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
     """h with h z = f, for morphisms f: m -> w and z: m -> t out of a common
-    source; None when no factorization exists."""
+    source; None when no factorization exists. The system for each target
+    w is solved once and memoized on z."""
     if f.source != z.source:
         raise ShapeError("factor_through needs a common source")
-    basis = hom_basis(z.target, f.target)
-    if not basis:
-        return RepMorphism.zero(z.target, f.target) if f.is_zero() else None
-    cols = hstack([_vec_morphism(compose(b, z)) for b in basis])
-    sol = cols.solve(_vec_morphism(f))
-    if sol is None:
-        return None
-    h = RepMorphism.zero(z.target, f.target)
-    for j, b in enumerate(basis):
-        c = sol.entry(j, 0)
-        if c != 0:
-            h = h + b.scale(c)
-    return h
+    return _factor(f, z, "left")
 
 
 def factor_through_right(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
     """h with z h = f, for morphisms f: w -> m and z: t -> m into a common
-    target; None when no factorization exists."""
+    target; None when no factorization exists. The system for each source
+    w is solved once and memoized on z."""
     if f.target != z.target:
         raise ShapeError("factor_through_right needs a common target")
-    basis = hom_basis(f.source, z.source)
-    if not basis:
-        return RepMorphism.zero(f.source, z.source) if f.is_zero() else None
-    cols = hstack([_vec_morphism(compose(z, b)) for b in basis])
-    sol = cols.solve(_vec_morphism(f))
-    if sol is None:
-        return None
-    h = RepMorphism.zero(f.source, z.source)
-    for j, b in enumerate(basis):
-        c = sol.entry(j, 0)
-        if c != 0:
-            h = h + b.scale(c)
-    return h
+    return _factor(f, z, "right")
 
 
 def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:

@@ -272,6 +272,12 @@ def _radical_series(m: Rep, support) -> Optional[list]:
     return series
 
 
+def _outgoing_kernel(m: Rep, x: int) -> Matrix:
+    """Basis of the joint kernel of the arrow maps out of vertex x."""
+    outs = [m.map(a.id) for a in m.quiver.arrows_from(x)]
+    return vstack(outs).kernel_basis() if outs else Matrix.identity(m.field, m.dims[x])
+
+
 def _kernel_peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
     """Peel candidates for a semisimple family. A subrepresentation lying in
     add(handle) is exactly a product of per-vertex subspaces of the joint
@@ -283,12 +289,7 @@ def _kernel_peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
         )
     F = m.field
     q = m.quiver
-    kernels = []
-    for x in range(q.vertex_count):
-        outs = [m.map(a.id) for a in q.arrows_from(x)]
-        kernels.append(
-            vstack(outs).kernel_basis() if outs else Matrix.identity(F, m.dims[x])
-        )
+    kernels = [_outgoing_kernel(m, x) for x in range(q.vertex_count)]
     tables = [subspace_table(F, kern.cols) for kern in kernels]
     count = 1
     for t in tables:
@@ -386,8 +387,8 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     member of add(S), or None when no such filtration exists.
 
     S may be an OrderedFamily, an AddCategory, or a plain generator list.
-    A vertex-simple family needs the budget only for a certificate deeper
-    than the Loewy length; any other family's peel search stays within it.
+    A vertex-simple family needs no budget; any other family's peel search
+    stays within it.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
@@ -404,17 +405,27 @@ def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
     quotient lies in F_(r-1), given that m lies in F_r. For a vertex-simple
     family that is rad_T^(r-1)(m) when it is nonzero: it is the smallest
     feasible candidate, the only one of its size, and the cokernel depends
-    on its spans alone; when it is zero, every candidate is feasible."""
+    on its spans alone. When it is zero, every candidate is feasible, and
+    the first one is read off without enumerating: the first vector of the
+    joint kernel of the outgoing maps at the last vertex of T where that
+    kernel is nonzero, so no budget applies."""
     support = _family_kind(handle)[1]
     if support is not None:
         series = _radical_series(m, support)
         if len(series) >= r:
             bases = series[r - 1]
-            sub = Rep(m.quiver, m.field, [b.cols for b in bases])
-            return cokernel(RepMorphism(sub, m, bases, check=False))[1]
+        else:
+            bases = [Matrix.zeros(m.field, d, 0) for d in m.dims]
+            for x in sorted(support, reverse=True):
+                kern = _outgoing_kernel(m, x)
+                if kern.cols:
+                    bases[x] = kern.take_cols([0])
+                    break
+        sub = Rep(m.quiver, m.field, [b.cols for b in bases])
+        return cokernel(RepMorphism(sub, m, bases, check=False))[1]
     for _, _, incl in _peel_candidates(m, handle, budget):
         quot, proj = cokernel(incl)
-        if support is not None or _min_depth(quot, handle, r - 1, budget) is not None:
+        if _min_depth(quot, handle, r - 1, budget) is not None:
             return proj
     raise CertificateError("membership decision and construction disagree")
 

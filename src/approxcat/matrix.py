@@ -129,30 +129,28 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
+    def _canonical(self, out) -> "Matrix":
+        """A matrix of this shape from plain sums and products of canonical
+        entries: one `% p` per entry over F_p, nothing over Q."""
+        p = self.field.modulus
+        return Matrix._trusted(
+            self.field, self.rows, self.cols, [x % p for x in out] if p else out
+        )
+
     def __add__(self, other):
         self._require_same_shape(other)
-        add = self.field.add
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [add(a, b) for a, b in zip(self._e, other._e)],
-        )
+        return self._canonical([a + b for a, b in zip(self._e, other._e)])
 
     def __sub__(self, other):
         self._require_same_shape(other)
-        sub = self.field.sub
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [sub(a, b) for a, b in zip(self._e, other._e)],
-        )
+        return self._canonical([a - b for a, b in zip(self._e, other._e)])
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self._e])
+        return self._canonical([-a for a in self._e])
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(c, a) for a in self._e])
+        return self._canonical([c * a for a in self._e])
 
     def __matmul__(self, other):
         if self.field != other.field:

@@ -117,9 +117,12 @@ class Rep:
 class RepMorphism:
     """A natural family of linear maps between two representations of the
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
-    target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t."""
+    target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
-    __slots__ = ("source", "target", "components")
+    _memo holds the factorization solvers built for this morphism (see
+    _factor); it is set on first use and freed with the morphism."""
+
+    __slots__ = ("source", "target", "components", "_memo")
 
     def __init__(self, source: Rep, target: Rep, components, check: bool = True):
         if source.quiver != target.quiver:
@@ -140,6 +143,7 @@ class RepMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_memo", None)
         if check and not self._is_natural():
             raise ShapeError("components are not natural (do not commute with arrow maps)")
 
@@ -614,25 +618,63 @@ def ses_verify(s: ShortExactSeq) -> bool:
     return True
 
 
+def _factor(f: RepMorphism, z: RepMorphism, side: str):
+    """h with h z = f (side "left", f and z out of a common source) or with
+    z h = f (side "right", into a common target); None when f does not
+    factor. The linear system depends only on z and the far end w of f, so
+    it is eliminated once per (side, w) and the solver is memoized on z;
+    each call is then two matrix-vector products."""
+    w = f.target if side == "left" else f.source
+    memo = z._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(z, "_memo", memo)
+    key = (side, w.key())
+    solver = memo.get(key)
+    if solver is None:
+        solver = memo[key] = _factor_solver(z, w, side)
+    consistency, lift = solver
+    b = _vec_morphism(f)
+    if not (consistency @ b).is_zero():
+        return None
+    src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
+    return _unpack_hom_vector(src, dst, (lift @ b)._e)
+
+
+def _factor_solver(z: RepMorphism, w: Rep, side: str):
+    """(C, M) for the system A s = vec(f), where column j of A is vec(b_j z)
+    on the left (vec(z b_j) on the right) and b_j = K[:, j] runs over the
+    hom basis of Hom(z.target, w) (of Hom(w, z.source)).
+
+    Row reducing [A | I] makes the same pivot decisions on A as solve makes
+    on [A | vec f]. Its right block E records the row operations, except
+    that rows past the rank of A may also have been added to the rows
+    above, which changes nothing when the system is consistent. So f
+    factors exactly when C = E[rank:] kills vec f, and the canonical
+    solution (free variables zero) puts E[:rank] vec f at the pivot columns
+    of A: vec h = K s = M vec f with M = K[:, pivots] E[:rank]."""
+    left = side == "left"
+    src, dst = (z.target, w) if left else (w, z.source)
+    ker = _hom_system(src, dst).kernel_basis()
+    k = ker.cols
+    cols = []
+    for j in range(k):
+        b = _unpack_hom_vector(src, dst, ker._e[j::k])
+        cols.append(_vec_morphism(compose(b, z) if left else compose(z, b)))
+    m = z.source if left else z.target
+    n = sum(wd * md for wd, md in zip(w.dims, m.dims))
+    R, pivots = hstack(cols + [Matrix.identity(w.field, n)]).rref()
+    rank = sum(1 for c in pivots if c < k)
+    e = R.take_cols(range(k, k + n))
+    lift = ker.take_cols(pivots[:rank]) @ e.take_rows(range(rank))
+    return e.take_rows(range(rank, n)), lift
+
+
 def is_split(s: ShortExactSeq):
     """A section sigma: quot -> mid with p sigma = id, or None. Found by
     solving for coefficients over a basis of Hom(quot, mid), so sigma is a
     genuine morphism, not just a vertexwise splitting."""
-    basis = hom_basis(s.quot, s.mid)
-    idv = _vec_morphism(RepMorphism.identity(s.quot))
-    if not basis:
-        return None if idv.rows and not idv.is_zero() else RepMorphism.zero(s.quot, s.mid)
-    cols = [_vec_morphism(compose(s.p, b)) for b in basis]
-    a = hstack(cols)
-    sol = a.solve(idv)
-    if sol is None:
-        return None
-    sigma = RepMorphism.zero(s.quot, s.mid)
-    for j, b in enumerate(basis):
-        c = sol.entry(j, 0)
-        if c != 0:
-            sigma = sigma + b.scale(c)
-    return sigma
+    return _factor(RepMorphism.identity(s.quot), s.p, "right")
 
 
 def pushout(f: RepMorphism, g: RepMorphism):
@@ -784,7 +826,8 @@ def preimage_subrep(f: RepMorphism, incl: RepMorphism):
 def iso_test(v: Rep, w: Rep):
     """An isomorphism v -> w, or None when provably none exists.
 
-    Procedure: compare dimension vectors; try cheap candidates (structural
+    Procedure: compare dimension vectors and the ranks of the arrow maps,
+    which an isomorphism preserves; try cheap candidates (structural
     equality, single basis morphisms, a fixed number of seeded random
     combinations); then decide completely, either by enumerating the finite
     hom space (prime field, at most 2^16 elements) or by evaluating the
@@ -801,6 +844,8 @@ def iso_test(v: Rep, w: Rep):
         return RepMorphism.zero(v, w)
     if v == w:
         return RepMorphism.identity(v)
+    if any(v.map(a.id).rank() != w.map(a.id).rank() for a in v.quiver.arrows):
+        return None
     F = v.field
     basis = hom_basis(v, w)
     h = len(basis)

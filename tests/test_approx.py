@@ -193,6 +193,14 @@ class TestMemberAdd:
         ev = member_add(pair, AddCategory([s1, pair]))
         assert ev is not None and ev.multiplicities == (0, 1)
 
+    def test_arrow_rank_decides_beyond_the_exhaustive_bound(self):
+        # the only candidate, S2^3 + S1^3, has a zero map; the member's map
+        # has rank 1, and Hom between them over F3 is too big to enumerate
+        F3 = FieldSpec.prime(3)
+        s1, s2 = simples(F3)
+        m = a2_rep(F3, 3, 3, [1, 0, 0, 0, 0, 0, 0, 0, 0])
+        assert member_add(m, AddCategory([s2, s1])) is None
+
     def test_dims_feasible_but_not_isomorphic(self):
         # Jordan block and S + S share dims; only the latter is in add(S).
         s = Rep.simple(LOOP, F2, 0)

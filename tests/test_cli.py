@@ -238,6 +238,22 @@ class TestMembership:
         assert code == 1
         assert out == {"member": False}
 
+    def test_member_add_absent_by_arrow_rank(self, capsys, tmp_path):
+        # over F3 the hom space to S2^3 + S1^3 is beyond the exhaustive
+        # iso bound; the rank of the arrow map gives the sound negative
+        ws = json.loads(json.dumps(A2_WORKSPACE))
+        ws["field"] = "F3"
+        ws["reps"]["R"] = {"dims": [3, 3], "maps": {"a": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}}
+        ws["handles"]["simples21"] = {"add": ["S2", "S1"]}
+        path = tmp_path / "rank1.json"
+        path.write_text(json.dumps(ws))
+        code, out, _ = run(
+            capsys,
+            ["member-add", "--workspace", str(path), "--rep", "R", "--in", "simples21"],
+        )
+        assert code == 1
+        assert out == {"member": False}
+
     def test_member_ext_found_inline_handle(self, capsys, a2_ws):
         code, out, _ = run(
             capsys, ["member-ext", "--workspace", a2_ws, "--rep", "SS", "--in", "inline"]

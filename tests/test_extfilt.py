@@ -267,6 +267,18 @@ class TestMemberFilt:
         cert = member_filt(jordan(F2, 3), [s], 3, tight)
         assert cert is not None and cert.depth == 3 and cert.verify()
 
+    def test_certificate_past_the_loewy_length_needs_no_budget(self):
+        # J3 + J3 + J3 has dim 9, above the default budget 8; at r = 4 no
+        # level peels a radical power, and the first peel candidate is read
+        # off without enumerating subspaces
+        s = Rep.simple(LOOP, F2, 0)
+        m = direct_sum([jordan(F2, 3)] * 3)[0]
+        assert member_filt(m, [s], 3).depth == 3
+        cert = member_filt(m, [s], 4)
+        assert cert is not None and cert.verify()
+        assert cert.depth == 4
+        assert [f.dims for f in cert.filtration.factors()] == [(1,), (2,), (3,), (3,)]
+
 
 def _two_step_filtration(total, sub_bases):
     """0 -> U -> total with U spanned by the given per-vertex bases."""

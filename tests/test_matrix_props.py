@@ -127,6 +127,14 @@ def assert_canonical(m: Matrix):
 
 
 @st.composite
+def pairs(draw):
+    """Two matrices of one shape over one field, and a scalar."""
+    F = draw(fields)
+    rows, cols = draw(dims), draw(dims)
+    return F, draw(matrices(F, rows, cols)), draw(matrices(F, rows, cols)), draw(scalars(F))
+
+
+@st.composite
 def products(draw):
     F = draw(fields)
     n, k, m = draw(dims), draw(dims), draw(dims)
@@ -155,6 +163,24 @@ def test_matmul_matches_reference(case):
     assert (got.rows, got.cols) == (a.rows, b.cols)
     assert got.to_lists() == ref_matmul(F, a.to_lists(), b.to_lists(), a.cols, b.cols)
     assert_canonical(got)
+
+
+@SETTINGS
+@given(pairs())
+def test_entrywise_arithmetic_matches_reference(case):
+    F, a, b, c = case
+    ea, eb = a._e, b._e
+    cc = F.coerce(c)
+    expected = {
+        "add": (a + b, [F.add(x, y) for x, y in zip(ea, eb)]),
+        "sub": (a - b, [F.sub(x, y) for x, y in zip(ea, eb)]),
+        "neg": (-a, [F.neg(x) for x in ea]),
+        "scale": (a.scale(c), [F.mul(cc, x) for x in ea]),
+    }
+    for got, ref in expected.values():
+        assert (got.rows, got.cols) == (a.rows, a.cols)
+        assert list(got._e) == ref
+        assert_canonical(got)
 
 
 @SETTINGS

@@ -454,6 +454,15 @@ class TestIso:
         f = iso_test(z, Rep.zero(A2, F2))
         assert f is not None and f.is_iso()
 
+    def test_arrow_rank_mismatch_is_a_sound_negative(self):
+        # Hom(v, w) over F3 has 3^15 elements, beyond the exhaustive bound;
+        # the rank of the arrow map decides without enumerating it
+        F3 = FieldSpec.prime(3)
+        v = Rep(A2, F3, [3, 3], {"a": Matrix(F3, 3, 3, [1, 0, 0, 0, 0, 0, 0, 0, 0])})
+        w = Rep(A2, F3, [3, 3])
+        assert iso_test(v, w) is None
+        assert iso_test(w, v) is None
+
     def test_direct_sum_reordering(self):
         s1, s2 = simples(F2)
         a, _, _ = direct_sum([s1, s2, s1])
