@@ -271,7 +271,7 @@ def right_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
 def factor_through(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
     """h with h z = f, for morphisms f: m -> w and z: m -> t out of a common
     source; None when no factorization exists. The system for each target
-    w is solved once and memoized on z."""
+    w is built once and memoized on z."""
     if f.source != z.source:
         raise ShapeError("factor_through needs a common source")
     return _factor(f, z, "left")
@@ -280,7 +280,7 @@ def factor_through(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
 def factor_through_right(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
     """h with z h = f, for morphisms f: w -> m and z: t -> m into a common
     target; None when no factorization exists. The system for each source
-    w is solved once and memoized on z."""
+    w is built once and memoized on z."""
     if f.target != z.target:
         raise ShapeError("factor_through_right needs a common target")
     return _factor(f, z, "right")

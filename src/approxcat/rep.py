@@ -119,7 +119,7 @@ class RepMorphism:
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
-    _memo holds the factorization solvers built for this morphism (see
+    _memo holds the factorization systems built for this morphism (see
     _factor); it is set on first use and freed with the morphism."""
 
     __slots__ = ("source", "target", "components", "_memo")
@@ -622,37 +622,29 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is eliminated once per (side, w) and the solver is memoized on z;
-    each call is then two matrix-vector products."""
+    it is built once per (side, w) and memoized on z; each call then solves
+    it for vec f."""
     w = f.target if side == "left" else f.source
     memo = z._memo
     if memo is None:
         memo = {}
         object.__setattr__(z, "_memo", memo)
     key = (side, w.key())
-    solver = memo.get(key)
-    if solver is None:
-        solver = memo[key] = _factor_solver(z, w, side)
-    consistency, lift = solver
-    b = _vec_morphism(f)
-    if not (consistency @ b).is_zero():
+    system = memo.get(key)
+    if system is None:
+        system = memo[key] = _factor_system(z, w, side)
+    ker, a = system
+    sol = a.solve(_vec_morphism(f))
+    if sol is None:
         return None
     src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
-    return _unpack_hom_vector(src, dst, (lift @ b)._e)
+    return _unpack_hom_vector(src, dst, (ker @ sol)._e)
 
 
-def _factor_solver(z: RepMorphism, w: Rep, side: str):
-    """(C, M) for the system A s = vec(f), where column j of A is vec(b_j z)
-    on the left (vec(z b_j) on the right) and b_j = K[:, j] runs over the
-    hom basis of Hom(z.target, w) (of Hom(w, z.source)).
-
-    Row reducing [A | I] makes the same pivot decisions on A as solve makes
-    on [A | vec f]. Its right block E records the row operations, except
-    that rows past the rank of A may also have been added to the rows
-    above, which changes nothing when the system is consistent. So f
-    factors exactly when C = E[rank:] kills vec f, and the canonical
-    solution (free variables zero) puts E[:rank] vec f at the pivot columns
-    of A: vec h = K s = M vec f with M = K[:, pivots] E[:rank]."""
+def _factor_system(z: RepMorphism, w: Rep, side: str):
+    """(K, A): the columns b_j of K are the hom basis of Hom(z.target, w)
+    (of Hom(w, z.source)), and column j of A is vec(b_j z) on the left
+    (vec(z b_j) on the right). h = K s for the solution s of A s = vec f."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
     ker = _hom_system(src, dst).kernel_basis()
@@ -661,13 +653,10 @@ def _factor_solver(z: RepMorphism, w: Rep, side: str):
     for j in range(k):
         b = _unpack_hom_vector(src, dst, ker._e[j::k])
         cols.append(_vec_morphism(compose(b, z) if left else compose(z, b)))
+    if cols:
+        return ker, hstack(cols)
     m = z.source if left else z.target
-    n = sum(wd * md for wd, md in zip(w.dims, m.dims))
-    R, pivots = hstack(cols + [Matrix.identity(w.field, n)]).rref()
-    rank = sum(1 for c in pivots if c < k)
-    e = R.take_cols(range(k, k + n))
-    lift = ker.take_cols(pivots[:rank]) @ e.take_rows(range(rank))
-    return e.take_rows(range(rank, n)), lift
+    return ker, Matrix.zeros(w.field, sum(wd * md for wd, md in zip(w.dims, m.dims)), 0)
 
 
 def is_split(s: ShortExactSeq):

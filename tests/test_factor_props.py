@@ -1,7 +1,7 @@
 """Property tests of factor_through and factor_through_right.
 
-Both solve their linear system once per (side, far end w of f) and keep
-the solver on the morphism z they factor through. The reference is the
+Both build their linear system once per (side, far end w of f) and keep
+it on the morphism z they factor through. The reference is the
 body they had before: rebuild the hom basis, compose it with z and solve,
 on every call. Over F2, F3, F5 and Q, on A2 and the one-loop quiver, the
 two must return equal morphisms (or both None) while one z is reused for
@@ -33,7 +33,7 @@ QUIVERS = [a2_quiver(), loop_quiver(1)]
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-# the reference: the bodies before the solver was memoized
+# the reference: the bodies before the system was memoized
 
 
 def ref_factor_through(f, z):
@@ -149,7 +149,7 @@ def test_memoized_factorization_matches_the_reference(case):
         if side == "left"
         else (factor_through_right, ref_factor_through_right)
     )
-    # twice round, so the second pass runs entirely on memoized solvers
+    # twice round, so the second pass runs entirely on memoized systems
     for _ in range(2):
         for w, fs in targets:
             for f in fs:
