@@ -22,6 +22,7 @@ from approxcat.approx import (
     factor_through_right,
     left_approx_add,
     left_approx_ext,
+    left_approx_ext_subclosed,
     right_approx_add,
 )
 from approxcat.counterex import (
@@ -31,7 +32,7 @@ from approxcat.counterex import (
     refute,
     standard_handle,
 )
-from approxcat.extfilt import member_filt
+from approxcat.extfilt import fr_enumerate, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import a2_quiver, loop_quiver
@@ -39,6 +40,7 @@ from approxcat.rep import Rep, direct_sum, ext1_basis, hom_basis
 from approxcat.serialize import (
     certificate_from_jsonable,
     certificate_to_jsonable,
+    rep_to_jsonable,
     verify_certificate,
 )
 
@@ -65,6 +67,25 @@ def approximation(label):
     F, c = FIELDS[label], C[label]
     s1, s2, p1, m = _a2_reps(F, c)
     return certificate_to_jsonable(left_approx_ext(m, AddCategory([s1]), AddCategory([p1, s2])))
+
+
+def approximation_subclosed(label):
+    """left_approx_ext_subclosed, which replaces the y-approximation by its
+    image: the one-loop J2 and J3 over (add{S}, add{S}), and the A2 rep m
+    over (add{S2}, add{S1, S2})."""
+    F, c = FIELDS[label], C[label]
+    s1, s2, _, m = _a2_reps(F, c)
+    q = loop_quiver(1)
+    s = Rep(q, F, [1], {"alpha1": Matrix(F, 1, 1, [0])})
+    j2 = Rep(q, F, [2], {"alpha1": Matrix(F, 2, 2, [0, 0, 1, 0])})
+    j3 = Rep(q, F, [3], {"alpha1": Matrix(F, 3, 3, [0, 0, 0, 1, 0, 0, c, 1, 0])})
+    add_s = AddCategory([s])
+    return {
+        "loop_j2": certificate_to_jsonable(left_approx_ext_subclosed(j2, add_s, add_s)),
+        "loop_j3": certificate_to_jsonable(left_approx_ext_subclosed(j3, add_s, add_s)),
+        "a2_m": certificate_to_jsonable(
+            left_approx_ext_subclosed(m, AddCategory([s2]), AddCategory([s1, s2]))),
+    }
 
 
 def filtration(label):
@@ -111,6 +132,18 @@ def refutation(label):
     member, ev = assemble_member(cfg, 2, 1, [c if k % 2 == 0 else 1 for k in range(n)])
     s2 = build_standard(cfg)[1]
     return certificate_to_jsonable(refute(hom_basis(s2, member)[-1], ev))
+
+
+def enumeration(label):
+    """fr_enumerate of [S1, S2] on A2 at r = 2 within (2, 2), and of [S]
+    on the one-loop quiver at r = 3 within (3,)."""
+    F = FIELDS[label]
+    s1, s2, _, _ = _a2_reps(F, C[label])
+    s = Rep(loop_quiver(1), F, [1])
+    return {
+        "a2_s1_s2": [rep_to_jsonable(v) for v in fr_enumerate([s1, s2], 2, (2, 2))],
+        "loop_s": [rep_to_jsonable(v) for v in fr_enumerate([s], 3, (3,))],
+    }
 
 
 def _components(f):
@@ -188,11 +221,15 @@ def bases_q():
 
 CASES = {
     f"{kind.__name__}-{label}": (lambda kind=kind, label=label: kind(label))
-    for kind in (approximation, filtration, refutation)
+    for kind in (approximation, approximation_subclosed, filtration, refutation)
     for label in FIELDS
 }
 CASES.update({
     f"filtration_search-{label}": (lambda label=label: filtration_search(label))
+    for label in ("F2", "F3")
+})
+CASES.update({
+    f"enumeration-{label}": (lambda label=label: enumeration(label))
     for label in ("F2", "F3")
 })
 CASES["filtration_deep-F3"] = lambda: filtration_deep("F3")
@@ -202,7 +239,16 @@ CASES.update({
     for label in FIELDS
 })
 # recomputed data, not certificates
-NOT_CERTIFICATES = {"bases-Q"} | {f"factorization-{label}" for label in FIELDS}
+NOT_CERTIFICATES = (
+    {"bases-Q"}
+    | {f"factorization-{label}" for label in FIELDS}
+    | {f"enumeration-{label}" for label in ("F2", "F3")}
+)
+
+
+def _certificates(data):
+    """The certificates in a golden file: one, or a bundle keyed by name."""
+    return [data] if "type" in data else list(data.values())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -212,10 +258,9 @@ def test_recomputed_output_is_byte_identical(name):
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - NOT_CERTIFICATES))
 def test_certificate_reserializes_and_verifies(name):
-    text = (GOLDEN / f"{name}.json").read_text()
-    data = json.loads(text)
-    assert dumps(certificate_to_jsonable(certificate_from_jsonable(data))) == text
-    assert verify_certificate(data)
+    for data in _certificates(json.loads((GOLDEN / f"{name}.json").read_text())):
+        assert dumps(certificate_to_jsonable(certificate_from_jsonable(data))) == dumps(data)
+        assert verify_certificate(data)
 
 
 def test_corpus_has_no_stray_files():
