@@ -48,7 +48,9 @@ from .search import Budget, default_budget, iter_subreps
 
 class AddCategory:
     """add of a finite generator list: all finite direct sums of copies of
-    the generators. Order matters for canonical sums and certificates."""
+    the generators. It is not closed under direct summands: a summand of a
+    generator is a member only when it is itself such a sum, so add{S1 + S2}
+    does not contain S1. Order matters for canonical sums and certificates."""
 
     __slots__ = ("generators", "quiver", "field")
 
@@ -87,11 +89,9 @@ class AddCategory:
         + ... and the flat list of generator indices, one per summand."""
         if len(multiplicities) != len(self.generators):
             raise ShapeError("one multiplicity per generator required")
-        layout = []
-        for i, c in enumerate(multiplicities):
-            if c < 0:
-                raise ShapeError("negative multiplicity")
-            layout.extend([i] * c)
+        if any(c < 0 for c in multiplicities):
+            raise ShapeError("negative multiplicity")
+        layout = [i for i, c in enumerate(multiplicities) for _ in range(c)]
         reps = [self.generators[i] for i in layout]
         total, _, _ = direct_sum(reps, quiver=self.quiver, field=self.field)
         return total, tuple(layout)
@@ -175,8 +175,15 @@ def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
             return False
         if evidence.iso.source != member:
             return False
+        # a count that cannot fit the member is refused before the sum,
+        # whose size grows with the counts, is built
+        mults, gens = evidence.multiplicities, handle.generators
+        dims = tuple(sum(c * g.dims[x] for c, g in zip(mults, gens))
+                     for x in range(len(member.dims)))
+        if len(mults) != len(gens) or dims != member.dims:
+            return False
         try:
-            expected, _ = handle.canonical_sum(evidence.multiplicities)
+            expected, _ = handle.canonical_sum(mults)
         except (ShapeError, ApproxcatError):
             return False
         if evidence.iso.target != expected:
@@ -294,37 +301,27 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     iso_test confirms. Zero-dimensional generators always get multiplicity
     zero.
     """
-    gens = handle.generators
-    n = len(gens)
-
-    def feasible(i, remaining):
-        if i == n:
-            if any(remaining):
-                return
-            yield ()
-            return
-        g = gens[i]
-        if g.total_dim == 0:
-            for rest in feasible(i + 1, remaining):
-                yield (0,) + rest
-            return
-        cap = min(
-            (remaining[x] // g.dims[x] for x in range(len(remaining)) if g.dims[x]),
-            default=0,
-        )
-        for c in range(cap + 1):
-            nxt = tuple(remaining[x] - c * g.dims[x] for x in range(len(remaining)))
-            if any(v < 0 for v in nxt):
-                break
-            for rest in feasible(i + 1, nxt):
-                yield (c,) + rest
-
-    for mults in feasible(0, m.dims):
+    for mults in _multiplicities([g.dims for g in handle.generators], m.dims):
         total, _ = handle.canonical_sum(mults)
         iso = iso_test(m, total)
         if iso is not None:
-            return AddEvidence(tuple(mults), iso)
+            return AddEvidence(mults, iso)
     return None
+
+
+def _multiplicities(gen_dims, dims):
+    """Every vector c >= 0 with sum_i c_i * gen_dims[i] == dims, in
+    lexicographic order; zero-dimensional generators get c_i = 0."""
+    if not gen_dims:
+        if not any(dims):
+            yield ()
+        return
+    g = gen_dims[0]
+    caps = [d // gx for d, gx in zip(dims, g) if gx]
+    for c in range(min(caps) + 1 if caps else 1):
+        rest = tuple(d - c * gx for d, gx in zip(dims, g))
+        for tail in _multiplicities(gen_dims[1:], rest):
+            yield (c,) + tail
 
 
 def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
@@ -401,6 +398,33 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
     return ApproxCertificate(cert.side, z, handle, evidence)
 
 
+def _pushout_extension(e: RepMorphism, x: AddCategory):
+    """For a surjection e: S -> Y, push a left x-approximation x_k: K -> X
+    of K = ker e out along K -> S to Z. Returns (a: S -> Z, the verified
+    sequence 0 -> X -> Z -> Y -> 0, the x-evidence for X)."""
+    k, incl = kernel(e)
+    cx = left_approx_add(k, x)
+    x_k = cx.morphism
+    z, a, b = pushout(incl, x_k)
+    big_x, y = x_k.target, e.target
+    vertices = range(y.quiver.vertex_count)
+    coker_proj = RepMorphism(
+        direct_sum([e.source, big_x])[0], z,
+        [hstack([a.component(v), b.component(v)]) for v in vertices],
+        check=False,
+    )
+    onto_y = RepMorphism(
+        coker_proj.source, y,
+        [hstack([e.component(v), Matrix.zeros(y.field, y.dims[v], big_x.dims[v])])
+         for v in vertices],
+        check=False,
+    )
+    ses = ShortExactSeq(b, factor_through_cokernel(coker_proj, onto_y))
+    if not ses_verify(ses):
+        raise CertificateError("pushout did not produce an exact bottom row")
+    return a, ses, cx.evidence
+
+
 def left_approx_ext(m: Rep, x: AddCategory, y: AddCategory) -> ApproxCertificate:
     """Left approximation of m into the extension category x*y, for
     representations of an acyclic quiver.
@@ -422,31 +446,9 @@ def left_approx_ext(m: Rep, x: AddCategory, y: AddCategory) -> ApproxCertificate
         s, big_y,
         [hstack([y_m.component(v), pi.component(v)]) for v in range(m.quiver.vertex_count)],
     )
-    k, incl = kernel(comb)
-    cx = left_approx_add(k, x)
-    x_k = cx.morphism
-    z, a_s, b_x = pushout(incl, x_k)
-    z_m = compose(a_s, injs[0])
-    coker_proj = RepMorphism(
-        direct_sum([s, x_k.target])[0], z,
-        [hstack([a_s.component(v), b_x.component(v)]) for v in range(m.quiver.vertex_count)],
-        check=False,
-    )
-    onto_y = RepMorphism(
-        coker_proj.source, big_y,
-        [
-            hstack([comb.component(v),
-                    Matrix.zeros(m.field, big_y.dims[v], x_k.target.dims[v])])
-            for v in range(m.quiver.vertex_count)
-        ],
-        check=False,
-    )
-    q = factor_through_cokernel(coker_proj, onto_y)
-    ses = ShortExactSeq(b_x, q)
-    if not ses_verify(ses):
-        raise CertificateError("pushout did not produce an exact bottom row")
-    evidence = ExtEvidence(ses, cx.evidence, cy.evidence)
-    return ApproxCertificate("left", z_m, ExtCategory(x, y), evidence)
+    a_s, ses, x_evidence = _pushout_extension(comb, x)
+    evidence = ExtEvidence(ses, x_evidence, cy.evidence)
+    return ApproxCertificate("left", compose(a_s, injs[0]), ExtCategory(x, y), evidence)
 
 
 def left_approx_ext_subclosed(
@@ -476,33 +478,12 @@ def left_approx_ext_subclosed(
                         f"with dims {sub.dims} outside the handle"
                     )
     cy = left_approx_add(m, y)
-    im, incl_im, y_epi = image(cy.morphism)
+    im, _, y_epi = image(cy.morphism)
     quot_evidence = member_add(im, y)
     if quot_evidence is None:
         raise SubobjectClosureError(
             "image of the y-approximation escapes y; the handle is not subobject closed"
         )
-    k, incl = kernel(y_epi)
-    cx = left_approx_add(k, x)
-    x_k = cx.morphism
-    z, a_m, b_x = pushout(incl, x_k)
-    coker_proj = RepMorphism(
-        direct_sum([m, x_k.target])[0], z,
-        [hstack([a_m.component(v), b_x.component(v)]) for v in range(m.quiver.vertex_count)],
-        check=False,
-    )
-    onto_im = RepMorphism(
-        coker_proj.source, im,
-        [
-            hstack([y_epi.component(v),
-                    Matrix.zeros(m.field, im.dims[v], x_k.target.dims[v])])
-            for v in range(m.quiver.vertex_count)
-        ],
-        check=False,
-    )
-    q = factor_through_cokernel(coker_proj, onto_im)
-    ses = ShortExactSeq(b_x, q)
-    if not ses_verify(ses):
-        raise CertificateError("pushout did not produce an exact bottom row")
-    evidence = ExtEvidence(ses, cx.evidence, quot_evidence)
+    a_m, ses, x_evidence = _pushout_extension(y_epi, x)
+    evidence = ExtEvidence(ses, x_evidence, quot_evidence)
     return ApproxCertificate("left", a_m, ExtCategory(x, y), evidence)

@@ -48,6 +48,7 @@ from .rep import (
     Rep,
     RepMorphism,
     ShortExactSeq,
+    _cocycle_combination,
     compose,
     ext1_basis,
     extension_from_cocycle,
@@ -345,15 +346,8 @@ def assemble_member(cfg: LoopQuiverConfig, s1_mult: int, m_mult: int, coefficien
     basis = ext1_basis(quot, sub)
     if len(coefficients) != len(basis):
         raise ShapeError(f"{len(basis)} cocycle coefficients required")
-    F = cfg.field
-    cocycle = {}
-    for a in cfg.quiver().arrows:
-        block = Matrix.zeros(F, sub.dims[a.target], quot.dims[a.source])
-        for c, elt in zip(coefficients, basis):
-            if c != 0:
-                block = block + elt[a.id].scale(F.coerce(c))
-        cocycle[a.id] = block
-    ses = extension_from_cocycle(quot, sub, cocycle)
+    coeffs = [cfg.field.coerce(c) for c in coefficients]
+    ses = extension_from_cocycle(quot, sub, _cocycle_combination(basis, coeffs))
     sub_ev = AddEvidence((s1_mult,), RepMorphism.identity(sub))
     quot_ev = AddEvidence((m_mult,), RepMorphism.identity(quot))
     return ses.mid, ExtEvidence(ses, sub_ev, quot_ev)

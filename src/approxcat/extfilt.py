@@ -31,7 +31,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .approx import AddCategory, ExtCategory, ExtEvidence, member_add, verify_evidence
+from .approx import (
+    AddCategory,
+    ExtCategory,
+    ExtEvidence,
+    _multiplicities,
+    member_add,
+    verify_evidence,
+)
 from .errors import (
     ApproxcatError,
     BudgetExceededError,
@@ -49,6 +56,7 @@ from .rep import (
     Rep,
     RepMorphism,
     ShortExactSeq,
+    _cocycle_combination,
     cokernel,
     compose,
     direct_sum,
@@ -76,26 +84,25 @@ from .search import (
 class OrderedFamily:
     """An ordered list of representations X_1, ..., X_n. The order carries
     the normalization hypothesis Ext1(X_i, X_j) = 0 for i <= j; membership
-    tests use the members as a plain generator set."""
+    tests use the members as a plain generator set, the add handle that the
+    family wraps."""
 
-    __slots__ = ("members", "quiver", "field")
+    __slots__ = ("_handle",)
 
     def __init__(self, members, quiver=None, field=None):
-        members = tuple(members)
-        if members:
-            quiver = members[0].quiver
-            field = members[0].field
-            for m in members:
-                if m.quiver != quiver or m.field != field:
-                    raise FieldMismatchError("family members live over different quivers or fields")
-        elif quiver is None or field is None:
-            raise ShapeError("an empty family needs an explicit quiver and field")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "field", field)
+        self._handle = AddCategory(members, quiver=quiver, field=field)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedFamily is immutable")
+    @property
+    def members(self):
+        return self._handle.generators
+
+    @property
+    def quiver(self):
+        return self._handle.quiver
+
+    @property
+    def field(self):
+        return self._handle.field
 
     def __len__(self):
         return len(self.members)
@@ -104,11 +111,10 @@ class OrderedFamily:
         return self.members[i]
 
     def add_handle(self) -> AddCategory:
-        return AddCategory(self.members, quiver=self.quiver, field=self.field)
+        return self._handle
 
     def key(self):
-        return ("family", self.quiver.key(), self.field.label,
-                tuple(m.key() for m in self.members))
+        return ("family",) + self._handle.key()[1:]
 
     def __eq__(self, other):
         return isinstance(other, OrderedFamily) and self.key() == other.key()
@@ -218,24 +224,7 @@ def _family_kind(handle: AddCategory):
 def _dims_feasible(handle: AddCategory, dims) -> bool:
     """Whether dims = sum of c_i * dims(generator i) has a solution in
     non-negative integers."""
-    gens = [g.dims for g in handle.generators if g.total_dim > 0]
-
-    def rec(i, remaining):
-        if not any(remaining):
-            return True
-        if i == len(gens):
-            return False
-        g = gens[i]
-        cap = min(
-            (remaining[x] // g[x] for x in range(len(remaining)) if g[x]),
-            default=0,
-        )
-        for c in range(cap, -1, -1):
-            if rec(i + 1, tuple(remaining[x] - c * g[x] for x in range(len(remaining)))):
-                return True
-        return False
-
-    return rec(0, tuple(dims))
+    return next(_multiplicities([g.dims for g in handle.generators], dims), None) is not None
 
 
 def _add_decide(m: Rep, handle: AddCategory) -> bool:
@@ -748,13 +737,7 @@ def fr_enumerate(generators, r: int, dim_bound, budget: Budget | None = None,
                     continue
                 basis = ext1_basis(quot, sub)
                 for coeffs in itertools.product(scalars, repeat=len(basis)):
-                    cocycle = {}
-                    for a in quiver.arrows:
-                        block = Matrix.zeros(field, sub.dims[a.target], quot.dims[a.source])
-                        for cf, bl in zip(coeffs, basis):
-                            if cf != 0:
-                                block = block + bl[a.id].scale(cf)
-                        cocycle[a.id] = block
+                    cocycle = _cocycle_combination(basis, coeffs)
                     mid = extension_from_cocycle(quot, sub, cocycle).mid
                     built += 1
                     if built > budget.max_subspaces:

@@ -437,6 +437,19 @@ def cocycles_equivalent(v: Rep, w: Rep, c1, c2) -> bool:
     return _hom_system(v, w).solve(diff) is not None
 
 
+def _cocycle_combination(basis, coeffs):
+    """The cocycle sum_j coeffs[j] * basis[j] over cocycles from ext1_basis.
+    An arrow that no nonzero term reaches is left out, which
+    extension_from_cocycle reads as a zero block."""
+    cocycle = {}
+    for c, elt in zip(coeffs, basis):
+        if c != 0:
+            for aid, block in elt.items():
+                term = block.scale(c)
+                cocycle[aid] = cocycle[aid] + term if aid in cocycle else term
+    return cocycle
+
+
 def extension_from_cocycle(v: Rep, w: Rep, cocycle) -> ShortExactSeq:
     """The extension 0 -> w -> E -> v -> 0 with E_a = [[w_a, g_a], [0, v_a]]
     in the block decomposition E_x = w_x + v_x (sub first). Arrows missing
@@ -502,20 +515,7 @@ def ses_class_cocycle(s: ShortExactSeq):
 
 def kernel(f: RepMorphism):
     """(K, incl) with incl: K -> source the kernel of f."""
-    v = f.source
-    q, F = v.quiver, v.field
-    bases = [f.component(x).kernel_basis() for x in range(q.vertex_count)]
-    dims = [b.cols for b in bases]
-    maps = {}
-    for a in q.arrows:
-        rhs = v.map(a.id) @ bases[a.source]
-        ka = bases[a.target].solve(rhs)
-        if ka is None:
-            raise ApproxcatError("kernel is not arrow-stable; naturality broken")
-        maps[a.id] = ka
-    k = Rep(q, F, dims, maps)
-    incl = RepMorphism(k, v, bases)
-    return k, incl
+    return subrep_from_bases(f.source, [c.kernel_basis() for c in f.components])
 
 
 def cokernel(f: RepMorphism):
@@ -542,21 +542,9 @@ def cokernel(f: RepMorphism):
 def image(f: RepMorphism):
     """(I, incl, proj): the image of f with incl: I -> target injective and
     proj: source -> I surjective, f == incl after proj."""
-    q, F = f.source.quiver, f.source.field
-    incls = [f.component(x).image_basis() for x in range(q.vertex_count)]
-    dims = [b.cols for b in incls]
-    maps = {}
-    for a in q.arrows:
-        rhs = f.target.map(a.id) @ incls[a.source]
-        ia = incls[a.target].solve(rhs)
-        if ia is None:
-            raise ApproxcatError("image is not arrow-stable; naturality broken")
-        maps[a.id] = ia
-    im = Rep(q, F, dims, maps)
-    incl = RepMorphism(im, f.target, incls)
-    projs = [incls[x].solve(f.component(x)) for x in range(q.vertex_count)]
-    proj = RepMorphism(f.source, im, projs)
-    return im, incl, proj
+    im, incl = subrep_from_bases(f.target, [c.image_basis() for c in f.components])
+    projs = [b.solve(c) for b, c in zip(incl.components, f.components)]
+    return im, incl, RepMorphism(f.source, im, projs)
 
 
 def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = None):

@@ -210,6 +210,16 @@ class TestMemberAdd:
         ev = member_add(pair, AddCategory([s]))
         assert ev is not None and ev.multiplicities == (2,)
 
+    @pytest.mark.parametrize("field", [F2, Q])
+    def test_add_is_not_closed_under_direct_summands(self, field):
+        # add{S1 + S2} holds the sums of copies of S1 + S2, not S1 alone
+        s1, s2 = simples(field)
+        pair, _, _ = direct_sum([s1, s2])
+        h = AddCategory([pair])
+        assert member_add(s1, h) is None
+        ev = member_add(pair, h)
+        assert ev is not None and ev.multiplicities == (1,)
+
     def test_evidence_rejects_tampering(self):
         s1, s2 = simples(Q)
         h = AddCategory([s1, s2])

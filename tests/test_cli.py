@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from approxcat.approx import member_add
+from approxcat.approx import AddCategory, left_approx_add, member_add
 from approxcat.cli import main
 from approxcat.counterex import LoopQuiverConfig, assemble_member
 from approxcat.extfilt import FiltrationCertificate, OrderedFamily
@@ -492,6 +492,16 @@ class TestVerify:
     def test_verify_tampered(self, capsys, tmp_path, a2_ws):
         p, data = self._cert_file(capsys, tmp_path, a2_ws)
         data["side"] = "right"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
+        assert code == 1
+        assert out == {"verified": False}
+
+    def test_verify_refuses_a_huge_multiplicity(self, capsys, tmp_path):
+        s1, s2 = Rep.simple(A2, F2, 0), Rep.simple(A2, F2, 1)
+        data = certificate_to_jsonable(left_approx_add(s1, AddCategory([s1, s2])))
+        data["evidence"]["multiplicities"] = [10**9, 0]
+        p = tmp_path / "huge.json"
         p.write_text(json.dumps(data))
         code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
         assert code == 1

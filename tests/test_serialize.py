@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -120,6 +121,14 @@ class TestApproxCertificates:
         data = through_json(certificate_to_jsonable(cert))
         data["morphism"]["components"][0] = [[0]]
         assert not verify_certificate(data)
+
+    def test_huge_multiplicity_is_refused_before_the_sum_is_built(self):
+        s1, s2 = Rep.simple(A2, F2, 0), Rep.simple(A2, F2, 1)
+        data = through_json(certificate_to_jsonable(left_approx_add(s1, AddCategory([s1, s2]))))
+        data["evidence"]["multiplicities"] = [10**9, 0]
+        start = time.perf_counter()
+        assert not verify_certificate(data)
+        assert time.perf_counter() - start < 1.0
 
     def test_tampered_side_detected(self):
         s1 = Rep.simple(A2, F2, 0)
