@@ -175,15 +175,17 @@ def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
             return False
         if evidence.iso.source != member:
             return False
-        # a count that cannot fit the member is refused before the sum,
-        # whose size grows with the counts, is built
+        # the sum grows with the counts, so it is built only once they fit
+        # the member; copies of a zero-dimensional generator, which that
+        # check cannot bound, add nothing and are not laid out
         mults, gens = evidence.multiplicities, handle.generators
         dims = tuple(sum(c * g.dims[x] for c, g in zip(mults, gens))
                      for x in range(len(member.dims)))
         if len(mults) != len(gens) or dims != member.dims:
             return False
         try:
-            expected, _ = handle.canonical_sum(mults)
+            expected, _ = handle.canonical_sum(
+                [min(c, 0) if g.total_dim == 0 else c for c, g in zip(mults, gens)])
         except (ShapeError, ApproxcatError):
             return False
         if evidence.iso.target != expected:

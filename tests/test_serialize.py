@@ -130,6 +130,16 @@ class TestApproxCertificates:
         assert not verify_certificate(data)
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_count_of_a_zero_generator_is_not_laid_out(self):
+        s1, zero = Rep.simple(A2, F2, 0), Rep.zero(A2, F2)
+        data = through_json(certificate_to_jsonable(left_approx_add(s1, AddCategory([s1, zero]))))
+        data["evidence"]["multiplicities"] = [1, 10**9]
+        start = time.perf_counter()
+        assert verify_certificate(data)
+        assert time.perf_counter() - start < 1.0
+        data["evidence"]["multiplicities"] = [1, -1]
+        assert not verify_certificate(data)
+
     def test_tampered_side_detected(self):
         s1 = Rep.simple(A2, F2, 0)
         cert = left_approx_add(s1, AddCategory([p1(F2)]))
