@@ -52,7 +52,7 @@ class AddCategory:
     generator is a member only when it is itself such a sum, so add{S1 + S2}
     does not contain S1. Order matters for canonical sums and certificates."""
 
-    __slots__ = ("generators", "quiver", "field")
+    __slots__ = ("generators", "quiver", "field", "_key")
 
     def __init__(self, generators, quiver=None, field=None):
         generators = tuple(generators)
@@ -67,13 +67,16 @@ class AddCategory:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AddCategory is immutable")
 
     def key(self):
-        return ("add", self.quiver.key(), self.field.label,
-                tuple(g.key() for g in self.generators))
+        if self._key is None:
+            object.__setattr__(self, "_key", ("add", self.quiver.key(), self.field.label,
+                                              tuple(g.key() for g in self.generators)))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, AddCategory) and self.key() == other.key()
@@ -311,18 +314,19 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     return None
 
 
-def _multiplicities(gen_dims, dims):
-    """Every vector c >= 0 with sum_i c_i * gen_dims[i] == dims, in
-    lexicographic order; zero-dimensional generators get c_i = 0."""
+def _multiplicities(gen_dims, dims, bounded=False):
+    """Every vector c >= 0 with sum_i c_i * gen_dims[i] == dims (<= dims
+    when bounded), in lexicographic order; zero-dimensional generators get
+    c_i = 0."""
     if not gen_dims:
-        if not any(dims):
+        if bounded or not any(dims):
             yield ()
         return
     g = gen_dims[0]
     caps = [d // gx for d, gx in zip(dims, g) if gx]
     for c in range(min(caps) + 1 if caps else 1):
         rest = tuple(d - c * gx for d, gx in zip(dims, g))
-        for tail in _multiplicities(gen_dims[1:], rest):
+        for tail in _multiplicities(gen_dims[1:], rest, bounded):
             yield (c,) + tail
 
 

@@ -14,7 +14,10 @@ F_(r-1) iff U contains rad_T^(r-1)(m). Other families peel an add(S)
 bottom layer from m and search the quotients within the budget. The
 minimal depth per representation is memoized, and the certificate is
 lifted to m in one pass: term k is the kernel of the composite projection
-of m onto the k-th peeled quotient.
+of m onto the k-th peeled quotient. A vertex-simple certificate reads one
+radical series of m, since rad_T(m/U) = (rad_T(m) + U)/U: once the peeled
+quotient's Loewy length reaches the remaining depth, each further term is
+rad_T^j(m) + U.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, and filt_normalize applies the exchange as a bubble
@@ -236,9 +239,10 @@ def _add_decide(m: Rep, handle: AddCategory) -> bool:
     return member_add(m, handle) is not None
 
 
-# minimal filtration depth, memoized per (family, representation, budget or
-# None for vertex-simple families): the value is (deepest cap tried, minimal
-# depth or None within that cap); the cap is infinite for Loewy lengths.
+# minimal filtration depth, memoized per (family, representation, budget),
+# or per (support T, representation) for vertex-simple families: the value is
+# (deepest cap tried, minimal depth or None within that cap); the cap is
+# infinite for Loewy lengths.
 _depth_memo: dict = {}
 
 
@@ -250,11 +254,11 @@ def _radical_series(m: Rep, support) -> Optional[list]:
     series, term = [], [Matrix.identity(F, d) for d in m.dims]
     while any(b.cols for b in term):
         series.append(term)
-        parts = [[Matrix.zeros(F, d, 0) if x in support else term[x]]
-                 for x, d in enumerate(m.dims)]
+        parts = [[] if x in support else [term[x]] for x in range(len(m.dims))]
         for a in m.quiver.arrows:
             parts[a.target].append(m.map(a.id) @ term[a.source])
-        nxt = [hstack(p).image_basis() for p in parts]
+        nxt = [hstack(p).image_basis() if p else Matrix.zeros(F, d, 0)
+               for p, d in zip(parts, m.dims)]
         if sum(b.cols for b in nxt) == sum(b.cols for b in term):
             return None
         term = nxt
@@ -350,7 +354,7 @@ def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optiona
             "search, which is only available over prime fields"
         )
     support = _family_kind(handle)[1]
-    key = (handle.key(), m.key(), budget if support is None else None)
+    key = (support, m.key()) if support is not None else (handle.key(), m.key(), budget)
     got = _depth_memo.get(key)
     if got is None or (got[1] is None and got[0] < cap):
         if support is not None:
@@ -383,7 +387,8 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
         raise ShapeError("filtration depth must be at least 1")
     family = _as_family(s)
     handle = family.add_handle()
-    budget = budget or default_budget()
+    if budget is None and _family_kind(handle)[1] is None:
+        budget = default_budget()
     if _min_depth(m, handle, r, budget) is None:
         return None
     return _build_filtration(m, family, handle, r, budget)
@@ -391,32 +396,29 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
 
 def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
     """The projection of m onto m/U for the first peel candidate U whose
-    quotient lies in F_(r-1), given that m lies in F_r. For a vertex-simple
-    family that is rad_T^(r-1)(m) when it is nonzero: it is the smallest
-    feasible candidate, the only one of its size, and the cokernel depends
-    on its spans alone. When it is zero, every candidate is feasible, and
-    the first one is read off without enumerating: the first vector of the
-    joint kernel of the outgoing maps at the last vertex of T where that
-    kernel is nonzero, so no budget applies."""
-    support = _family_kind(handle)[1]
-    if support is not None:
-        series = _radical_series(m, support)
-        if len(series) >= r:
-            bases = series[r - 1]
-        else:
-            bases = [Matrix.zeros(m.field, d, 0) for d in m.dims]
-            for x in sorted(support, reverse=True):
-                kern = _outgoing_kernel(m, x)
-                if kern.cols:
-                    bases[x] = kern.take_cols([0])
-                    break
-        sub = Rep(m.quiver, m.field, [b.cols for b in bases])
-        return cokernel(RepMorphism(sub, m, bases, check=False))[1]
+    quotient lies in F_(r-1), given that m lies in F_r."""
     for _, _, incl in _peel_candidates(m, handle, budget):
         quot, proj = cokernel(incl)
         if _min_depth(quot, handle, r - 1, budget) is not None:
             return proj
     raise CertificateError("membership decision and construction disagree")
+
+
+def _first_peel(m: Rep, support) -> RepMorphism:
+    """The projection of m onto m/U for the first peel candidate U of a
+    vertex-simple family with support T, read off without enumerating: the
+    first vector of the joint kernel of the outgoing maps at the last vertex
+    of T where that kernel is nonzero. Above the Loewy length every
+    candidate is feasible, so this is the peel the search would pick, and no
+    budget applies."""
+    for x in sorted(support, reverse=True):
+        kern = _outgoing_kernel(m, x)
+        if kern.cols:
+            break
+    bases = [Matrix.zeros(m.field, d, 0) for d in m.dims]
+    bases[x] = kern.take_cols([0])
+    sub = Rep(m.quiver, m.field, [b.cols for b in bases])
+    return cokernel(RepMorphism(sub, m, bases, check=False))[1]
 
 
 def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
@@ -441,15 +443,35 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory,
     """Certificate construction mirroring the decision order; the caller
     guarantees membership. Peels until the quotient lies in add, then lifts
     in one pass: term k is the kernel of the composite projection onto the
-    k-th quotient, the preimage of the quotient's own filtration."""
+    k-th quotient, the preimage of the quotient's own filtration.
+
+    A vertex-simple family computes the radical series R_k of m once. Since
+    rad_T(m/U) = (rad_T(m) + U)/U, the Loewy length of the quotient m/U is
+    the number of R_k not inside U. Below the remaining depth the first
+    candidate is peeled from the quotient; once the length reaches it, each
+    further peel is rad_T^(j)(m/U), so term j is R_j + U. Its basis is the
+    kernel basis of the annihilator of R_j + U, a function of the subspace
+    alone and so the one the composite projection would give."""
+    support = _family_kind(handle)[1]
+    series = None if support is None else _radical_series(m, support)
     projs = [Matrix.identity(m.field, d) for d in m.dims]
-    terms = []
-    cur = m
+    terms, cur, top = [], m, 0
     while not _add_decide(cur, handle):
-        proj = _peel(cur, handle, r, budget)
+        if series is None:
+            proj = _peel(cur, handle, r, budget)
+        elif sum(any(not (p @ b).is_zero() for p, b in zip(projs, t)) for t in series) < r:
+            proj = _first_peel(cur, support)
+        else:
+            top = r
+            break
         projs = [p @ c for p, c in zip(proj.components, projs)]
         terms.append(subrep_from_bases(m, [c.kernel_basis() for c in projs]))
         cur, r = proj.target, r - 1
+    u = [c.kernel_basis() for c in projs]
+    for j in range(top - 1, 0, -1):
+        spans = [hstack([b, rj]) for b, rj in zip(u, series[j])]
+        bases = [s.transpose().kernel_basis().transpose().kernel_basis() for s in spans]
+        terms.append(subrep_from_bases(m, bases))
     terms.append((m, RepMorphism.identity(m)))
     zero = Rep.zero(m.quiver, m.field)
     filt = Filtration(_chain_steps(zero, RepMorphism.zero(zero, m), terms))
@@ -697,34 +719,17 @@ def fr_enumerate(generators, r: int, dim_bound, budget: Budget | None = None,
     _require_prime(field, "fr_enumerate")
     budget = budget or default_budget()
     bound = _bound_tuple(dim_bound, quiver)
-    effective = [g for g in gens if g.total_dim > 0]
     groups: dict = {}
     base = []
     built = 0
-
-    def sums(i, dims_left, chosen):
-        nonlocal built
-        if i == len(effective):
-            reps = []
-            for gi, c in enumerate(chosen):
-                reps.extend([effective[gi]] * c)
-            total, _, _ = direct_sum(reps, quiver=quiver, field=field)
-            built += 1
-            if built > budget.max_subspaces:
-                raise _budget_error(built, budget)
-            if _iso_insert(groups, total):
-                base.append(total)
-            return
-        g = effective[i]
-        cap = min(
-            (dims_left[x] // g.dims[x] for x in range(len(bound)) if g.dims[x]),
-            default=0,
-        )
-        for c in range(cap + 1):
-            nxt = tuple(dims_left[x] - c * g.dims[x] for x in range(len(bound)))
-            sums(i + 1, nxt, chosen + (c,))
-
-    sums(0, bound, ())
+    for counts in _multiplicities([g.dims for g in gens], bound, bounded=True):
+        reps = [g for g, c in zip(gens, counts) for _ in range(c)]
+        total, _, _ = direct_sum(reps, quiver=quiver, field=field)
+        built += 1
+        if built > budget.max_subspaces:
+            raise _budget_error(built, budget)
+        if _iso_insert(groups, total):
+            base.append(total)
     current = list(base)
     scalars = list(field.iter_scalars())
     for _ in range(r - 1):

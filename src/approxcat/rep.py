@@ -521,21 +521,19 @@ def kernel(f: RepMorphism):
 def cokernel(f: RepMorphism):
     """(C, proj) with proj: target -> C the cokernel of f. The projection
     rows are the canonical left-kernel basis of each component, so equal
-    inputs give literally equal cokernels."""
+    inputs give literally equal cokernels. Those rows are the identity on
+    the free columns of the transposed component, so the map induced on an
+    arrow a: s -> t is proj_t @ w_a read at the free columns of vertex s."""
     w = f.target
     q, F = w.quiver, w.field
-    projs = [f.component(x).transpose().kernel_basis().transpose() for x in range(q.vertex_count)]
-    dims = [p.rows for p in projs]
-    maps = {}
-    for a in q.arrows:
-        lhs_t = projs[a.source].transpose()
-        rhs_t = (projs[a.target] @ w.map(a.id)).transpose()
-        ca_t = lhs_t.solve(rhs_t)
-        if ca_t is None:
-            raise ApproxcatError("cokernel maps are not induced; naturality broken")
-        maps[a.id] = ca_t.transpose()
-    c = Rep(q, F, dims, maps)
-    proj = RepMorphism(w, c, projs)
+    comps_t = [c.transpose() for c in f.components]
+    projs = [t.kernel_basis().transpose() for t in comps_t]
+    free = [sorted(set(range(t.cols)).difference(t.rref()[1])) for t in comps_t]
+    maps = {a.id: (projs[a.target] @ w.map(a.id)).take_cols(free[a.source]) for a in q.arrows}
+    c = Rep(q, F, [p.rows for p in projs], maps)
+    proj = RepMorphism(w, c, projs, check=False)
+    if not proj._is_natural():
+        raise ApproxcatError("cokernel maps are not induced; naturality broken")
     return c, proj
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from approxcat.approx import AddCategory, ExtCategory, verify_evidence
 from approxcat.errors import (
+    ApproxcatError,
     BudgetExceededError,
     ExtObstructionError,
     HypothesisViolationError,
@@ -266,6 +267,17 @@ class TestMemberFilt:
         assert member_filt(jordan(F2, 3), [s], 2, tight) is None
         cert = member_filt(jordan(F2, 3), [s], 3, tight)
         assert cert is not None and cert.depth == 3 and cert.verify()
+
+    def test_only_the_peel_search_reads_the_budget_variables(self, monkeypatch):
+        # a bad APPROXCAT_MAX_TOTAL_DIM is never read for a vertex-simple
+        # family, and is still refused where the peel search needs a budget
+        monkeypatch.setenv("APPROXCAT_MAX_TOTAL_DIM", "abc")
+        s = Rep.simple(LOOP, F2, 0)
+        cert = member_filt(jordan(F2, 2), [s], 2)
+        assert cert is not None and cert.depth == 2 and cert.verify()
+        assert member_filt(jordan(F2, 2), [s], 1) is None
+        with pytest.raises(ApproxcatError, match="APPROXCAT_MAX_TOTAL_DIM"):
+            member_filt(jordan(F2, 3), [jordan(F2, 2)], 2)
 
     def test_certificate_past_the_loewy_length_needs_no_budget(self):
         # J3 + J3 + J3 has dim 9, above the default budget 8; at r = 4 no
