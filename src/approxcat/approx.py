@@ -74,8 +74,9 @@ class AddCategory:
 
     def key(self):
         if self._key is None:
-            object.__setattr__(self, "_key", ("add", self.quiver.key(), self.field.label,
-                                              tuple(g.key() for g in self.generators)))
+            k = ("add", self.quiver.key(), self.field.label,
+                 tuple(g.key() for g in self.generators))
+            object.__setattr__(self, "_key", k)
         return self._key
 
     def __eq__(self, other):
