@@ -122,6 +122,24 @@ def filtration_deep(label):
     return certificate_to_jsonable(member_filt(m, [s2, s1], 4))
 
 
+def filtration_semisimple(label):
+    """Depth 2 over a semisimple family that is not vertex-simple, so the
+    peel search runs over the joint kernels of the outgoing maps: J2+J2
+    over [S+S] on the one-loop quiver (F2), and the A2 rep of dims (2, 2)
+    with a = [[1, 0], [0, 0]] over [S1+S2] (F3)."""
+    F = FIELDS[label]
+    if label == "F2":
+        q = loop_quiver(1)
+        s = Rep(q, F, [1])
+        j2 = Rep(q, F, [2], {"alpha1": Matrix(F, 2, 2, [0, 0, 1, 0])})
+        m, gen = direct_sum([j2, j2])[0], direct_sum([s, s])[0]
+    else:
+        s1, s2, _, _ = _a2_reps(F, C[label])
+        m = Rep(A2, F, [2, 2], {"a": Matrix(F, 2, 2, [1, 0, 0, 0])})
+        gen = direct_sum([s1, s2])[0]
+    return certificate_to_jsonable(member_filt(m, [gen], 2))
+
+
 def refutation(label):
     F, c = FIELDS[label], C[label]
     cfg = LoopQuiverConfig(2, F)
@@ -226,6 +244,10 @@ CASES = {
 }
 CASES.update({
     f"filtration_search-{label}": (lambda label=label: filtration_search(label))
+    for label in ("F2", "F3")
+})
+CASES.update({
+    f"filtration_semisimple-{label}": (lambda label=label: filtration_semisimple(label))
     for label in ("F2", "F3")
 })
 CASES.update({
