@@ -11,13 +11,15 @@ semisimple representation supported on that vertex set T) it reads the
 Loewy series, with no search and no budget: for rad_T(N) = sum_a a(N) +
 sum_{x not in T} N_x, N lies in F_r iff rad_T^r(N) = 0, and m/U lies in
 F_(r-1) iff U contains rad_T^(r-1)(m). Other families peel an add(S)
-bottom layer from m and search the quotients within the budget. The
-minimal depth per representation is memoized, and the certificate is
-lifted to m in one pass: term k is the kernel of the composite projection
-of m onto the k-th peeled quotient. A vertex-simple certificate reads one
-radical series of m, since rad_T(m/U) = (rad_T(m) + U)/U: once the peeled
-quotient's Loewy length reaches the remaining depth, each further term is
-rad_T^j(m) + U.
+bottom layer from m and search the quotients within the budget; the
+layers come from one SubrepSearch, over m, or for a family with zero
+arrow maps over the joint kernels of m's outgoing maps, which hold every
+such layer. The minimal depth per representation is memoized, and the
+certificate is lifted to m in one pass: term k is the kernel of the
+composite projection of m onto the k-th peeled quotient. A vertex-simple
+certificate reads one radical series of m, since rad_T(m/U) = (rad_T(m) +
+U)/U: once the peeled quotient's Loewy length reaches the remaining depth,
+each further term is rad_T^j(m) + U.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, and filt_normalize applies the exchange as a bubble
@@ -74,14 +76,7 @@ from .rep import (
     ses_verify,
     subrep_from_bases,
 )
-from .search import (
-    Budget,
-    SubrepSearch,
-    _compositions,
-    _require_prime,
-    default_budget,
-    subspace_table,
-)
+from .search import Budget, SubrepSearch, _require_prime, default_budget
 
 
 class OrderedFamily:
@@ -271,70 +266,34 @@ def _outgoing_kernel(m: Rep, x: int) -> Matrix:
     return vstack(outs).kernel_basis() if outs else Matrix.identity(m.field, m.dims[x])
 
 
-def _kernel_peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
-    """Peel candidates for a semisimple family. A subrepresentation lying in
-    add(handle) is exactly a product of per-vertex subspaces of the joint
-    kernel of the outgoing maps, so the enumeration walks those kernels
-    instead of the full ambient Grassmannians."""
+def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
+    """Inclusions into m of its proper nonzero add(handle)
+    subrepresentations, cheapest first. Over a semisimple family such a
+    subrepresentation is killed by every arrow, so it is a product of
+    subspaces of the joint kernels K_x of the outgoing maps: the search
+    walks the zero-map representation on the K_x, which can be much smaller
+    than m, and each inclusion is composed with the K_x."""
     if m.total_dim > budget.max_total_dim:
         raise BudgetExceededError(
             f"total dimension {m.total_dim} exceeds the budget {budget.max_total_dim}"
         )
-    F = m.field
-    q = m.quiver
-    kernels = [_outgoing_kernel(m, x) for x in range(q.vertex_count)]
-    tables = [subspace_table(F, kern.cols) for kern in kernels]
-    count = 1
-    for t in tables:
-        count *= len(t)
-    if count > budget.max_subspaces:
-        raise BudgetExceededError(
-            f"{count} subspace combinations exceed the budget {budget.max_subspaces}"
-        )
-    by_k = []
-    for t in tables:
-        groups = {}
-        for e in t:
-            groups.setdefault(e.k, []).append(e)
-        by_k.append(groups)
-    caps = [kern.cols for kern in kernels]
-    total = m.total_dim
-    for want in range(1, sum(caps) + 1):
-        if want == total:
-            continue
-        for shape in _compositions(want, caps):
-            if not _dims_feasible(handle, shape):
-                continue
-            pools = [by_k[x][shape[x]] for x in range(q.vertex_count)]
-            for entries in itertools.product(*pools):
-                comps = [
-                    kernels[x] @ entries[x].basis for x in range(q.vertex_count)
-                ]
-                maps = {
-                    a.id: Matrix.zeros(F, shape[a.target], shape[a.source])
-                    for a in q.arrows
-                }
-                sub = Rep(q, F, list(shape), maps)
-                incl = RepMorphism(sub, m, comps, check=False)
-                yield entries, sub, incl
-
-
-def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
-    """Quotients of m by its proper nonzero add(handle) subrepresentations,
-    cheapest subrepresentation first."""
+    space, kernels = m, None
     if _family_kind(handle)[0]:
-        yield from _kernel_peel_candidates(m, handle, budget)
-        return
-    search = SubrepSearch(m, budget)
+        kernels = [_outgoing_kernel(m, x) for x in range(m.quiver.vertex_count)]
+        space = Rep(m.quiver, m.field, [k.cols for k in kernels])
+    search = SubrepSearch(space, budget)
     total = m.total_dim
     for combo in search.tuples():
         k = sum(e.k for e in combo)
         if k == 0 or k == total:
             continue
         sub, incl = search.build(combo)
-        if member_add(sub, handle) is None:
+        if not _add_decide(sub, handle):
             continue
-        yield combo, sub, incl
+        if kernels is not None:
+            incl = RepMorphism(sub, m, [kern @ e.basis for kern, e in zip(kernels, combo)],
+                               check=False)
+        yield incl
 
 
 def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optional[int]:
@@ -362,7 +321,7 @@ def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optiona
             got = (math.inf, None if series is None else len(series))
         else:
             best = None
-            for _, _, incl in _peel_candidates(m, handle, budget):
+            for incl in _peel_candidates(m, handle, budget):
                 quot, _ = cokernel(incl)
                 inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget)
                 if inner is not None and (best is None or inner + 1 < best):
@@ -397,7 +356,7 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
 def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
     """The projection of m onto m/U for the first peel candidate U whose
     quotient lies in F_(r-1), given that m lies in F_r."""
-    for _, _, incl in _peel_candidates(m, handle, budget):
+    for incl in _peel_candidates(m, handle, budget):
         quot, proj = cokernel(incl)
         if _min_depth(quot, handle, r - 1, budget) is not None:
             return proj

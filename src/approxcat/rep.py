@@ -417,26 +417,6 @@ def euler_form(v: Rep, w: Rep) -> int:
     return total
 
 
-def _vec_cocycle(v: Rep, w: Rep, blocks) -> Matrix:
-    offs, total = _ext_row_layout(v, w)
-    F = v.field
-    entries = [F.zero] * total
-    for a in v.quiver.arrows:
-        m = blocks.get(a.id)
-        if m is None:
-            continue
-        base = offs[a.id]
-        entries[base : base + len(m._e)] = m._e
-    return Matrix._trusted(F, total, 1, entries)
-
-
-def cocycles_equivalent(v: Rep, w: Rep, c1, c2) -> bool:
-    """Whether two cocycles differ by a coboundary, i.e. define the same
-    extension class."""
-    diff = _vec_cocycle(v, w, c1) - _vec_cocycle(v, w, c2)
-    return _hom_system(v, w).solve(diff) is not None
-
-
 def _cocycle_combination(basis, coeffs):
     """The cocycle sum_j coeffs[j] * basis[j] over cocycles from ext1_basis.
     An arrow that no nonzero term reaches is left out, which
@@ -482,32 +462,6 @@ def extension_from_cocycle(v: Rep, w: Rep, cocycle) -> ShortExactSeq:
     i = RepMorphism(w, mid, i_comps)
     p = RepMorphism(mid, v, p_comps)
     return ShortExactSeq(i, p)
-
-
-def ses_class_cocycle(s: ShortExactSeq):
-    """A cocycle representing the class of a verified short exact sequence
-    0 -> sub -> mid -> quot -> 0, extracted from vertexwise splittings."""
-    F = s.mid.field
-    q = s.mid.quiver
-    sections = []
-    retractions = []
-    for x in range(q.vertex_count):
-        px = s.p.component(x)
-        ix = s.i.component(x)
-        sec = px.solve(Matrix.identity(F, px.rows))
-        if sec is None:
-            raise ApproxcatError("not vertexwise surjective; run ses_verify first")
-        ret_t = ix.transpose().solve(Matrix.identity(F, ix.cols))
-        if ret_t is None:
-            raise ApproxcatError("not vertexwise injective; run ses_verify first")
-        sections.append(sec)
-        retractions.append(ret_t.transpose())
-    blocks = {}
-    for a in q.arrows:
-        sx, tx = a.source, a.target
-        za, va = s.mid.map(a.id), s.quot.map(a.id)
-        blocks[a.id] = retractions[tx] @ (za @ sections[sx] - sections[tx] @ va)
-    return blocks
 
 
 # kernels, cokernels, images, sums
@@ -752,21 +706,7 @@ def projective_epi(m: Rep):
     return p, pi
 
 
-def yoneda_dim_check(quiver: Quiver, field: FieldSpec, vertex: int, m: Rep) -> bool:
-    """dim Hom(P(vertex), m) must equal dims m[vertex]."""
-    return hom_dim(projective(quiver, field, vertex), m) == m.dims[vertex]
-
-
 # subrepresentations
-
-
-def subrep_stable(rep: Rep, bases) -> bool:
-    """Whether per-vertex column spans are closed under the arrow maps."""
-    for a in rep.quiver.arrows:
-        got = rep.map(a.id) @ bases[a.source]
-        if bases[a.target].solve(got) is None:
-            return False
-    return True
 
 
 def subrep_from_bases(rep: Rep, bases):

@@ -30,6 +30,7 @@ from approxcat.rep import (
     iso_test,
     subrep_from_bases,
 )
+from approxcat import search
 from approxcat.search import (
     Budget,
     SubrepSearch,
@@ -290,6 +291,17 @@ class TestMemberFilt:
         assert cert is not None and cert.verify()
         assert cert.depth == 4
         assert [f.dims for f in cert.filtration.factors()] == [(1,), (2,), (3,), (3,)]
+
+    def test_semisimple_peel_counts_tuples_before_building_tables(self, monkeypatch):
+        # a rank-1 loop on F3^6 has a 5-dimensional kernel; over [S + S]
+        # the peel search refuses on the count of subspace tuples, before
+        # it builds the subspace table of F3^5
+        monkeypatch.setattr(search, "_subspace_cache", {})
+        s = Rep.simple(LOOP, F3, 0)
+        m = Rep(LOOP, F3, [6], {"alpha1": Matrix(F3, 6, 6, [int(k == 1) for k in range(36)])})
+        with pytest.raises(BudgetExceededError):
+            member_filt(m, [direct_sum([s, s])[0]], 2, Budget(max_subspaces=100))
+        assert (3, 5) not in search._subspace_cache
 
 
 def _two_step_filtration(total, sub_bases):

@@ -16,7 +16,6 @@ from approxcat.rep import (
     Rep,
     RepMorphism,
     ShortExactSeq,
-    cocycles_equivalent,
     cokernel,
     compose,
     direct_sum,
@@ -35,12 +34,10 @@ from approxcat.rep import (
     projective,
     projective_epi,
     pushout,
-    ses_class_cocycle,
     ses_verify,
     subrep_from_bases,
-    subrep_stable,
-    yoneda_dim_check,
 )
+from rep_oracles import cocycles_equivalent, ses_class_cocycle, subrep_stable, yoneda_dim_check
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
