@@ -11,9 +11,9 @@ semisimple representation supported on that vertex set T) it reads the
 Loewy series, with no search and no budget: for rad_T(N) = sum_a a(N) +
 sum_{x not in T} N_x, N lies in F_r iff rad_T^r(N) = 0, and m/U lies in
 F_(r-1) iff U contains rad_T^(r-1)(m). Other families peel an add(S)
-bottom layer from m and search the quotients within the budget; the
-layers come from one SubrepSearch, over m, or for a family with zero
-arrow maps over the joint kernels of m's outgoing maps, which hold every
+bottom layer from m and search the quotients within the budget. The
+layers come from SubrepSearch: over m, or, for a family with zero arrow
+maps, over the joint kernels of m's outgoing maps, which contain every
 such layer. The minimal depth per representation is memoized, and the
 certificate is lifted to m in one pass: term k is the kernel of the
 composite projection of m onto the k-th peeled quotient. A vertex-simple

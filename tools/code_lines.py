@@ -11,12 +11,13 @@ and the total.
 """
 
 import ast
+import io
 import pathlib
 import sys
 import tokenize
 
-SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-        tokenize.DEDENT, tokenize.ENDMARKER}
+SKIP = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+        tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def docstring_lines(tree) -> set:
@@ -32,16 +33,12 @@ def docstring_lines(tree) -> set:
 
 
 def code_lines(path) -> int:
-    with open(path, "rb") as f:
-        source = f.read()
-    skip = docstring_lines(ast.parse(source))
+    source = pathlib.Path(path).read_bytes()
     lines = set()
-    with open(path, "rb") as f:
-        for tok in tokenize.tokenize(f.readline):
-            if tok.type in SKIP or tok.type == tokenize.ENCODING:
-                continue
-            lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
-    return len(lines)
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in SKIP:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
 
 
 def main(argv) -> int:
