@@ -284,8 +284,8 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
     search = SubrepSearch(space, budget)
     total = m.total_dim
     for combo in search.tuples():
-        k = sum(e.k for e in combo)
-        if k == 0 or k == total:
+        dims = [e.k for e in combo]
+        if sum(dims) in (0, total) or not _dims_feasible(handle, dims):
             continue
         sub, incl = search.build(combo)
         if not _add_decide(sub, handle):
