@@ -171,9 +171,9 @@ Evidence = Union[AddEvidence, ExtEvidence]
 
 
 def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
-    """Re-check membership evidence from scratch: isos are re-validated as
-    natural invertible morphisms against freshly built canonical sums, and
-    short exact sequences are re-verified."""
+    """Re-check membership evidence from scratch: isos must be natural and
+    invertible onto freshly built canonical sums, and short exact sequences
+    must have natural maps and be exact."""
     if isinstance(handle, AddCategory):
         if not isinstance(evidence, AddEvidence):
             return False
@@ -194,21 +194,12 @@ def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
             return False
         if evidence.iso.target != expected:
             return False
-        try:
-            RepMorphism(member, expected, evidence.iso.components)
-        except (ShapeError, FieldMismatchError):
-            return False
-        return evidence.iso.is_iso()
+        return evidence.iso.is_natural() and evidence.iso.is_iso()
     if isinstance(handle, ExtCategory):
         if not isinstance(evidence, ExtEvidence):
             return False
         ses = evidence.ses
-        if ses.mid != member:
-            return False
-        try:
-            RepMorphism(ses.sub, ses.mid, ses.i.components)
-            RepMorphism(ses.mid, ses.quot, ses.p.components)
-        except (ShapeError, FieldMismatchError):
+        if ses.mid != member or not (ses.i.is_natural() and ses.p.is_natural()):
             return False
         if not ses_verify(ses):
             return False
@@ -236,11 +227,7 @@ class ApproxCertificate:
         return self.morphism.target if self.side == "left" else self.morphism.source
 
     def verify(self) -> bool:
-        if self.side not in ("left", "right"):
-            return False
-        try:
-            RepMorphism(self.morphism.source, self.morphism.target, self.morphism.components)
-        except (ShapeError, FieldMismatchError):
+        if self.side not in ("left", "right") or not self.morphism.is_natural():
             return False
         return verify_evidence(self.evidence, self.approximating, self.handle)
 

@@ -235,13 +235,7 @@ class RefutationWitness:
         except (ShapeError, ApproxcatError):
             return False
         s1, s2, m = build_standard(cfg)
-        if self.candidate.source != s2:
-            return False
-        try:
-            RepMorphism(
-                self.candidate.source, self.candidate.target, self.candidate.components
-            )
-        except (ShapeError, FieldMismatchError):
+        if self.candidate.source != s2 or not self.candidate.is_natural():
             return False
         v = self.candidate.target
         if not v.map(f"alpha{self.i0}").is_zero():
@@ -249,11 +243,7 @@ class RefutationWitness:
         if not verify_evidence(self.w_evidence, self.w, standard_handle(cfg)):
             return False
         g = self.nonzero_target_map
-        if g.source != s2 or g.target != self.w or g.is_zero():
-            return False
-        try:
-            RepMorphism(g.source, g.target, g.components)
-        except (ShapeError, FieldMismatchError):
+        if g.source != s2 or g.target != self.w or g.is_zero() or not g.is_natural():
             return False
         if hom_dim(s2, self.w) != 1:
             return False
@@ -261,11 +251,7 @@ class RefutationWitness:
         if len(self.vanishing_proof) != len(basis):
             return False
         for f, c in self.vanishing_proof:
-            if f.source != v or f.target != self.w:
-                return False
-            try:
-                RepMorphism(f.source, f.target, f.components)
-            except (ShapeError, FieldMismatchError):
+            if f.source != v or f.target != self.w or not f.is_natural():
                 return False
             if not c.is_zero() or not compose(f, self.candidate).is_zero():
                 return False

@@ -92,9 +92,6 @@ class Matrix:
     def row_list(self, i: int) -> list:
         return list(self._e[i * self.cols : (i + 1) * self.cols])
 
-    def col_list(self, j: int) -> list:
-        return [self._e[i * self.cols + j] for i in range(self.rows)]
-
     def to_lists(self) -> list:
         return [self.row_list(i) for i in range(self.rows)]
 

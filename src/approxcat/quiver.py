@@ -47,15 +47,8 @@ class Quiver:
         except KeyError:
             raise ApproxcatError(f"no arrow {aid!r}") from None
 
-    @property
-    def arrow_ids(self):
-        return tuple(a.id for a in self.arrows)
-
     def arrows_from(self, v: int):
         return tuple(a for a in self.arrows if a.source == v)
-
-    def arrows_to(self, v: int):
-        return tuple(a for a in self.arrows if a.target == v)
 
     @property
     def is_acyclic(self) -> bool:

@@ -144,13 +144,16 @@ class RepMorphism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_memo", None)
-        if check and not self._is_natural():
+        if check and not self.is_natural():
             raise ShapeError("components are not natural (do not commute with arrow maps)")
 
     def __setattr__(self, name, value):
         raise AttributeError("RepMorphism is immutable")
 
-    def _is_natural(self) -> bool:
+    def is_natural(self) -> bool:
+        """Whether the components commute with every arrow map. The
+        constructor has checked the shapes, so this is the only property a
+        morphism built with check=False can lack."""
         for a in self.source.quiver.arrows:
             lhs = self.target.map(a.id) @ self.components[a.source]
             rhs = self.components[a.target] @ self.source.map(a.id)
@@ -486,7 +489,7 @@ def cokernel(f: RepMorphism):
     maps = {a.id: (projs[a.target] @ w.map(a.id)).take_cols(free[a.source]) for a in q.arrows}
     c = Rep(q, F, [p.rows for p in projs], maps)
     proj = RepMorphism(w, c, projs, check=False)
-    if not proj._is_natural():
+    if not proj.is_natural():
         raise ApproxcatError("cokernel maps are not induced; naturality broken")
     return c, proj
 

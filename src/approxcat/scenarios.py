@@ -21,7 +21,6 @@ from .approx import (
 from .counterex import (
     LoopQuiverConfig,
     beta_surjectivity_check,
-    build_standard,
     candidate_maps,
     refute,
     sample_members,

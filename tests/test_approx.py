@@ -29,6 +29,7 @@ from approxcat.quiver import Quiver, a2_quiver, loop_quiver
 from approxcat.rep import (
     Rep,
     RepMorphism,
+    ShortExactSeq,
     compose,
     direct_sum,
     hom_basis,
@@ -54,6 +55,11 @@ def simples(field):
 
 def p1(field):
     return a2_rep(field, 1, 1, [1])
+
+
+def loop_line(field, c):
+    """The one-dimensional one-loop representation with loop c."""
+    return Rep(LOOP, field, [1], {"alpha1": Matrix(field, 1, 1, [c])})
 
 
 def all_a2_reps(field, d0_max, d1_max):
@@ -230,6 +236,51 @@ class TestMemberAdd:
         assert not verify_evidence(bad, m, h)
         assert not verify_evidence(ev, s1, h)
 
+    def test_non_natural_iso_is_refused(self):
+        # invertible at each vertex, but (1, 2) does not commute with a = [1]
+        F3 = FieldSpec.prime(3)
+        m = p1(F3)
+        h = AddCategory([m])
+        bad = RepMorphism(m, m, [Matrix(F3, 1, 1, [1]), Matrix(F3, 1, 1, [2])], check=False)
+        assert bad.is_iso() and not bad.is_natural()
+        assert verify_evidence(AddEvidence((1,), RepMorphism.identity(m)), m, h)
+        assert not verify_evidence(AddEvidence((1,), bad), m, h)
+
+
+def _j2_extension(sub, quot):
+    """Ext evidence for J2 (loop e1 -> e2) with ends the lines sub and
+    quot: i onto span(e2) and p reading e1, both built unchecked. The
+    sequence is exact as vector spaces whatever the lines; i is natural
+    exactly when sub has loop 0, and so is p for quot."""
+    j2 = Rep(LOOP, F2, [2], {"alpha1": Matrix(F2, 2, 2, [0, 0, 1, 0])})
+    i = RepMorphism(sub, j2, [Matrix(F2, 2, 1, [0, 1])], check=False)
+    p = RepMorphism(j2, quot, [Matrix(F2, 1, 2, [1, 0])], check=False)
+    ses = ShortExactSeq(i, p)
+    assert ses_verify(ses)
+    ev = ExtEvidence(ses, AddEvidence((1,), RepMorphism.identity(sub)),
+                     AddEvidence((1,), RepMorphism.identity(quot)))
+    return j2, ev, ExtCategory(AddCategory([sub]), AddCategory([quot]))
+
+
+class TestExtEvidenceNaturality:
+    def test_natural_sequence_verifies(self):
+        s = loop_line(F2, 0)
+        j2, ev, h = _j2_extension(s, s)
+        assert ev.ses.i.is_natural() and ev.ses.p.is_natural()
+        assert verify_evidence(ev, j2, h)
+
+    def test_non_natural_inclusion_is_refused(self):
+        # J2 has no loop-stable line on which the loop acts by 1
+        j2, ev, h = _j2_extension(loop_line(F2, 1), loop_line(F2, 0))
+        assert not ev.ses.i.is_natural() and ev.ses.p.is_natural()
+        assert not verify_evidence(ev, j2, h)
+
+    def test_non_natural_projection_is_refused(self):
+        # nor a quotient line on which the loop acts by 1
+        j2, ev, h = _j2_extension(loop_line(F2, 0), loop_line(F2, 1))
+        assert ev.ses.i.is_natural() and not ev.ses.p.is_natural()
+        assert not verify_evidence(ev, j2, h)
+
 
 class TestMinimize:
     def test_redundant_big_generator_dropped(self):
@@ -385,6 +436,15 @@ class TestLeftApproxExtSubclosed:
 
 
 class TestCertificateVerify:
+    def test_non_natural_morphism_fails(self):
+        # Hom(J2, S) is spanned by (1, 0); (0, 1) does not kill the loop's image
+        j2 = Rep(LOOP, F2, [2], {"alpha1": Matrix(F2, 2, 2, [0, 0, 1, 0])})
+        cert = left_approx_add(j2, AddCategory([loop_line(F2, 0)]))
+        assert cert.verify()
+        bad = RepMorphism(j2, cert.approximating, [Matrix(F2, 1, 2, [0, 1])], check=False)
+        assert not bad.is_natural()
+        assert not ApproxCertificate("left", bad, cert.handle, cert.evidence).verify()
+
     def test_tampered_morphism_fails(self):
         s1, s2 = simples(Q)
         cert = left_approx_add(s2, AddCategory([p1(Q)]))

@@ -7,10 +7,10 @@ import pytest
 from approxcat.approx import AddCategory, left_approx_add, member_add
 from approxcat.cli import main
 from approxcat.counterex import LoopQuiverConfig, assemble_member
-from approxcat.extfilt import FiltrationCertificate, OrderedFamily
+from approxcat.extfilt import FiltrationCertificate, OrderedFamily, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
-from approxcat.quiver import Quiver
+from approxcat.quiver import Quiver, loop_quiver
 from approxcat.rep import (
     Filtration,
     Rep,
@@ -513,6 +513,47 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
         assert code == 2
         assert out["error"]["code"] == "CertificateInvalid"
+
+
+def _forged_j3_certificate():
+    """A depth-2 "filtration" of J3 over [S] on the one-loop quiver: 0 -> M1
+    -> J3 with M1 = S + S (zero loop) mapped onto span(e2, e3), a stable
+    subspace on which the loop of J3 does not act by zero. Both cokernels lie
+    in add(S), but the second step is not natural, and J3 has Loewy length
+    3, so it lies in no F_2."""
+    loop = loop_quiver(1)
+    s = Rep.simple(loop, F2, 0)
+    j3 = Rep(loop, F2, [3], {"alpha1": Matrix(F2, 3, 3, [0, 0, 0, 1, 0, 0, 0, 1, 0])})
+    m1 = Rep(loop, F2, [2])
+    zero = Rep.zero(loop, F2)
+    steps = [RepMorphism.zero(zero, m1),
+             RepMorphism(m1, j3, [Matrix(F2, 3, 2, [0, 0, 1, 0, 0, 1])], check=False)]
+    filt = Filtration(steps)
+    family = OrderedFamily([s])
+    evidence = tuple(member_add(filt.factor(j), family.add_handle()) for j in range(2))
+    assert all(ev is not None for ev in evidence)
+    return FiltrationCertificate(filt, j3, family, evidence)
+
+
+class TestForgedFiltration:
+    def test_refused_in_process(self):
+        cert = _forged_j3_certificate()
+        assert cert.verify() is False
+        assert not cert.filtration.steps[1].is_natural()
+        assert member_filt(cert.member, cert.family, 2) is None
+        real = member_filt(cert.member, cert.family, 3)
+        assert real is not None and real.verify()
+
+    def test_refused_from_json(self):
+        data = json.loads(json.dumps(certificate_to_jsonable(_forged_j3_certificate())))
+        assert verify_certificate(data) is False
+
+    def test_refused_by_the_cli(self, capsys, tmp_path):
+        p = tmp_path / "forged.json"
+        p.write_text(json.dumps(certificate_to_jsonable(_forged_j3_certificate())))
+        code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
+        assert code == 1
+        assert out == {"verified": False}
 
 
 class TestScenario:

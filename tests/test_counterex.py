@@ -274,6 +274,31 @@ class TestRefute:
         trimmed = dataclasses.replace(witness, vanishing_proof=())
         assert not trimmed.verify()
 
+    def test_every_family_of_maps_out_of_s2_is_natural(self):
+        # S2 lives at vertex 1 and every arrow leaves vertex 0, so both sides
+        # of each naturality square are empty: a witness's candidate and
+        # target map cannot fail the verifier's naturality check
+        _, s2, _ = build_standard(CFG2)
+        w = build_W(CFG2, 1)
+        for entry in (0, 1):
+            f = RepMorphism(s2, w, [Matrix(F2, 2, 0), Matrix(F2, 1, 1, [entry])], check=False)
+            assert f.is_natural()
+
+    def test_non_natural_vanishing_proof_fails(self):
+        import dataclasses
+
+        member, ev = assemble_member(CFG2, 0, 1, [])
+        witness = refute(_unit_candidate(member), ev)
+        (f, c), = witness.vanishing_proof
+        # a new vertex-0 component breaks the beta square; the composite
+        # with the candidate, which lives at vertex 1, still vanishes
+        forged = RepMorphism(f.source, f.target,
+                             [Matrix(F2, 2, 1, [1, 1]), f.component(1)], check=False)
+        assert not forged.is_natural()
+        bad = dataclasses.replace(witness, vanishing_proof=((forged, c),))
+        assert witness.verify()
+        assert not bad.verify()
+
     def test_pushout_route_blocked_on_this_quiver(self):
         s1, s2, m = build_standard(CFG2)
         with pytest.raises(NonAcyclicQuiverError):

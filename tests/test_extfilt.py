@@ -1,6 +1,6 @@
 import pytest
 
-from approxcat.approx import AddCategory, ExtCategory, verify_evidence
+from approxcat.approx import AddCategory, ExtCategory, member_add, verify_evidence
 from approxcat.errors import (
     ApproxcatError,
     BudgetExceededError,
@@ -364,8 +364,6 @@ class TestFiltExchange:
 
 
 def _certify(filt, family):
-    from approxcat.approx import member_add
-
     handle = family.add_handle()
     evidence = []
     for j in range(filt.depth):
@@ -373,6 +371,20 @@ def _certify(filt, family):
         assert ev is not None
         evidence.append(ev)
     return FiltrationCertificate(filt, filt.top, family, tuple(evidence))
+
+
+class TestFiltrationCertificateVerify:
+    def test_step_onto_an_unstable_subspace_is_a_plain_negative(self):
+        # S -> J2 onto span(e1), which the loop moves: the factor of that
+        # step has no induced loop, so verify must refuse before any cokernel
+        s = Rep.simple(LOOP, F2, 0)
+        j2 = jordan(F2, 2)
+        z = Rep.zero(LOOP, F2)
+        filt = Filtration([RepMorphism.zero(z, s),
+                           RepMorphism(s, j2, [Matrix(F2, 2, 1, [1, 0])], check=False)])
+        family = OrderedFamily([s])
+        ev = member_add(s, family.add_handle())
+        assert FiltrationCertificate(filt, j2, family, (ev, ev)).verify() is False
 
 
 class TestFiltNormalize:
