@@ -319,75 +319,55 @@ def _multiplicities(gen_dims, dims, bounded=False):
 
 
 def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
-    """Greedily delete generator summands from an add-approximation while
-    the approximation property survives, until none can be removed.
+    """Delete generator summands from an add-approximation in one greedy
+    pass, each deletion kept when the approximation property survives it.
 
     Left: dropping target summands must keep every morphism from m to every
     generator factoring through. Right: dually with morphisms from the
-    generators.
+    generators. One pass suffices because factoring is monotone in the
+    summands kept: a morphism that factors through the restriction to a set
+    A of summands factors through the restriction to any B containing A
+    (compose with the projection B -> A on the left, with the inclusion
+    A -> B on the right), so a summand the pass cannot drop never becomes
+    droppable later.
     """
     if not isinstance(cert.evidence, AddEvidence):
         raise ApproxcatError("minimize_approx needs an add-approximation certificate")
-    handle = cert.handle
-    m = cert.of
-    morphism = cert.morphism
+    handle, m, left = cert.handle, cert.of, cert.side == "left"
+    gens = handle.generators
     iso = cert.evidence.iso
     # work against the literal canonical sum so summand slicing is valid
-    if cert.side == "left":
-        morphism = compose(iso, morphism)
-    else:
-        morphism = compose(morphism, iso.inverse())
-    _, layout = handle.canonical_sum(cert.evidence.multiplicities)
-    layout = list(layout)
-    gens = handle.generators
+    morphism = compose(iso, cert.morphism) if left else compose(cert.morphism, iso.inverse())
+    layout = [i for i, c in enumerate(cert.evidence.multiplicities) for _ in range(c)]
+    ranges = []
+    for x in range(m.quiver.vertex_count):
+        off, per_summand = 0, []
+        for i in layout:
+            per_summand.append(range(off, off + gens[i].dims[x]))
+            off += gens[i].dims[x]
+        ranges.append(per_summand)
+    basis = [b for g in gens for b in (hom_basis(m, g) if left else hom_basis(g, m))]
+    factor = factor_through if left else factor_through_right
 
     def restricted(positions):
-        reps = [gens[layout[p]] for p in positions]
-        total, _, _ = direct_sum(reps, quiver=handle.quiver, field=handle.field)
+        total, _, _ = direct_sum([gens[layout[p]] for p in positions],
+                                 quiver=handle.quiver, field=handle.field)
         comps = []
-        for x in range(m.quiver.vertex_count):
-            ranges = []
-            off = 0
-            for i in layout:
-                d = gens[i].dims[x]
-                ranges.append((off, off + d))
-                off += d
-            rows = [r for p in positions for r in range(*ranges[p])]
-            if cert.side == "left":
-                comps.append(morphism.component(x).take_rows(rows))
-            else:
-                comps.append(morphism.component(x).take_cols(rows))
-        if cert.side == "left":
-            return total, RepMorphism(m, total, comps, check=False)
-        return total, RepMorphism(total, m, comps, check=False)
+        for c, per_summand in zip(morphism.components, ranges):
+            rows = [r for p in positions for r in per_summand[p]]
+            comps.append(c.take_rows(rows) if left else c.take_cols(rows))
+        src, dst = (m, total) if left else (total, m)
+        return RepMorphism(src, dst, comps, check=False)
 
-    def still_approximates(z):
-        for g in gens:
-            if cert.side == "left":
-                for b in hom_basis(m, g):
-                    if factor_through(b, z) is None:
-                        return False
-            else:
-                for b in hom_basis(g, m):
-                    if factor_through_right(b, z) is None:
-                        return False
-        return True
-
-    kept_positions = list(range(len(layout)))
-    changed = True
-    while changed:
-        changed = False
-        for pos in list(kept_positions):
-            if pos not in kept_positions:
-                continue
-            trial = [p for p in kept_positions if p != pos]
-            total, z = restricted(trial)
-            if still_approximates(z):
-                kept_positions = trial
-                changed = True
-    total, z = restricted(kept_positions)
-    kept = [layout[p] for p in kept_positions]
-    mults = tuple(kept.count(i) for i in range(len(gens)))
+    kept = list(range(len(layout)))
+    for pos in range(len(layout)):
+        trial = [p for p in kept if p != pos]
+        z = restricted(trial)
+        if all(factor(b, z) is not None for b in basis):
+            kept = trial
+    z = restricted(kept)
+    total = z.target if left else z.source
+    mults = tuple(sum(layout[p] == i for p in kept) for i in range(len(gens)))
     evidence = AddEvidence(mults, RepMorphism.identity(total))
     return ApproxCertificate(cert.side, z, handle, evidence)
 

@@ -21,6 +21,7 @@ built at level N embeds at any higher level by zero maps on the new loops;
 refute escalates by one level, once, when every truncated loop is in use.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -49,6 +50,7 @@ from .rep import (
     RepMorphism,
     ShortExactSeq,
     _cocycle_combination,
+    _morphism_combination,
     compose,
     ext1_basis,
     extension_from_cocycle,
@@ -214,9 +216,12 @@ class RefutationWitness:
     """Proof that a candidate S2 -> V is not a left approximation into
     add{S1} * add{M}: a certified member W = W(i0), the nonzero map
     S2 -> W spanning the one-dimensional hom space, and the vanishing of
-    every composite of the candidate with a morphism V -> W. Since
-    composition with the candidate is linear, that vanishing puts the
-    nonzero map outside its image."""
+    every composite of the candidate with a morphism V -> W. That vanishing
+    is the proof: one pair (f, f after the candidate) per morphism f of
+    hom_basis(V, W), in its order, and verify refuses a proof whose
+    morphisms are not exactly that basis. Since composition with the
+    candidate is linear, the vanishing puts the nonzero map outside its
+    image."""
 
     candidate: RepMorphism
     i0: int
@@ -247,16 +252,14 @@ class RefutationWitness:
             return False
         if hom_dim(s2, self.w) != 1:
             return False
-        basis = hom_basis(v, self.w)
-        if len(self.vanishing_proof) != len(basis):
+        # the proof must be the hom basis itself, which makes its morphisms
+        # natural with the right ends; by linearity its zero composites then
+        # cover every morphism V -> W
+        proof = self.vanishing_proof
+        if [f for f, _ in proof] != hom_basis(v, self.w):
             return False
-        for f, c in self.vanishing_proof:
-            if f.source != v or f.target != self.w or not f.is_natural():
-                return False
+        for f, c in proof:
             if not c.is_zero() or not compose(f, self.candidate).is_zero():
-                return False
-        for f in basis:
-            if not compose(f, self.candidate).is_zero():
                 return False
         return factor_through(g, self.candidate) is None
 
@@ -374,19 +377,8 @@ def candidate_maps(v: Rep):
         raise ShapeError("candidate sweeps need a prime field")
     s2 = build_standard(cfg)[1]
     basis = hom_basis(s2, v)
-    p = cfg.field.modulus
     out = []
-
-    def walk(j, acc):
-        if j == len(basis):
-            phi = RepMorphism.zero(s2, v)
-            for c, b in zip(acc, basis):
-                if c != 0:
-                    phi = phi + b.scale(cfg.field.coerce(c))
-            out.append(phi)
-            return
-        for c in range(p):
-            walk(j + 1, acc + [c])
-
-    walk(0, [])
+    for coeffs in itertools.product(range(cfg.field.modulus), repeat=len(basis)):
+        phi = _morphism_combination(basis, coeffs)
+        out.append(RepMorphism.zero(s2, v) if phi is None else phi)
     return out

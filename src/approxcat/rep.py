@@ -433,6 +433,17 @@ def _cocycle_combination(basis, coeffs):
     return cocycle
 
 
+def _morphism_combination(basis, coeffs):
+    """The morphism sum_j coeffs[j] * basis[j] over morphisms with common
+    ends, or None when every coefficient is zero."""
+    out = None
+    for c, b in zip(coeffs, basis):
+        if c != 0:
+            term = b.scale(c)
+            out = term if out is None else out + term
+    return out
+
+
 def extension_from_cocycle(v: Rep, w: Rep, cocycle) -> ShortExactSeq:
     """The extension 0 -> w -> E -> v -> 0 with E_a = [[w_a, g_a], [0, v_a]]
     in the block decomposition E_x = w_x + v_x (sub first). Arrows missing
@@ -642,18 +653,24 @@ def factor_through_cokernel(proj: RepMorphism, u: RepMorphism) -> RepMorphism:
 # projectives (acyclic quivers only)
 
 
+def _path_basis(quiver: Quiver, vertex: int):
+    """For each vertex x, the paths vertex -> x in paths_from order: the
+    basis of the projective at vertex, evaluated at x."""
+    basis = [[] for _ in range(quiver.vertex_count)]
+    for p, end in quiver.paths_from(vertex):
+        basis[end].append(p)
+    return basis
+
+
 def projective(quiver: Quiver, field: FieldSpec, vertex: int) -> Rep:
     """The projective at a vertex: basis at x is the set of paths
     vertex -> x, arrows act by appending. Needs an acyclic quiver, otherwise
     there are infinitely many paths."""
     if not quiver.is_acyclic:
         raise NonAcyclicQuiverError("projectives need an acyclic quiver")
-    paths = quiver.paths_from(vertex)
-    basis = {x: [] for x in range(quiver.vertex_count)}
-    for p, end in paths:
-        basis[end].append(p)
-    index = {x: {p: i for i, p in enumerate(basis[x])} for x in basis}
-    dims = [len(basis[x]) for x in range(quiver.vertex_count)]
+    basis = _path_basis(quiver, vertex)
+    index = [{p: i for i, p in enumerate(paths)} for paths in basis]
+    dims = [len(paths) for paths in basis]
     maps = {}
     for a in quiver.arrows:
         m = Matrix.zeros(field, dims[a.target], dims[a.source]).to_lists()
@@ -665,12 +682,10 @@ def projective(quiver: Quiver, field: FieldSpec, vertex: int) -> Rep:
     return Rep(quiver, field, dims, maps)
 
 
-def _path_eval(m: Rep, path) -> Matrix:
-    """Compose arrow maps along a path (start vertex inferred by caller)."""
-    if not path:
-        raise ShapeError("empty path has no anchored evaluation here")
-    first = m.quiver.arrow(path[0])
-    acc = Matrix.identity(m.field, m.dims[first.source])
+def _path_eval(m: Rep, start: int, path) -> Matrix:
+    """Compose arrow maps along a path out of start; the empty path gives
+    the identity at start."""
+    acc = Matrix.identity(m.field, m.dims[start])
     for aid in path:
         acc = m.map(aid) @ acc
     return acc
@@ -688,22 +703,12 @@ def projective_epi(m: Rep):
         z = Rep.zero(q, F)
         return z, RepMorphism.zero(z, m)
     p, _, _ = direct_sum([projs[i] for i, _ in summands])
-    path_basis = {}
-    for i in projs:
-        by_vertex = {x: [] for x in range(q.vertex_count)}
-        for pth, end in q.paths_from(i):
-            by_vertex[end].append(pth)
-        path_basis[i] = by_vertex
+    # evals[i][j]: the paths i -> j evaluated on m, once per path
+    evals = {i: [[_path_eval(m, i, pth) for pth in paths] for paths in _path_basis(q, i)]
+             for i in projs}
     comps = []
     for j in range(q.vertex_count):
-        cols = []
-        for i, b in summands:
-            for pth in path_basis[i][j]:
-                if pth:
-                    val = _path_eval(m, pth)
-                else:
-                    val = Matrix.identity(F, m.dims[i])
-                cols.append(val.take_cols([b]))
+        cols = [e.take_cols([b]) for i, b in summands for e in evals[i][j]]
         comps.append(hstack(cols) if cols else Matrix(F, m.dims[j], 0))
     pi = RepMorphism(p, m, comps)
     return p, pi
@@ -773,43 +778,29 @@ def iso_test(v: Rep, w: Rep):
         if b.is_iso():
             return b
 
-    def combo(coeffs):
-        m = None
-        for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
-            term = b.scale(c)
-            m = term if m is None else m + term
-        return m
-
-    rng = random.Random(0xA11CE)
-    for _ in range(48):
+    def coefficient_tuples():
+        # 48 seeded draws first, then a complete grid: the finite hom space
+        # over F_p; over the rationals a polynomial check, since det of a
+        # combination has per-variable degree <= total_dim, so vanishing on
+        # {0..total_dim}^h means no combination is invertible
+        rng = random.Random(0xA11CE)
+        lo, hi = (0, F.modulus) if F.kind == "prime_field" else (-3, 4)
+        for _ in range(48):
+            yield [rng.randrange(lo, hi) for _ in range(h)]
         if F.kind == "prime_field":
-            coeffs = [rng.randrange(F.modulus) for _ in range(h)]
-        else:
-            coeffs = [rng.randrange(-3, 4) for _ in range(h)]
-        m = combo(coeffs)
+            if F.modulus ** h > 2 ** 16:
+                raise IsoInconclusiveError(
+                    f"hom space of size {F.modulus}^{h} exceeds the exhaustive bound"
+                )
+            yield from itertools.product(range(F.modulus), repeat=h)
+            return
+        d = v.total_dim
+        if h > 4 or (d + 1) ** h > 2 ** 16:
+            raise IsoInconclusiveError(f"rational iso search infeasible for hom dimension {h}")
+        yield from itertools.product(range(d + 1), repeat=h)
+
+    for coeffs in coefficient_tuples():
+        m = _morphism_combination(basis, coeffs)
         if m is not None and m.is_iso():
             return m
-
-    if F.kind == "prime_field":
-        if F.modulus ** h <= 2 ** 16:
-            for coeffs in itertools.product(range(F.modulus), repeat=h):
-                m = combo(coeffs)
-                if m is not None and m.is_iso():
-                    return m
-            return None
-        raise IsoInconclusiveError(
-            f"hom space of size {F.modulus}^{h} exceeds the exhaustive bound"
-        )
-    # rationals: det of a coefficient combination is a polynomial of
-    # per-variable degree <= total_dim, so vanishing on {0..total_dim}^h
-    # means it is identically zero and no combination is invertible
-    d = v.total_dim
-    if h <= 4 and (d + 1) ** h <= 2 ** 16:
-        for coeffs in itertools.product(range(d + 1), repeat=h):
-            m = combo(coeffs)
-            if m is not None and m.is_iso():
-                return m
-        return None
-    raise IsoInconclusiveError(f"rational iso search infeasible for hom dimension {h}")
+    return None

@@ -48,6 +48,21 @@ def _report(name, checks, failures, **extra):
     return out
 
 
+def _check_factoring(m, morphism, targets, failures) -> int:
+    """One check per hom basis morphism from m into each target: every one
+    must factor through morphism, and each that does not is recorded in
+    failures. Returns the number of checks."""
+    checks = 0
+    for z in targets:
+        for f in hom_basis(m, z):
+            checks += 1
+            if factor_through(f, morphism) is None:
+                failures.append(
+                    f"morphism from dims {m.dims} to dims {z.dims} does not factor"
+                )
+    return checks
+
+
 def run_loop_refutation(samples: int = 100, max_total_dim: int = 6,
                         seed: int = 0, n_loops: int = 2) -> dict:
     """Certified members of add{S1} * add{M} never admit the candidate as a
@@ -115,14 +130,7 @@ def run_ext_approx_exhaustive_a2(member_bound=(2, 2), target_bound=(3, 3)) -> di
         if not cert.verify():
             failures.append(f"certificate for dims {m.dims} fails")
             continue
-        for z in targets:
-            for f in hom_basis(m, z):
-                checks += 1
-                if factor_through(f, cert.morphism) is None:
-                    failures.append(
-                        f"morphism from dims {m.dims} to dims {z.dims} "
-                        "does not factor"
-                    )
+        checks += _check_factoring(m, cert.morphism, targets, failures)
     return _report(
         "ext-approx-exhaustive-a2", checks, failures,
         members=len(members), targets=len(targets),
@@ -216,20 +224,16 @@ def run_simple_covers_a2(bound=(2, 2)) -> dict:
         checks += 1
         if member_add(v, prj) is None:
             failures.append(f"filtration member dims {v.dims} escapes add")
-    for i in range(bound[0] + 1):
-        for j in range(bound[0] + bound[1] + 1):
-            z, _ = prj.canonical_sum((i, j))
-            if any(z.dims[x] > bound[x] for x in range(2)):
-                continue
-            checks += 1
-            if member_filt(z, [proj1, proj2], 2) is None:
-                failures.append(f"sum with dims {z.dims} escapes the closure")
     targets = []
     for i in range(bound[0] + 1):
         for j in range(bound[0] + bound[1] + 1):
             z, _ = prj.canonical_sum((i, j))
             if all(z.dims[x] <= bound[x] for x in range(2)):
                 targets.append(z)
+    for z in targets:
+        checks += 1
+        if member_filt(z, [proj1, proj2], 2) is None:
+            failures.append(f"sum with dims {z.dims} escapes the closure")
     members = list(iter_all_reps(q, F2, bound))
     for m in members:
         cert = left_approx_add(m, prj)
@@ -237,14 +241,7 @@ def run_simple_covers_a2(bound=(2, 2)) -> dict:
         if not cert.verify():
             failures.append(f"left approximation of dims {m.dims} fails")
             continue
-        for z in targets:
-            for f in hom_basis(m, z):
-                checks += 1
-                if factor_through(f, cert.morphism) is None:
-                    failures.append(
-                        f"morphism from dims {m.dims} to dims {z.dims} "
-                        "does not factor"
-                    )
+        checks += _check_factoring(m, cert.morphism, targets, failures)
     return _report("simple-covers-a2", checks, failures, members=len(members))
 
 

@@ -3,8 +3,8 @@ subspaces of F_p^n (canonical echelon order), arrow-stable
 subrepresentation iteration, whole-representation enumeration, and the
 budget guard that keeps these loops from hanging.
 
-Subspace tables carry, besides the basis matrix, the full vector set and a
-coordinate lookup for the span. Stability checks and subrepresentation
+Subspace tables carry, besides the basis matrix, a coordinate lookup for
+every vector of the span. Stability checks and subrepresentation
 construction then run on precomputed arrow action tables instead of
 repeated linear solves, which is what makes the big exhaustive sweeps
 affordable.
@@ -74,15 +74,14 @@ def subspace_count(n: int, p: int) -> int:
 
 
 class SubspaceEntry:
-    """One subspace of F_p^dim: column basis matrix, its vectors as a set of
-    tuples, and coordinates of every span vector in the basis."""
+    """One subspace of F_p^dim: column basis matrix, and coordinates of
+    every span vector in the basis, keyed by the vector as a tuple."""
 
-    __slots__ = ("k", "basis", "vectors", "coords", "basis_vectors")
+    __slots__ = ("k", "basis", "coords", "basis_vectors")
 
-    def __init__(self, k, basis, vectors, coords, basis_vectors):
+    def __init__(self, k, basis, coords, basis_vectors):
         self.k = k
         self.basis = basis
-        self.vectors = vectors
         self.coords = coords
         self.basis_vectors = basis_vectors
 
@@ -130,7 +129,7 @@ def subspace_table(field: FieldSpec, dim: int):
                     if k
                     else Matrix(field, dim, 0)
                 )
-                out.append(SubspaceEntry(k, basis, frozenset(span), span, basis_vectors))
+                out.append(SubspaceEntry(k, basis, span, basis_vectors))
     _subspace_cache[key] = out
     return out
 
@@ -191,26 +190,30 @@ class SubrepSearch:
 
     @staticmethod
     def _act_tables(rep: Rep):
+        """(arrow, table) for each arrow with a nonzero map, the table
+        sending every source vector to its image. A zero map keeps every
+        tuple stable and induces a zero map, which Rep fills in."""
         p = rep.field.modulus
-        tables = {}
+        tables = []
         for a in rep.quiver.arrows:
             ds, dt = rep.dims[a.source], rep.dims[a.target]
             m = rep.map(a.id)
+            if m.is_zero():
+                continue
             cols = [tuple(m.entry(i, j) for i in range(dt)) for j in range(ds)]
             table = {}
             for vec in itertools.product(range(p), repeat=ds):
                 table[vec] = tuple(
                     sum(c * col[i] for c, col in zip(vec, cols)) % p for i in range(dt)
                 )
-            tables[a.id] = table
+            tables.append((a, table))
         return tables
 
     def _stable(self, combo) -> bool:
-        for a in self.rep.quiver.arrows:
-            target_vectors = combo[a.target].vectors
-            table = self.act[a.id]
+        for a, table in self.act:
+            target_coords = combo[a.target].coords
             for bv in combo[a.source].basis_vectors:
-                if table[bv] not in target_vectors:
+                if table[bv] not in target_coords:
                     return False
         return True
 
@@ -233,9 +236,8 @@ class SubrepSearch:
         F = rep.field
         dims = [e.k for e in combo]
         maps = {}
-        for a in rep.quiver.arrows:
+        for a, table in self.act:
             src, tgt = combo[a.source], combo[a.target]
-            table = self.act[a.id]
             cols = [tgt.coords[table[bv]] for bv in src.basis_vectors]
             entries = [cols[j][i] for i in range(tgt.k) for j in range(src.k)]
             maps[a.id] = Matrix(F, tgt.k, src.k, entries)

@@ -2,8 +2,6 @@ import pytest
 
 from approxcat.approx import (
     AddCategory,
-    AddEvidence,
-    ExtCategory,
     left_approx_ext,
     verify_evidence,
 )
@@ -16,7 +14,6 @@ from approxcat.counterex import (
     candidate_maps,
     choose_i0,
     embed_evidence,
-    embed_morphism,
     embed_rep,
     refute,
     sample_members,

@@ -1,12 +1,18 @@
-"""Every name a module of src/approxcat/ imports is used in that module:
-an import left behind by a refactor is a dependency nobody needs."""
+"""Every name a module of src/approxcat/, tests/ or tools/ imports is used
+in that module: an import left behind by a refactor is a dependency nobody
+needs."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "approxcat"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "approxcat"
+# package modules keep their bare file names as ids; the others carry their folder
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(
+    p for folder in ("tests", "tools") for p in (ROOT / folder).glob("*.py")
+)
 
 
 def _annotation_names(node) -> set:
@@ -39,7 +45,10 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix(),
+)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 

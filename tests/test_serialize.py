@@ -21,7 +21,7 @@ from approxcat.extfilt import member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import a2_quiver
-from approxcat.rep import Rep, RepMorphism, hom_basis
+from approxcat.rep import Rep, hom_basis
 from approxcat.serialize import (
     approx_certificate_from_jsonable,
     certificate_to_jsonable,
