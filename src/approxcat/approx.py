@@ -91,14 +91,18 @@ class AddCategory:
     def canonical_sum(self, multiplicities):
         """(rep, layout): the direct sum generators[0]^c0 + generators[1]^c1
         + ... and the flat list of generator indices, one per summand."""
+        layout = self._layout(multiplicities)
+        reps = [self.generators[i] for i in layout]
+        total, _, _ = direct_sum(reps, quiver=self.quiver, field=self.field)
+        return total, layout
+
+    def _layout(self, multiplicities):
+        """The generator index of each summand of the canonical sum."""
         if len(multiplicities) != len(self.generators):
             raise ShapeError("one multiplicity per generator required")
         if any(c < 0 for c in multiplicities):
             raise ShapeError("negative multiplicity")
-        layout = [i for i, c in enumerate(multiplicities) for _ in range(c)]
-        reps = [self.generators[i] for i in layout]
-        total, _, _ = direct_sum(reps, quiver=self.quiver, field=self.field)
-        return total, tuple(layout)
+        return tuple(i for i, c in enumerate(multiplicities) for _ in range(c))
 
 
 class ExtCategory:
@@ -338,7 +342,7 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
     iso = cert.evidence.iso
     # work against the literal canonical sum so summand slicing is valid
     morphism = compose(iso, cert.morphism) if left else compose(cert.morphism, iso.inverse())
-    layout = [i for i, c in enumerate(cert.evidence.multiplicities) for _ in range(c)]
+    layout = handle._layout(cert.evidence.multiplicities)
     ranges = []
     for x in range(m.quiver.vertex_count):
         off, per_summand = 0, []
