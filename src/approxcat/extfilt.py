@@ -282,9 +282,13 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
         space = Rep(m.quiver, m.field, [k.cols for k in kernels])
     search = SubrepSearch(space, budget)
     total = m.total_dim
+    feasible = {}
     for combo in search.tuples():
-        dims = [e.k for e in combo]
-        if sum(dims) in (0, total) or not _dims_feasible(handle, dims):
+        dims = tuple(e.k for e in combo)
+        ok = feasible.get(dims)
+        if ok is None:
+            ok = feasible[dims] = sum(dims) not in (0, total) and _dims_feasible(handle, dims)
+        if not ok:
             continue
         if kernels is not None:
             yield RepMorphism(Rep(m.quiver, m.field, dims), m,
@@ -433,13 +437,19 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory,
     terms.append((m, RepMorphism.identity(m)))
     zero = Rep.zero(m.quiver, m.field)
     filt = Filtration(_chain_steps(zero, RepMorphism.zero(zero, m), terms))
+    return _certify(filt, m, family, handle)
+
+
+def _certify(filt: Filtration, member: Rep, family: OrderedFamily,
+             handle: AddCategory) -> FiltrationCertificate:
+    """The certificate of filt with add evidence for every factor."""
     evidence = []
     for j in range(filt.depth):
         ev = member_add(filt.factor(j), handle)
         if ev is None:
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)
-    return FiltrationCertificate(filt, m, family, tuple(evidence))
+    return FiltrationCertificate(filt, member, family, tuple(evidence))
 
 
 # the factors-exchanging operation
@@ -498,18 +508,6 @@ def _check_ext_hypothesis(family: OrderedFamily):
                 )
 
 
-def _prefix_subrep(total: Rep, cols):
-    """The subrepresentation of a direct sum spanned by the first cols[x]
-    coordinates at each vertex (stable: summand maps are block diagonal)."""
-    F = total.field
-    bases = []
-    for x in range(total.quiver.vertex_count):
-        d, k = total.dims[x], cols[x]
-        entries = [F.one if i == j else F.zero for i in range(d) for j in range(k)]
-        bases.append(Matrix(F, d, k, entries))
-    return subrep_from_bases(total, bases)
-
-
 def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory):
     """Split every filtration layer whose factor mixes several generators
     into consecutive layers, each a sum of copies of one generator. Returns
@@ -539,10 +537,12 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
             for x in range(total.quiver.vertex_count):
                 cols.append(sum(gens[i].dims[x] * ev.multiplicities[i] for i in range(t + 1)))
             boundaries.append(cols)
+        F = total.field
         mids = []
         for cols in boundaries:
-            _, incl_pref = _prefix_subrep(total, cols)
-            mids.append(preimage_subrep(psi, incl_pref))
+            # the first cols[x] coordinates: stable, summand maps are block diagonal
+            bases = [Matrix.identity(F, d).take_cols(range(k)) for d, k in zip(total.dims, cols)]
+            mids.append(preimage_subrep(psi, subrep_from_bases(total, bases)[1]))
         chain = mids + [(step.target, RepMorphism.identity(step.target))]
         steps.extend(_chain_steps(step.source, step, chain))
         indices.extend(effective)
@@ -612,13 +612,7 @@ def filt_normalize(cert: FiltrationCertificate, s=None) -> FiltrationCertificate
     out = _compose_runs(filt, runs)
     if out.depth > max(1, len(family)):
         raise ApproxcatError("normalization left more layers than generators; this is a bug")
-    evidence = []
-    for j in range(out.depth):
-        ev = member_add(out.factor(j), handle)
-        if ev is None:
-            raise CertificateError("a normalized factor failed add membership")
-        evidence.append(ev)
-    result = FiltrationCertificate(out, cert.member, family, tuple(evidence))
+    result = _certify(out, cert.member, family, handle)
     if not result.verify():
         raise CertificateError("normalized certificate failed verification")
     return result

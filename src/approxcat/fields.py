@@ -115,9 +115,6 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, -1, self.modulus)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def coerce(self, value):
         """Turn an int, Fraction or "p/q" string into a scalar of this field.
 

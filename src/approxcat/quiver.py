@@ -57,27 +57,17 @@ class Quiver:
         return self._acyclic
 
     def _compute_acyclic(self) -> bool:
-        # iterative three-color DFS; a back edge (including a loop) is a cycle
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * self.vertex_count
-        out = [self.arrows_from(v) for v in range(self.vertex_count)]
-        for start in range(self.vertex_count):
-            if color[start] != WHITE:
-                continue
-            stack = [(start, 0)]
-            color[start] = GRAY
-            while stack:
-                v, i = stack.pop()
-                if i < len(out[v]):
-                    stack.append((v, i + 1))
-                    w = out[v][i].target
-                    if color[w] == GRAY:
-                        return False
-                    if color[w] == WHITE:
-                        color[w] = GRAY
-                        stack.append((w, 0))
-                else:
-                    color[v] = BLACK
+        # imported here: a module-level import would cost every CLI start
+        import graphlib
+
+        preds = {v: [] for v in range(self.vertex_count)}
+        for a in self.arrows:
+            preds[a.target].append(a.source)
+        try:
+            # a loop is a cycle of length one, which graphlib refuses too
+            graphlib.TopologicalSorter(preds).prepare()
+        except graphlib.CycleError:
+            return False
         return True
 
     def paths_from(self, start: int):
@@ -86,13 +76,12 @@ class Quiver:
         positions of the arrows used. Requires an acyclic quiver."""
         if not self.is_acyclic:
             raise ApproxcatError("paths_from needs an acyclic quiver")
-        order = {a.id: i for i, a in enumerate(self.arrows)}
         paths = [((), start)]
         frontier = [((), start)]
         while frontier:
             nxt = []
             for path, end in frontier:
-                for a in sorted(self.arrows_from(end), key=lambda a: order[a.id]):
+                for a in self.arrows_from(end):
                     nxt.append((path + (a.id,), a.target))
             paths.extend(nxt)
             frontier = nxt

@@ -736,11 +736,7 @@ def preimage_subrep(f: RepMorphism, incl: RepMorphism):
     as a subrepresentation of the source."""
     if incl.target != f.target:
         raise ShapeError("preimage needs a subrepresentation of the target")
-    bases = []
-    for x in range(f.source.quiver.vertex_count):
-        q_x = incl.component(x).transpose().kernel_basis().transpose()
-        bases.append((q_x @ f.component(x)).kernel_basis())
-    return subrep_from_bases(f.source, bases)
+    return kernel(compose(cokernel(incl)[1], f))
 
 
 # isomorphism testing

@@ -10,6 +10,7 @@ import time
 
 from .approx import (
     AddCategory,
+    _multiplicities,
     factor_through,
     left_approx_add,
     left_approx_ext,
@@ -224,12 +225,10 @@ def run_simple_covers_a2(bound=(2, 2)) -> dict:
         checks += 1
         if member_add(v, prj) is None:
             failures.append(f"filtration member dims {v.dims} escapes add")
-    targets = []
-    for i in range(bound[0] + 1):
-        for j in range(bound[0] + bound[1] + 1):
-            z, _ = prj.canonical_sum((i, j))
-            if all(z.dims[x] <= bound[x] for x in range(2)):
-                targets.append(z)
+    targets = [
+        prj.canonical_sum(c)[0]
+        for c in _multiplicities([proj1.dims, proj2.dims], bound, bounded=True)
+    ]
     for z in targets:
         checks += 1
         if member_filt(z, [proj1, proj2], 2) is None:

@@ -134,24 +134,9 @@ def subspace_table(field: FieldSpec, dim: int):
     return out
 
 
-def _compositions(total: int, caps):
-    """All tuples 0 <= v[i] <= caps[i] with sum(v) == total, lexicographic."""
-    n = len(caps)
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(i, remaining):
-        if i == n - 1:
-            if remaining <= caps[i]:
-                yield (remaining,)
-            return
-        for v in range(min(remaining, caps[i]) + 1):
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from rec(0, total)
+def _dim_vectors(caps):
+    """All tuples 0 <= v[i] <= caps[i], by sum, then lexicographic."""
+    return sorted(itertools.product(*(range(c + 1) for c in caps)), key=sum)
 
 
 class SubrepSearch:
@@ -221,14 +206,13 @@ class SubrepSearch:
         """Stable tuples of SubspaceEntry in canonical order."""
         rep = self.rep
         n = rep.quiver.vertex_count
-        for total in range(rep.total_dim + 1):
-            for dim_vec in _compositions(total, rep.dims):
-                pools = [self.by_k[x].get(dim_vec[x]) for x in range(n)]
-                if any(pool is None for pool in pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    if self._stable(combo):
-                        yield combo
+        for dim_vec in _dim_vectors(rep.dims):
+            pools = [self.by_k[x].get(dim_vec[x]) for x in range(n)]
+            if any(pool is None for pool in pools):
+                continue
+            for combo in itertools.product(*pools):
+                if self._stable(combo):
+                    yield combo
 
     def build(self, combo):
         """(sub, incl) for a stable tuple, assembled from span coordinates."""
@@ -245,14 +229,11 @@ class SubrepSearch:
         incl = RepMorphism(sub, rep, [e.basis for e in combo], check=False)
         return sub, incl
 
-    def subreps(self):
-        for combo in self.tuples():
-            yield self.build(combo)
-
 
 def iter_subreps(rep: Rep, budget: Budget):
     """All subrepresentations of rep, smallest total dimension first."""
-    return SubrepSearch(rep, budget).subreps()
+    search = SubrepSearch(rep, budget)
+    return (search.build(combo) for combo in search.tuples())
 
 
 def iter_matrices(field: FieldSpec, rows: int, cols: int):
@@ -266,12 +247,9 @@ def iter_all_reps(quiver: Quiver, field: FieldSpec, max_dims):
     """Every representation with dims[x] <= max_dims[x], by ascending total
     dimension then lexicographic dims and map entries."""
     _require_prime(field, "representation enumeration")
-    max_dims = tuple(max_dims)
-    total_cap = sum(max_dims)
-    for total in range(total_cap + 1):
-        for dims in _compositions(total, max_dims):
-            arrow_shapes = [(a.id, dims[a.target], dims[a.source]) for a in quiver.arrows]
-            pools = [list(iter_matrices(field, r, c)) for (_, r, c) in arrow_shapes]
-            for maps_combo in itertools.product(*pools):
-                maps = {aid: m for (aid, _, _), m in zip(arrow_shapes, maps_combo)}
-                yield Rep(quiver, field, dims, maps)
+    for dims in _dim_vectors(max_dims):
+        arrow_shapes = [(a.id, dims[a.target], dims[a.source]) for a in quiver.arrows]
+        pools = [list(iter_matrices(field, r, c)) for (_, r, c) in arrow_shapes]
+        for maps_combo in itertools.product(*pools):
+            maps = {aid: m for (aid, _, _), m in zip(arrow_shapes, maps_combo)}
+            yield Rep(quiver, field, dims, maps)

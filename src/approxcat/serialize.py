@@ -44,15 +44,13 @@ def rep_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Rep:
     if len(dims) != quiver.vertex_count:
         raise CertificateError("one dimension per vertex required")
     maps_data = data.get("maps", {})
+    if not isinstance(maps_data, dict):
+        raise CertificateError("maps must be an object keyed by arrow id")
     maps = {}
-    for a in quiver.arrows:
-        if a.id in maps_data:
-            maps[a.id] = Matrix.from_jsonable(
-                field, maps_data[a.id], rows=dims[a.target], cols=dims[a.source]
-            )
-        else:
-            # an omitted arrow acts as zero
-            maps[a.id] = Matrix.zeros(field, dims[a.target], dims[a.source])
+    for aid, block in maps_data.items():
+        # an unknown id is refused; Rep makes an omitted arrow act as zero
+        a = quiver.arrow(aid)
+        maps[aid] = Matrix.from_jsonable(field, block, rows=dims[a.target], cols=dims[a.source])
     return Rep(quiver, field, dims, maps)
 
 
@@ -280,19 +278,28 @@ def certificate_to_jsonable(cert) -> dict:
     raise CertificateError(f"not a certificate: {cert!r}")
 
 
-def certificate_from_jsonable(data):
+_READERS = {
+    "approximation": approx_certificate_from_jsonable,
+    "filtration": filtration_certificate_from_jsonable,
+    "refutation": refutation_witness_from_jsonable,
+}
+
+
+def _reader(data):
+    """The parser for a certificate's type, after the envelope checks:
+    data is an object of the current format with a known type."""
     if not isinstance(data, dict):
         raise CertificateError("a certificate must be a JSON object")
     if data.get("format") != FORMAT:
         raise CertificateError(f"unsupported format {data.get('format')!r}")
     kind = _need(data, "type")
-    if kind == "approximation":
-        return approx_certificate_from_jsonable(data)
-    if kind == "filtration":
-        return filtration_certificate_from_jsonable(data)
-    if kind == "refutation":
-        return refutation_witness_from_jsonable(data)
-    raise CertificateError(f"unknown certificate type {kind!r}")
+    if not isinstance(kind, str) or kind not in _READERS:
+        raise CertificateError(f"unknown certificate type {kind!r}")
+    return _READERS[kind]
+
+
+def certificate_from_jsonable(data):
+    return _reader(data)(data)
 
 
 def verify_certificate(data) -> bool:
@@ -302,15 +309,9 @@ def verify_certificate(data) -> bool:
     type) raise CertificateError; a well-enveloped certificate whose
     content fails to rebuild or verify returns False.
     """
-    if not isinstance(data, dict):
-        raise CertificateError("a certificate must be a JSON object")
-    if data.get("format") != FORMAT:
-        raise CertificateError(f"unsupported format {data.get('format')!r}")
-    kind = _need(data, "type")
-    if kind not in ("approximation", "filtration", "refutation"):
-        raise CertificateError(f"unknown certificate type {kind!r}")
+    read = _reader(data)
     try:
-        cert = certificate_from_jsonable(data)
+        cert = read(data)
     except (ApproxcatError, ValueError, TypeError, KeyError, IndexError):
         return False
     try:

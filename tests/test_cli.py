@@ -604,6 +604,20 @@ class TestWorkspaceErrors:
         assert code == 2
         assert "S9" in out["error"]["message"]
 
+    def test_unknown_arrow_id_rejected(self, capsys, tmp_path):
+        # A2 has no arrow "b": reading T's map as zero would make the
+        # answer below a false sound negative
+        data = json.loads(json.dumps(A2_WORKSPACE))
+        data["reps"]["T"] = {"dims": [1, 1], "maps": {"b": [[1]]}}
+        data["handles"]["addP1"] = {"add": ["P1"]}
+        p = tmp_path / "stray.json"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, ["member-add", "--workspace", str(p), "--rep", "T", "--in", "addP1"]
+        )
+        assert code == 2
+        assert "'b'" in out["error"]["message"]
+
     def test_name_collision_rejected(self, capsys, tmp_path):
         data = json.loads(json.dumps(A2_WORKSPACE))
         data["handles"]["S1"] = {"add": ["S1"]}

@@ -24,7 +24,7 @@ from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import a2_quiver, loop_quiver
 from approxcat.rep import Rep, RepMorphism
-from approxcat.search import Budget, _compositions, subspace_table
+from approxcat.search import Budget, subspace_table
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5)]
 QUIVERS = [loop_quiver(1), loop_quiver(2), a2_quiver()]
@@ -60,7 +60,9 @@ def ref_kernel_peel_candidates(m, handle, budget):
     for want in range(1, sum(caps) + 1):
         if want == total:
             continue
-        for shape in _compositions(want, caps):
+        for shape in itertools.product(*(range(c + 1) for c in caps)):
+            if sum(shape) != want:
+                continue
             if not extfilt._dims_feasible(handle, shape):
                 continue
             pools = [by_k[x][shape[x]] for x in range(q.vertex_count)]

@@ -64,6 +64,10 @@ class TestQuiver:
         assert not LOOP.is_acyclic
         assert not Quiver(2, [("a", 0, 1), ("b", 1, 0)]).is_acyclic
         assert Quiver(3, [("a", 0, 1), ("b", 1, 2), ("c", 0, 2)]).is_acyclic
+        assert Quiver(0, []).is_acyclic
+        assert not Quiver(3, [("a", 0, 1), ("b", 1, 2), ("c", 2, 2)]).is_acyclic
+        assert not Quiver(4, [("a", 0, 1), ("b", 2, 3), ("c", 3, 2)]).is_acyclic
+        assert Quiver(2, [("a", 0, 1), ("b", 0, 1)]).is_acyclic
 
     def test_paths(self):
         q = Quiver(3, [("a", 0, 1), ("b", 1, 2)])

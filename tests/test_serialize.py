@@ -16,7 +16,7 @@ from approxcat.counterex import (
     build_standard,
     refute,
 )
-from approxcat.errors import CertificateError
+from approxcat.errors import ApproxcatError, CertificateError
 from approxcat.extfilt import member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
@@ -24,6 +24,7 @@ from approxcat.quiver import a2_quiver
 from approxcat.rep import Rep, hom_basis
 from approxcat.serialize import (
     approx_certificate_from_jsonable,
+    certificate_from_jsonable,
     certificate_to_jsonable,
     evidence_from_jsonable,
     evidence_to_jsonable,
@@ -122,6 +123,20 @@ class TestApproxCertificates:
         data["morphism"]["components"][0] = [[0]]
         assert not verify_certificate(data)
 
+    def test_malformed_maps_are_refused(self):
+        # a map under an id the quiver lacks, or maps that are not an object,
+        # is a bad input, not a zero map
+        s1 = Rep.simple(A2, F2, 0)
+        cert = left_approx_add(s1, AddCategory([p1(F2)]))
+        data = through_json(certificate_to_jsonable(cert))
+        data["morphism"]["target"]["maps"]["zz"] = [[1]]
+        assert not verify_certificate(data)
+        with pytest.raises(ApproxcatError, match="'zz'"):
+            rep_from_jsonable(A2, F2, data["morphism"]["target"])
+        data = through_json(certificate_to_jsonable(cert))
+        data["morphism"]["source"]["maps"] = []
+        assert not verify_certificate(data)
+
     def test_huge_multiplicity_is_refused_before_the_sum_is_built(self):
         s1, s2 = Rep.simple(A2, F2, 0), Rep.simple(A2, F2, 1)
         data = through_json(certificate_to_jsonable(left_approx_add(s1, AddCategory([s1, s2]))))
@@ -215,24 +230,30 @@ class TestEnvelope:
         cert = left_approx_add(s1, AddCategory([p1(F2)]))
         return through_json(certificate_to_jsonable(cert))
 
-    def test_format_checked(self):
+    @pytest.mark.parametrize("read", [verify_certificate, certificate_from_jsonable])
+    def test_format_checked(self, read):
         data = self._any_cert_data()
         data["format"] = 2
         with pytest.raises(CertificateError):
-            verify_certificate(data)
+            read(data)
 
-    def test_type_checked(self):
+    @pytest.mark.parametrize("read", [verify_certificate, certificate_from_jsonable])
+    def test_type_checked(self, read):
         data = self._any_cert_data()
         data["type"] = "blessing"
         with pytest.raises(CertificateError):
-            verify_certificate(data)
+            read(data)
+        data["type"] = ["approximation"]
+        with pytest.raises(CertificateError):
+            read(data)
         del data["type"]
         with pytest.raises(CertificateError):
-            verify_certificate(data)
+            read(data)
 
-    def test_object_required(self):
+    @pytest.mark.parametrize("read", [verify_certificate, certificate_from_jsonable])
+    def test_object_required(self, read):
         with pytest.raises(CertificateError):
-            verify_certificate([1, 2, 3])
+            read([1, 2, 3])
 
     def test_missing_content_field_is_negative(self):
         data = self._any_cert_data()
