@@ -224,36 +224,39 @@ class TestRefutationWitnesses:
         assert not verify_certificate(data)
 
 
+# the envelope checks hold for both readers
+READERS = (verify_certificate, certificate_from_jsonable)
+
+
 class TestEnvelope:
     def _any_cert_data(self):
         s1 = Rep.simple(A2, F2, 0)
         cert = left_approx_add(s1, AddCategory([p1(F2)]))
         return through_json(certificate_to_jsonable(cert))
 
-    @pytest.mark.parametrize("read", [verify_certificate, certificate_from_jsonable])
-    def test_format_checked(self, read):
+    def test_format_checked(self):
         data = self._any_cert_data()
         data["format"] = 2
-        with pytest.raises(CertificateError):
-            read(data)
+        for read in READERS:
+            with pytest.raises(CertificateError):
+                read(data)
 
-    @pytest.mark.parametrize("read", [verify_certificate, certificate_from_jsonable])
-    def test_type_checked(self, read):
+    def test_type_checked(self):
         data = self._any_cert_data()
-        data["type"] = "blessing"
-        with pytest.raises(CertificateError):
-            read(data)
-        data["type"] = ["approximation"]
-        with pytest.raises(CertificateError):
-            read(data)
+        for kind in ("blessing", ["approximation"]):
+            data["type"] = kind
+            for read in READERS:
+                with pytest.raises(CertificateError):
+                    read(data)
         del data["type"]
-        with pytest.raises(CertificateError):
-            read(data)
+        for read in READERS:
+            with pytest.raises(CertificateError):
+                read(data)
 
-    @pytest.mark.parametrize("read", [verify_certificate, certificate_from_jsonable])
-    def test_object_required(self, read):
-        with pytest.raises(CertificateError):
-            read([1, 2, 3])
+    def test_object_required(self):
+        for read in READERS:
+            with pytest.raises(CertificateError):
+                read([1, 2, 3])
 
     def test_missing_content_field_is_negative(self):
         data = self._any_cert_data()
