@@ -33,6 +33,7 @@ from .rep import (
     ShortExactSeq,
     compose,
     direct_sum,
+    direct_sum_rep,
     factor_through_cokernel,
     hom_basis,
     image,
@@ -93,8 +94,7 @@ class AddCategory:
         + ... and the flat list of generator indices, one per summand."""
         layout = self._layout(multiplicities)
         reps = [self.generators[i] for i in layout]
-        total, _, _ = direct_sum(reps, quiver=self.quiver, field=self.field)
-        return total, layout
+        return direct_sum_rep(reps, self.quiver, self.field), layout
 
     def _layout(self, multiplicities):
         """The generator index of each summand of the canonical sum."""
@@ -354,8 +354,7 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
     factor = factor_through if left else factor_through_right
 
     def restricted(positions):
-        total, _, _ = direct_sum([gens[layout[p]] for p in positions],
-                                 quiver=handle.quiver, field=handle.field)
+        total = direct_sum_rep([gens[layout[p]] for p in positions], handle.quiver, handle.field)
         comps = []
         for c, per_summand in zip(morphism.components, ranges):
             rows = [r for p in positions for r in per_summand[p]]
@@ -387,7 +386,7 @@ def _pushout_extension(e: RepMorphism, x: AddCategory):
     big_x, y = x_k.target, e.target
     vertices = range(y.quiver.vertex_count)
     coker_proj = RepMorphism(
-        direct_sum([e.source, big_x])[0], z,
+        direct_sum_rep([e.source, big_x]), z,
         [hstack([a.component(v), b.component(v)]) for v in vertices],
         check=False,
     )

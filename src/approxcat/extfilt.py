@@ -63,7 +63,7 @@ from .rep import (
     _cocycle_combination,
     cokernel,
     compose,
-    direct_sum,
+    direct_sum_rep,
     ext1_basis,
     ext1_dim,
     extension_from_cocycle,
@@ -666,7 +666,7 @@ def fr_enumerate(generators, r: int, dim_bound, budget: Budget | None = None,
     built = 0
     for counts in _multiplicities([g.dims for g in gens], bound, bounded=True):
         reps = [g for g, c in zip(gens, counts) for _ in range(c)]
-        total, _, _ = direct_sum(reps, quiver=quiver, field=field)
+        total = direct_sum_rep(reps, quiver, field)
         built += 1
         if built > budget.max_subspaces:
             raise _budget_error(built, budget)

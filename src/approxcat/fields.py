@@ -64,6 +64,8 @@ class FieldSpec:
 
     @staticmethod
     def from_label(s: str) -> "FieldSpec":
+        if not isinstance(s, str):
+            raise ApproxcatError(f"field label must be a string, got {s!r}")
         if s == "Q":
             return FieldSpec.rationals()
         if s.startswith("F"):

@@ -113,6 +113,8 @@ class Quiver:
     @staticmethod
     def from_jsonable(data: dict) -> "Quiver":
         try:
+            if not isinstance(data["arrows"], list):
+                raise TypeError("arrows must be a list")
             arrows = [(a["id"], a["source"], a["target"]) for a in data["arrows"]]
             return Quiver(int(data["vertices"]), arrows)
         except (KeyError, TypeError) as exc:

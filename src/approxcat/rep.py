@@ -513,34 +513,35 @@ def image(f: RepMorphism):
     return im, incl, RepMorphism(f.source, im, projs)
 
 
-def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = None):
-    """(S, injections, projections). An empty list needs explicit quiver
-    and field and yields the zero representation."""
+def direct_sum_rep(reps, quiver: Quiver | None = None, field: FieldSpec | None = None) -> Rep:
+    """The direct sum S of reps alone, with block-diagonal arrow maps, for
+    callers that read no injection or projection. An empty list needs
+    explicit quiver and field and yields the zero representation."""
     reps = list(reps)
     if not reps:
         if quiver is None or field is None:
             raise ShapeError("empty direct sum needs quiver and field")
-        return Rep.zero(quiver, field), [], []
+        return Rep.zero(quiver, field)
     q, F = reps[0].quiver, reps[0].field
     for r in reps[1:]:
         if r.quiver != q or r.field != F:
             raise FieldMismatchError("direct sum needs a common quiver and field")
     dims = [sum(r.dims[x] for r in reps) for x in range(q.vertex_count)]
     maps = {a.id: block_diag(F, [r.map(a.id) for r in reps]) for a in q.arrows}
-    s = Rep(q, F, dims, maps)
-    injections = []
-    projections = []
-    offsets = [[0] * len(reps) for _ in range(q.vertex_count)]
-    for x in range(q.vertex_count):
-        acc = 0
-        for i, r in enumerate(reps):
-            offsets[x][i] = acc
-            acc += r.dims[x]
-    for i, r in enumerate(reps):
-        inj_comps = []
-        proj_comps = []
-        for x in range(q.vertex_count):
-            n, d, off = dims[x], r.dims[x], offsets[x][i]
+    return Rep(q, F, dims, maps)
+
+
+def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = None):
+    """(S, injections, projections): direct_sum_rep(reps) with one
+    injection and one projection per summand."""
+    reps = list(reps)
+    s = direct_sum_rep(reps, quiver, field)
+    q, F, dims = s.quiver, s.field, s.dims
+    injections, projections = [], []
+    offsets = [0] * q.vertex_count
+    for r in reps:
+        inj_comps, proj_comps = [], []
+        for n, d, off in zip(dims, r.dims, offsets):
             inj = [F.zero] * (n * d)
             proj = [F.zero] * (d * n)
             for j in range(d):
@@ -548,6 +549,7 @@ def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = Non
                 proj[j * n + off + j] = F.one
             inj_comps.append(Matrix._trusted(F, n, d, inj))
             proj_comps.append(Matrix._trusted(F, d, n, proj))
+        offsets = [off + d for off, d in zip(offsets, r.dims)]
         injections.append(RepMorphism(r, s, inj_comps, check=False))
         projections.append(RepMorphism(s, r, proj_comps, check=False))
     return s, injections, projections
@@ -576,8 +578,8 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is built once per (side, w) and memoized on z; each call then solves
-    it for vec f."""
+    it is eliminated once per (side, w) and memoized on z; each call is
+    then two products with vec f."""
     w = f.target if side == "left" else f.source
     memo = z._memo
     if memo is None:
@@ -587,30 +589,45 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     system = memo.get(key)
     if system is None:
         system = memo[key] = _factor_system(z, w, side)
-    ker, a = system
-    sol = a.solve(_vec_morphism(f))
-    if sol is None:
+    lift, obstruction = system
+    vec = _vec_morphism(f)
+    if not (obstruction @ vec).is_zero():
         return None
     src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
-    return _unpack_hom_vector(src, dst, (ker @ sol)._e)
+    return _unpack_hom_vector(src, dst, (lift @ vec)._e)
 
 
 def _factor_system(z: RepMorphism, w: Rep, side: str):
-    """(K, A): the columns b_j of K are the hom basis of Hom(z.target, w)
-    (of Hom(w, z.source)), and column j of A is vec(b_j z) on the left
-    (vec(z b_j) on the right). h = K s for the solution s of A s = vec f."""
+    """(lift, obstruction) for h z = f on the left (z h = f on the right).
+    The columns b_j of K are the hom basis of Hom(z.target, w) (of
+    Hom(w, z.source)) and column j of A is vec(b_j z) (vec(z b_j)). One
+    rref of [A | I] gives E = its right part and the pivots among A's
+    columns, rank of them: f factors exactly when obstruction = E[rank:]
+    kills vec f, and then lift = K[:, pivots] E[:rank] maps vec f to vec h,
+    h = K s for the solution s of A s = vec f with free variables zero.
+    Rows the elimination of I mixes into E[:rank] vanish on such vec f."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
+    F = w.field
     ker = _hom_system(src, dst).kernel_basis()
     k = ker.cols
-    cols = []
-    for j in range(k):
-        b = _unpack_hom_vector(src, dst, ker._e[j::k])
-        cols.append(_vec_morphism(compose(b, z) if left else compose(z, b)))
-    if cols:
-        return ker, hstack(cols)
-    m = z.source if left else z.target
-    return ker, Matrix.zeros(w.field, sum(wd * md for wd, md in zip(w.dims, m.dims)), 0)
+    # A = D K, D block diagonal over the vertices; on the row-major vec of an
+    # r x c block b_x, vec(b z)_x = diag(z_x^T, ..., z_x^T) vec b_x (r copies)
+    # and vec(z b)_x = (z_x kron I_c) vec b_x
+    ops = []
+    for zx, r, c in zip(z.components, dst.dims, src.dims):
+        if left:
+            ops.append(block_diag(F, [zx.transpose()] * r))
+        else:
+            ops.append(Matrix._trusted(F, zx.rows * c, r * c, [
+                zx._e[i * r + t] if l == u else F.zero
+                for i in range(zx.rows) for l in range(c) for t in range(r) for u in range(c)]))
+    a = block_diag(F, ops) @ ker
+    n = a.rows
+    R, pivots = hstack([a, Matrix.identity(F, n)]).rref()
+    rank = sum(pc < k for pc in pivots)
+    E = R.take_cols(range(k, k + n))
+    return ker.take_cols(pivots[:rank]) @ E.take_rows(range(rank)), E.take_rows(range(rank, n))
 
 
 def is_split(s: ShortExactSeq):
@@ -702,7 +719,7 @@ def projective_epi(m: Rep):
     if not summands:
         z = Rep.zero(q, F)
         return z, RepMorphism.zero(z, m)
-    p, _, _ = direct_sum([projs[i] for i, _ in summands])
+    p = direct_sum_rep([projs[i] for i, _ in summands])
     # evals[i][j]: the paths i -> j evaluated on m, once per path
     evals = {i: [[_path_eval(m, i, pth) for pth in paths] for paths in _path_basis(q, i)]
              for i in projs}

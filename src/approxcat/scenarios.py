@@ -32,7 +32,7 @@ from .extfilt import OrderedFamily, filt_normalize, fr_enumerate, member_filt
 from .fields import FieldSpec
 from .matrix import Matrix
 from .quiver import a2_quiver, loop_quiver
-from .rep import Rep, direct_sum, ext1_dim, hom_basis
+from .rep import Rep, direct_sum_rep, ext1_dim, hom_basis
 from .search import iter_all_reps
 
 F2 = FieldSpec.prime(2)
@@ -122,8 +122,7 @@ def run_ext_approx_exhaustive_a2(member_bound=(2, 2), target_bound=(3, 3)) -> di
             checks += 1
             if ext1_dim(quot, sub) != 0:
                 failures.append(f"nonsplit extension class at ({a}, {b})")
-            z, _, _ = direct_sum([sub, quot])
-            targets.append(z)
+            targets.append(direct_sum_rep([sub, quot]))
     members = list(iter_all_reps(q, F2, member_bound))
     for m in members:
         cert = left_approx_ext(m, x, y)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, calling main() directly."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -28,6 +29,7 @@ from approxcat.serialize import (
 
 F2 = FieldSpec.prime(2)
 A2 = Quiver(2, [("a", 0, 1)])
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 A2_WORKSPACE = {
     "format": 1,
@@ -502,6 +504,17 @@ class TestVerify:
         data = certificate_to_jsonable(left_approx_add(s1, AddCategory([s1, s2])))
         data["evidence"]["multiplicities"] = [10**9, 0]
         p = tmp_path / "huge.json"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
+        assert code == 1
+        assert out == {"verified": False}
+
+    @pytest.mark.parametrize("label", [2, [1]])
+    def test_verify_non_string_field_label(self, capsys, tmp_path, label):
+        # content that fails to rebuild is a negative, never a crash (exit 4)
+        data = json.loads((GOLDEN / "filtration-F2.json").read_text())
+        data["field"] = label
+        p = tmp_path / "field.json"
         p.write_text(json.dumps(data))
         code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
         assert code == 1

@@ -3,10 +3,11 @@
 Both build their linear system once per (side, far end w of f) and keep
 it on the morphism z they factor through. The reference is the
 body they had before: rebuild the hom basis, compose it with z and solve,
-on every call. Over F2, F3, F5 and Q, on A2 and the one-loop quiver, the
-two must return equal morphisms (or both None) while one z is reused for
-many f and several targets, among them targets of equal dimensions with
-different maps and structurally equal copies of one target.
+on every call. Over F2, F3, F5 and Q, on A2, the one-loop and the
+Kronecker quiver, the two must return equal morphisms (or both None)
+while one z is reused for many f and several targets, among them targets
+of equal dimensions with different maps and structurally equal copies of
+one target.
 """
 
 from fractions import Fraction
@@ -25,11 +26,12 @@ from approxcat.approx import (
 from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix, hstack
-from approxcat.quiver import a2_quiver, loop_quiver
+from approxcat.quiver import Quiver, a2_quiver, loop_quiver
 from approxcat.rep import Rep, RepMorphism, _vec_morphism, compose, hom_basis
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.rationals()]
-QUIVERS = [a2_quiver(), loop_quiver(1)]
+# the Kronecker quiver has two parallel arrows 0 -> 1
+QUIVERS = [a2_quiver(), loop_quiver(1), Quiver(2, [("a", 0, 1), ("b", 0, 1)])]
 SETTINGS = settings(max_examples=60, deadline=None)
 
 

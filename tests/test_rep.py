@@ -82,6 +82,12 @@ class TestQuiver:
         q = Quiver(3, [("x", 0, 1), ("y", 1, 2)])
         assert Quiver.from_jsonable(q.to_jsonable()) == q
 
+    @pytest.mark.parametrize("arrows", [{}, "", None, 3])
+    def test_json_arrows_must_be_a_list(self, arrows):
+        # an object or a string would otherwise iterate as no arrows at all
+        with pytest.raises(ApproxcatError):
+            Quiver.from_jsonable({"vertices": 2, "arrows": arrows})
+
 
 class TestRepBasics:
     def test_missing_maps_default_to_zero(self):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 
 import pytest
@@ -42,6 +43,7 @@ from approxcat.serialize import (
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 A2 = a2_quiver()
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def p1(field):
@@ -257,6 +259,14 @@ class TestEnvelope:
         for read in READERS:
             with pytest.raises(CertificateError):
                 read([1, 2, 3])
+
+    @pytest.mark.parametrize("label", [2, [1], {"a": 1}, None])
+    def test_non_string_field_label_is_negative(self, label):
+        with pytest.raises(ApproxcatError):
+            FieldSpec.from_label(label)
+        data = json.loads((GOLDEN / "filtration-F2.json").read_text())
+        data["field"] = label
+        assert verify_certificate(data) is False
 
     def test_missing_content_field_is_negative(self):
         data = self._any_cert_data()
