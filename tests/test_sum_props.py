@@ -5,6 +5,10 @@ and nothing else; direct_sum adds one injection and one projection per
 summand on top of it. Over F2, F3 and Q, on A2, the one-loop and the
 Kronecker quiver, with zero-dimensional summands and the empty sum, the
 sum-only builder must equal direct_sum(...)[0], both by == and by key().
+Since direct_sum now calls it, the sum is also checked against the
+definition: the injections and projections direct_sum lays out are
+natural, p_i i_j is the identity for i = j and zero otherwise, and the
+i_i p_i add up to the identity.
 """
 
 import pytest
@@ -15,7 +19,7 @@ from approxcat.errors import FieldMismatchError, ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, direct_sum, direct_sum_rep
+from approxcat.rep import Rep, RepMorphism, compose, direct_sum, direct_sum_rep
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.rationals()]
 QUIVERS = [a2_quiver(), loop_quiver(1), Quiver(2, [("a", 0, 1), ("b", 0, 1)])]
@@ -51,6 +55,14 @@ def test_sum_only_equals_the_full_direct_sum(case):
     assert got == want
     assert got.key() == want.key()
     assert len(injs) == len(projs) == len(parts)
+    total = RepMorphism.zero(got, got)
+    for i, (inj, proj) in enumerate(zip(injs, projs)):
+        assert inj.is_natural() and proj.is_natural()
+        for j, other in enumerate(injs):
+            unit = RepMorphism.identity(parts[i]) if i == j else RepMorphism.zero(parts[j], parts[i])
+            assert compose(proj, other) == unit
+        total = total + compose(inj, proj)
+    assert total == RepMorphism.identity(got)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda f: f.label)
