@@ -296,9 +296,19 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     Searches the multiplicity vectors that solve the dimension-vector
     equation in lexicographic order and certifies the first candidate that
     iso_test confirms. Zero-dimensional generators always get multiplicity
-    zero.
+    zero. When every generator acts by zero, so does every canonical sum:
+    m is a member exactly when its maps are zero and its dims admit a
+    multiplicity vector, and then it is literally the first canonical sum.
     """
-    for mults in _multiplicities([g.dims for g in handle.generators], m.dims):
+    gen_dims = [g.dims for g in handle.generators]
+    if all(g.map(a.id).is_zero() for g in handle.generators for a in handle.quiver.arrows):
+        if m.quiver != handle.quiver or m.field != handle.field:
+            raise FieldMismatchError("member_add needs a common quiver and field")
+        if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):
+            return None
+        mults = next(_multiplicities(gen_dims, m.dims), None)
+        return None if mults is None else AddEvidence(mults, RepMorphism.identity(m))
+    for mults in _multiplicities(gen_dims, m.dims):
         total, _ = handle.canonical_sum(mults)
         iso = iso_test(m, total)
         if iso is not None:

@@ -83,7 +83,9 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ShapeError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json raises ValueError for integers past the digit limit as well
+        # as for malformed text, and RecursionError for deep nesting
         raise ShapeError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -95,9 +97,10 @@ def load_workspace(path) -> Workspace:
         raise ShapeError("workspace needs \"quiver\" and \"field\" entries")
     quiver = Quiver.from_jsonable(data["quiver"])
     field = FieldSpec.from_label(data["field"])
-    reps = {}
-    for name, spec in data.get("reps", {}).items():
-        reps[name] = rep_from_jsonable(quiver, field, spec)
+    reps_data, handles_data = data.get("reps", {}), data.get("handles", {})
+    if not isinstance(reps_data, dict) or not isinstance(handles_data, dict):
+        raise ShapeError("workspace \"reps\" and \"handles\" must be objects keyed by name")
+    reps = {name: rep_from_jsonable(quiver, field, spec) for name, spec in reps_data.items()}
     handles = {}
 
     def build_handle(spec, trail):
@@ -113,15 +116,18 @@ def load_workspace(path) -> Workspace:
         if not isinstance(spec, dict):
             raise ShapeError(f"bad handle definition near {trail}")
         if "add" in spec:
+            names = spec["add"]
+            if not isinstance(names, list) or not all(isinstance(rn, str) for rn in names):
+                raise ShapeError(f"handle {trail}: \"add\" takes a list of rep names")
             gens = []
-            for rn in spec["add"]:
+            for rn in names:
                 if rn not in reps:
                     raise ShapeError(f"handle {trail} lists unknown rep {rn!r}")
                 gens.append(reps[rn])
             return AddCategory(gens, quiver=quiver, field=field)
         if "ext" in spec:
             parts = spec["ext"]
-            if len(parts) != 2:
+            if not isinstance(parts, list) or len(parts) != 2:
                 raise ShapeError(f"handle {trail}: \"ext\" takes two entries")
             return ExtCategory(
                 build_handle(parts[0], trail + ".left"),
@@ -129,7 +135,7 @@ def load_workspace(path) -> Workspace:
             )
         raise ShapeError(f"handle {trail} needs an \"add\" or \"ext\" entry")
 
-    for name, spec in data.get("handles", {}).items():
+    for name, spec in handles_data.items():
         if name in reps:
             raise ShapeError(f"name collision between a rep and a handle: {name!r}")
         handles[name] = build_handle(spec, name)

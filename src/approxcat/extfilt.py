@@ -8,10 +8,11 @@ member_filt decides membership in F_r(S), the r-fold extension closure of
 add(S). For a vertex-simple family (zero arrow maps, and the simple of each
 vertex in a generator's support is a generator, so add(S) is every
 semisimple representation supported on that vertex set T) it reads the
-Loewy series, with no search and no budget: for rad_T(N) = sum_a a(N) +
-sum_{x not in T} N_x, N lies in F_r iff rad_T^r(N) = 0, and m/U lies in
-F_(r-1) iff U contains rad_T^(r-1)(m). Other families peel an add(S)
-bottom layer from m and search the quotients within the budget. The
+Loewy series over every field, with no search and no budget: for
+rad_T(N) = sum_a a(N) + sum_{x not in T} N_x, N lies in F_r iff
+rad_T^r(N) = 0, and m/U lies in F_(r-1) iff U contains rad_T^(r-1)(m).
+Other families peel an add(S) bottom layer from m and search the
+quotients within the budget, over a prime field only. The
 layers come from SubrepSearch: over m, or, for a family with zero arrow
 maps, over the joint kernels of m's outgoing maps, which contain every
 such layer. The minimal depth per representation is memoized, and the
@@ -32,7 +33,6 @@ extension cocycles; it is an independent oracle for member_filt.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,10 +50,8 @@ from .errors import (
     CertificateError,
     ExtObstructionError,
     HypothesisViolationError,
-    RationalFieldUnsupportedError,
     ShapeError,
 )
-from .fields import PRIME
 from .matrix import Matrix, hstack, vstack
 from .rep import (
     Filtration,
@@ -225,18 +223,14 @@ def _dims_feasible(handle: AddCategory, dims) -> bool:
 
 
 def _add_decide(m: Rep, handle: AddCategory) -> bool:
-    """Membership decision for add(handle) without evidence construction."""
-    if _family_kind(handle)[0]:
-        if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):
-            return False
-        return _dims_feasible(handle, m.dims)
+    """Membership decision for add(handle)."""
     return member_add(m, handle) is not None
 
 
-# minimal filtration depth, memoized per (family, representation, budget),
-# or per (support T, representation) for vertex-simple families: the value is
-# (deepest cap tried, minimal depth or None within that cap); the cap is
-# infinite for Loewy lengths.
+# filtration depths: per (support T, representation) the Loewy length of a
+# vertex-simple family, or None when there is none; per (family,
+# representation, budget) the peel search's (deepest cap tried, minimal
+# depth or None within that cap).
 _depth_memo: dict = {}
 
 
@@ -300,39 +294,28 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
 
 
 def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optional[int]:
-    """Minimal r <= cap with m in F_r(add handle), or None. Since the F_r
-    form an increasing chain, m is a member of F_r exactly when the minimum
-    is at most r. For a vertex-simple family the minimum is the Loewy
-    length; otherwise a peel search finds it within the budget."""
+    """Minimal r <= cap with m in F_r(add handle), or None, by the peel
+    search within the budget; the search refuses every field but F_p. Since
+    the F_r form an increasing chain, m is a member of F_r exactly when the
+    minimum is at most r."""
     if cap < 1:
         return None
     if _add_decide(m, handle):
         return 1
     if cap <= 1:
         return None
-    if m.field.kind != PRIME:
-        raise RationalFieldUnsupportedError(
-            "membership beyond depth 1 needs an exhaustive subrepresentation "
-            "search, which is only available over prime fields"
-        )
-    support = _family_kind(handle)[1]
-    key = (support, m.key()) if support is not None else (handle.key(), m.key(), budget)
+    key = (handle.key(), m.key(), budget)
     got = _depth_memo.get(key)
     if got is None or (got[1] is None and got[0] < cap):
-        if support is not None:
-            series = _radical_series(m, support)
-            got = (math.inf, None if series is None else len(series))
-        else:
-            best = None
-            for incl in _peel_candidates(m, handle, budget):
-                quot, _ = cokernel(incl)
-                inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget)
-                if inner is not None and (best is None or inner + 1 < best):
-                    best = inner + 1
-                    if best == 2:
-                        break
-            got = (cap, best)
-        _depth_memo[key] = got
+        best = None
+        for incl in _peel_candidates(m, handle, budget):
+            quot, _ = cokernel(incl)
+            inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget)
+            if inner is not None and (best is None or inner + 1 < best):
+                best = inner + 1
+                if best == 2:
+                    break
+        got = _depth_memo[key] = (cap, best)
     val = got[1]
     return val if val is not None and val <= cap else None
 
@@ -342,18 +325,28 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     member of add(S), or None when no such filtration exists.
 
     S may be an OrderedFamily, an AddCategory, or a plain generator list.
-    A vertex-simple family needs no budget; any other family's peel search
-    stays within it.
+    A vertex-simple family is decided by the Loewy length over every field,
+    with no budget; any other family's peel search stays within the budget
+    and needs a prime field.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
     family = _as_family(s)
     handle = family.add_handle()
-    if budget is None and _family_kind(handle)[1] is None:
-        budget = default_budget()
-    if _min_depth(m, handle, r, budget) is None:
-        return None
-    return _build_filtration(m, family, handle, r, budget)
+    support = _family_kind(handle)[1]
+    if support is not None:
+        key = (support, m.key())
+        if key not in _depth_memo:
+            series = _radical_series(m, support)
+            _depth_memo[key] = None if series is None else len(series)
+        length = _depth_memo[key]
+        if length is None or length > r:
+            return None
+    else:
+        budget = budget or default_budget()
+        if _min_depth(m, handle, r, budget) is None:
+            return None
+    return _build_filtration(m, family, handle, support, r, budget)
 
 
 def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
@@ -400,7 +393,7 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
     return steps
 
 
-def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory,
+def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, support,
                       r: int, budget: Budget) -> FiltrationCertificate:
     """Certificate construction mirroring the decision order; the caller
     guarantees membership. Peels until the quotient lies in add, then lifts
@@ -414,7 +407,6 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory,
     further peel is rad_T^(j)(m/U), so term j is R_j + U. Its basis is the
     kernel basis of the annihilator of R_j + U, a function of the subspace
     alone and so the one the composite projection would give."""
-    support = _family_kind(handle)[1]
     series = None if support is None else _radical_series(m, support)
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     terms, cur, top = [], m, 0

@@ -4,12 +4,16 @@ Scalars are plain Python values (Fraction for Q, int in [0, p) for F_p);
 a FieldSpec bundles the arithmetic so matrix code stays field-generic.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ApproxcatError
 
 RATIONALS = "rationals"
 PRIME = "prime_field"
+# the string form of a scalar that entry_to_json writes; its value is
+# bounded by its length, unlike Fraction's exponent notation
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -118,7 +122,8 @@ class FieldSpec:
         return pow(a, -1, self.modulus)
 
     def coerce(self, value):
-        """Turn an int, Fraction or "p/q" string into a scalar of this field.
+        """Turn an int, a Fraction (over Q) or a string "n" or "p/q" of
+        decimal digits with an optional sign into a scalar of this field.
 
         Rationals normalize to lowest terms with positive denominator
         (Fraction guarantees both); prime-field values reduce mod p.
@@ -128,13 +133,13 @@ class FieldSpec:
                 return value
             if isinstance(value, int):
                 return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value)
-            raise ApproxcatError(f"cannot coerce {value!r} into Q")
-        if isinstance(value, int):
+        elif isinstance(value, int):
             return value % self.modulus
-        if isinstance(value, str):
-            return int(value) % self.modulus
+        if isinstance(value, str) and _ENTRY.fullmatch(value):
+            try:
+                return self.coerce(Fraction(value) if "/" in value else int(value))
+            except (ValueError, ZeroDivisionError):
+                pass
         raise ApproxcatError(f"cannot coerce {value!r} into {self.label}")
 
     def entry_to_json(self, a):

@@ -117,7 +117,7 @@ class Quiver:
                 raise TypeError("arrows must be a list")
             arrows = [(a["id"], a["source"], a["target"]) for a in data["arrows"]]
             return Quiver(int(data["vertices"]), arrows)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ApproxcatError(f"bad quiver JSON: {exc}") from None
 
 

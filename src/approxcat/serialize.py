@@ -40,7 +40,10 @@ def rep_to_jsonable(rep: Rep) -> dict:
 
 
 def rep_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Rep:
-    dims = [int(d) for d in _need(data, "dims")]
+    try:
+        dims = [int(d) for d in _need(data, "dims")]
+    except (TypeError, ValueError):
+        raise CertificateError("dims must be a list of integers") from None
     if len(dims) != quiver.vertex_count:
         raise CertificateError("one dimension per vertex required")
     maps_data = data.get("maps", {})

@@ -216,6 +216,13 @@ class TestMemberAdd:
         ev = member_add(pair, AddCategory([s]))
         assert ev is not None and ev.multiplicities == (2,)
 
+    def test_zero_map_family_refuses_another_field(self):
+        # a zero-map member over F2 is no evidence for a handle over Q
+        s1_f2, _ = simples(F2)
+        s1_q, _ = simples(Q)
+        with pytest.raises(FieldMismatchError):
+            member_add(s1_f2, AddCategory([s1_q]))
+
     @pytest.mark.parametrize("field", [F2, Q])
     def test_add_is_not_closed_under_direct_summands(self, field):
         # add{S1 + S2} holds the sums of copies of S1 + S2, not S1 alone

@@ -1,7 +1,10 @@
 """End-to-end tests of the command line, calling main() directly."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -520,6 +523,34 @@ class TestVerify:
         assert code == 1
         assert out == {"verified": False}
 
+    @pytest.mark.parametrize("entry", ["1/0", "1/00", "-7/0"])
+    def test_verify_zero_denominator_is_negative(self, capsys, tmp_path, entry):
+        # tampered content reads as a negative, never as a crash (exit 4)
+        data = json.loads((GOLDEN / "filtration-Q.json").read_text())
+        data["member"]["maps"]["a"][0][0] = entry
+        p = tmp_path / "q.json"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
+        assert code == 1
+        assert out == {"verified": False}
+
+    def test_verify_exponent_entry_is_bounded(self, tmp_path):
+        # Fraction would read "1e999999999" as 10**999999999 and not finish;
+        # a scalar string is read only in the form the writer produces
+        data = json.loads((GOLDEN / "filtration-Q.json").read_text())
+        data["member"]["maps"]["a"][0][0] = "1e999999999"
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps(data))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "approxcat.cli", "--json-only", "verify",
+             "--certificate", str(p)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert json.loads(done.stdout) == {"verified": False}
+
     def test_verify_bad_envelope(self, capsys, tmp_path):
         p = tmp_path / "env.json"
         p.write_text(json.dumps({"format": 2, "type": "approximation"}))
@@ -590,7 +621,52 @@ class TestScenario:
         capsys.readouterr()
 
 
+# (path, value) edits of the A2 workspace that make it malformed
+BAD_WORKSPACE_EDITS = {
+    "dims-not-integers": (("reps", "S1", "dims"), ["x", 1]),
+    "dims-not-a-list": (("reps", "S1", "dims"), 5),
+    "reps-not-an-object": (("reps",), []),
+    "handles-not-an-object": (("handles",), ["simples1"]),
+    "add-not-a-list": (("handles", "simples1"), {"add": 5}),
+    "add-name-not-a-string": (("handles", "simples1"), {"add": [["S1"]]}),
+    "ext-not-a-list": (("handles", "semis"), {"ext": 5}),
+    "entry-not-a-scalar": (("reps", "P1", "maps", "a"), [["z"]]),
+    "vertices-not-an-integer": (("quiver", "vertices"), "x"),
+}
+
+
 class TestWorkspaceErrors:
+    @pytest.mark.parametrize("name", sorted(BAD_WORKSPACE_EDITS))
+    def test_malformed_workspace_is_an_input_error(self, capsys, tmp_path, name):
+        path, value = BAD_WORKSPACE_EDITS[name]
+        data = json.loads(json.dumps(A2_WORKSPACE))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, ["member-add", "--workspace", str(p), "--rep", "P1", "--in", "projs"]
+        )
+        assert code == 2
+        assert out["error"]["code"] != "InternalError"
+
+    @pytest.mark.parametrize("text", [
+        # json raises a plain ValueError, not JSONDecodeError, for an integer
+        # past the digit limit, and RecursionError for deep nesting
+        json.dumps(A2_WORKSPACE).replace('"format": 1', '"format": ' + "1" * 5000),
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["long-integer", "deep-nesting"])
+    def test_unparsable_json_is_an_input_error(self, capsys, tmp_path, text):
+        p = tmp_path / "huge.json"
+        p.write_text(text)
+        code, out, _ = run(
+            capsys, ["hom", "--workspace", str(p), "--from", "S1", "--to", "S1"]
+        )
+        assert code == 2
+        assert out["error"]["code"] == "ShapeMismatch"
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

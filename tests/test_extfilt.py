@@ -222,8 +222,18 @@ class TestMemberFilt:
         cert = member_filt(m, [s2, s1], 3)
         assert cert is not None and cert.depth == 1
         assert member_filt(p1(Q), [s2], 1) is None
-        with pytest.raises(RationalFieldUnsupportedError):
-            member_filt(p1(Q), [s2, s1], 2)
+        # [S2, S1] is vertex-simple: the Loewy length decides over Q too
+        cert = member_filt(p1(Q), [s2, s1], 2)
+        assert cert is not None and cert.depth == 2
+        assert cert.verify()
+
+    def test_rational_field_refused_beyond_vertex_simple(self):
+        # any other family past depth 1 needs the peel search, which
+        # enumerates subspaces and so a finite field
+        s = Rep.simple(LOOP, Q, 0)
+        for gen in (jordan(Q, 2), direct_sum([s, s])[0]):
+            with pytest.raises(RationalFieldUnsupportedError):
+                member_filt(jordan(Q, 4), [gen], 2)
 
     def test_handle_input_forms(self):
         s1 = Rep.simple(A2, F2, 0)

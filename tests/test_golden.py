@@ -91,7 +91,7 @@ def approximation_subclosed(label):
 def filtration(label):
     F, c = FIELDS[label], C[label]
     if F.kind == "rationals":
-        # beyond depth 1 the search needs a finite field
+        # depth 1 over a family with P1; filtration_deep-Q goes deeper
         s1, s2, p1, _ = _a2_reps(F, c)
         m = Rep(A2, F, [2, 1], {"a": Matrix(F, 1, 2, [c, 1])})
         return certificate_to_jsonable(member_filt(m, [s2, s1, p1], 1))
@@ -254,7 +254,10 @@ CASES.update({
     f"enumeration-{label}": (lambda label=label: enumeration(label))
     for label in ("F2", "F3")
 })
-CASES["filtration_deep-F3"] = lambda: filtration_deep("F3")
+CASES.update({
+    f"filtration_deep-{label}": (lambda label=label: filtration_deep(label))
+    for label in ("F3", "Q")
+})
 CASES["bases-Q"] = bases_q
 CASES.update({
     f"factorization-{label}": (lambda label=label: factorization(label))

@@ -36,6 +36,20 @@ class TestFieldSpec:
         assert F5.coerce(-1) == 4
         assert F5.coerce(7) == 2
 
+    def test_coerce_reads_the_written_string_form(self):
+        assert Q.coerce("-3/6") == Fraction(-1, 2)
+        assert Q.coerce("+7") == 7
+        assert F5.coerce("-1") == 4
+        with pytest.raises(ApproxcatError):
+            F5.coerce("1/2")
+
+    @pytest.mark.parametrize("text", ["1/0", "1e999999999", "1.5", " 1", "1_0", "", "9" * 5000])
+    def test_coerce_refuses_other_strings(self, text):
+        # each refusal is an ApproxcatError, and none builds a huge number
+        for field in (Q, F5):
+            with pytest.raises(ApproxcatError):
+                field.coerce(text)
+
     def test_inverse(self):
         assert F5.mul(F5.inv(3), 3) == 1
         assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)
