@@ -16,6 +16,7 @@ their own code and exit value.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .approx import (
     AddCategory,
@@ -28,8 +29,9 @@ from .approx import (
     right_approx_add,
 )
 from .counterex import refute
-from .errors import ApproxcatError, CertificateError, ShapeError
+from .errors import ApproxcatError, CertificateError, ShapeError, _need
 from .extfilt import (
+    FiltrationCertificate,
     OrderedFamily,
     filt_exchange,
     filt_normalize,
@@ -42,10 +44,10 @@ from .rep import ext1_dim, hom_basis
 from .scenarios import SCENARIOS, run_scenario
 from .search import Budget, budget_limit, default_budget
 from .serialize import (
+    certificate_from_jsonable,
     certificate_to_jsonable,
     evidence_from_jsonable,
     evidence_to_jsonable,
-    filtration_certificate_from_jsonable,
     filtration_to_jsonable,
     morphism_from_jsonable,
     morphism_to_jsonable,
@@ -143,15 +145,8 @@ def load_workspace(path) -> Workspace:
 
 
 def _budget_from_args(args) -> Budget:
-    base = default_budget()
-    return Budget(
-        max_total_dim=(
-            args.max_total_dim if args.max_total_dim is not None else base.max_total_dim
-        ),
-        max_subspaces=(
-            args.max_subspaces if args.max_subspaces is not None else base.max_subspaces
-        ),
-    )
+    limits = {"max_total_dim": args.max_total_dim, "max_subspaces": args.max_subspaces}
+    return replace(default_budget(), **{k: v for k, v in limits.items() if v is not None})
 
 
 def _emit(args, payload, summary):
@@ -192,11 +187,11 @@ def cmd_ext1(args) -> int:
     return 0
 
 
-def _approx_cmd(args, side) -> int:
+def cmd_approx_add(args) -> int:
     ws = load_workspace(args.workspace)
     m = ws.rep(args.of)
     handle = _add_handle_or_die(ws.handle(args.into), "--into")
-    cert = left_approx_add(m, handle) if side == "left" else right_approx_add(m, handle)
+    cert = left_approx_add(m, handle) if args.side == "left" else right_approx_add(m, handle)
     if args.minimize:
         cert = minimize_approx(cert)
     payload = {
@@ -206,18 +201,10 @@ def _approx_cmd(args, side) -> int:
     _emit(
         args,
         payload,
-        f"{side} approximation of {args.of}: target dims "
+        f"{args.side} approximation of {args.of}: target dims "
         f"{tuple(cert.approximating.dims)}, verified",
     )
     return 0
-
-
-def cmd_approx_left(args) -> int:
-    return _approx_cmd(args, "left")
-
-
-def cmd_approx_right(args) -> int:
-    return _approx_cmd(args, "right")
 
 
 def cmd_approx_ext(args) -> int:
@@ -305,11 +292,11 @@ def cmd_member_filt(args) -> int:
 def _load_filtration_certificate(path):
     data = _load_json(path)
     try:
-        cert = filtration_certificate_from_jsonable(data)
-    except CertificateError:
-        raise
+        cert = certificate_from_jsonable(data)
     except ApproxcatError as exc:
         raise CertificateError(f"{path} cannot be rebuilt: {exc}") from None
+    if not isinstance(cert, FiltrationCertificate):
+        raise CertificateError(f"{path} is not a filtration certificate")
     if not cert.verify():
         raise CertificateError(f"{path} does not verify")
     return cert
@@ -342,10 +329,8 @@ def cmd_normalize(args) -> int:
 def cmd_refute(args) -> int:
     ws = load_workspace(args.workspace)
     data = _load_json(args.candidate)
-    if not isinstance(data, dict):
-        raise ShapeError("the candidate file must be a JSON object")
-    phi = morphism_from_jsonable(ws.quiver, ws.field, _need_entry(data, "candidate"))
-    evidence = evidence_from_jsonable(ws.quiver, ws.field, _need_entry(data, "evidence"))
+    phi = morphism_from_jsonable(ws.quiver, ws.field, _need(data, "candidate"))
+    evidence = evidence_from_jsonable(ws.quiver, ws.field, _need(data, "evidence"))
     witness = refute(phi, evidence)
     if not witness.verify():
         raise CertificateError("the produced witness fails verification")
@@ -361,12 +346,6 @@ def cmd_refute(args) -> int:
         + ", every composite into W vanishes while Hom(S2, W) is nonzero",
     )
     return 1
-
-
-def _need_entry(data, key):
-    if key not in data:
-        raise ShapeError(f"candidate file misses {key!r}")
-    return data[key]
 
 
 def cmd_verify(args) -> int:
@@ -442,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
 
-    for name, fn in (("approx-left", cmd_approx_left), ("approx-right", cmd_approx_right)):
-        p = ws_cmd(name, fn, f"{name.split('-')[1]} approximation by an add handle")
+    for side in ("left", "right"):
+        p = ws_cmd(f"approx-{side}", cmd_approx_add, f"{side} approximation by an add handle")
+        p.set_defaults(side=side)
         p.add_argument("--of", required=True)
         p.add_argument("--into", required=True)
         p.add_argument("--minimize", action="store_true")

@@ -58,10 +58,6 @@ from .rep import (
 )
 
 
-def _loop_ids(n_loops: int):
-    return [f"alpha{i}" for i in range(1, n_loops + 1)]
-
-
 @dataclass(frozen=True)
 class LoopQuiverConfig:
     """Truncation level and scalar field for the loop-and-exit quiver."""
@@ -74,12 +70,12 @@ class LoopQuiverConfig:
             raise ShapeError("at least one loop is required")
 
     def quiver(self) -> Quiver:
-        arrows = [(a, 0, 0) for a in _loop_ids(self.n_loops)]
+        arrows = [(a, 0, 0) for a in self.loop_ids()]
         arrows.append(("beta", 0, 1))
         return Quiver(2, arrows)
 
     def loop_ids(self):
-        return _loop_ids(self.n_loops)
+        return [f"alpha{i}" for i in range(1, self.n_loops + 1)]
 
     @staticmethod
     def of_rep(rep: Rep) -> "LoopQuiverConfig":
@@ -175,16 +171,8 @@ def embed_rep(rep: Rep, cfg: LoopQuiverConfig) -> Rep:
         raise FieldMismatchError(f"{rep.field.label} vs {cfg.field.label}")
     if src.n_loops > cfg.n_loops:
         raise ShapeError("cannot embed into a smaller truncation")
-    known = set(src.loop_ids())
-    known.add("beta")
-    F = cfg.field
-    maps = {}
-    for a in cfg.quiver().arrows:
-        if a.id in known:
-            maps[a.id] = rep.map(a.id)
-        else:
-            maps[a.id] = Matrix.zeros(F, rep.dims[a.target], rep.dims[a.source])
-    return Rep(cfg.quiver(), F, list(rep.dims), maps)
+    # Rep makes the new loops, which rep's maps omit, act by zero
+    return Rep(cfg.quiver(), cfg.field, rep.dims, rep.maps)
 
 
 def embed_morphism(f: RepMorphism, cfg: LoopQuiverConfig) -> RepMorphism:
@@ -325,7 +313,6 @@ def assemble_member(cfg: LoopQuiverConfig, s1_mult: int, m_mult: int, coefficien
     """(member, evidence): the extension of M^m_mult by S1^s1_mult along the
     cocycle with the given coefficient list over the standard basis of
     Ext1(M^m_mult, S1^s1_mult)."""
-    s1, _, m = build_standard(cfg)
     handle = standard_handle(cfg)
     sub, _ = handle.left.canonical_sum((s1_mult,))
     quot, _ = handle.right.canonical_sum((m_mult,))
@@ -353,7 +340,6 @@ def sample_members(cfg: LoopQuiverConfig, count: int, max_total_dim: int = 6,
         for b in range(max_total_dim // 2 + 1)
         if a + 2 * b <= max_total_dim
     ]
-    s1, _, m = build_standard(cfg)
     handle = standard_handle(cfg)
     out = []
     for idx in range(count):

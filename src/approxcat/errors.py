@@ -1,5 +1,7 @@
 """Exception hierarchy. Every error carries a stable machine-readable code
-that the CLI maps onto its exit conventions."""
+that the CLI maps onto its exit conventions. The typed reads that every
+JSON reader takes its containers and integers through live here too, so
+malformed input fails with CertificateError and nothing else."""
 
 
 class ApproxcatError(Exception):
@@ -57,3 +59,18 @@ class CertificateError(ApproxcatError):
 class IsoInconclusiveError(ApproxcatError):
     code = "IsoInconclusive"
     exit_code = 3
+
+
+def _typed(value, kind, what):
+    """value, if it is a JSON value of kind (dict, list, str, int or bool);
+    a JSON boolean does not count as an int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise CertificateError(f"{what} must be a JSON {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _need(data, key, kind=None):
+    """The entry key of the object data, of kind if one is given."""
+    if not isinstance(data, dict) or key not in data:
+        raise CertificateError(f"missing field {key!r}")
+    return data[key] if kind is None else _typed(data[key], kind, key)

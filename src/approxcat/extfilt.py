@@ -523,18 +523,15 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
             continue
         total, layout = handle.canonical_sum(ev.multiplicities)
         psi = compose(ev.iso, q_j)
-        boundaries = []
-        for t in effective[:-1]:
-            cols = []
-            for x in range(total.quiver.vertex_count):
-                cols.append(sum(gens[i].dims[x] * ev.multiplicities[i] for i in range(t + 1)))
-            boundaries.append(cols)
         F = total.field
+        cols = [0] * total.quiver.vertex_count
         mids = []
-        for cols in boundaries:
-            # the first cols[x] coordinates: stable, summand maps are block diagonal
-            bases = [Matrix.identity(F, d).take_cols(range(k)) for d, k in zip(total.dims, cols)]
-            mids.append(preimage_subrep(psi, subrep_from_bases(total, bases)[1]))
+        for i in range(effective[-1]):
+            cols = [k + d * ev.multiplicities[i] for k, d in zip(cols, gens[i].dims)]
+            if i in effective:
+                # the first cols[x] coordinates: stable, summand maps are block diagonal
+                bases = [Matrix.identity(F, d).take_cols(range(k)) for d, k in zip(total.dims, cols)]
+                mids.append(preimage_subrep(psi, subrep_from_bases(total, bases)[1]))
         chain = mids + [(step.target, RepMorphism.identity(step.target))]
         steps.extend(_chain_steps(step.source, step, chain))
         indices.extend(effective)

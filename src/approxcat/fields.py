@@ -122,8 +122,9 @@ class FieldSpec:
         return pow(a, -1, self.modulus)
 
     def coerce(self, value):
-        """Turn an int, a Fraction (over Q) or a string "n" or "p/q" of
-        decimal digits with an optional sign into a scalar of this field.
+        """Turn an int (not a bool), a Fraction (over Q) or a string "n" or
+        "p/q" of decimal digits with an optional sign into a scalar of this
+        field.
 
         Rationals normalize to lowest terms with positive denominator
         (Fraction guarantees both); prime-field values reduce mod p.
@@ -131,9 +132,9 @@ class FieldSpec:
         if self.kind == RATIONALS:
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, int):
+            if type(value) is int:
                 return Fraction(value)
-        elif isinstance(value, int):
+        elif type(value) is int:
             return value % self.modulus
         if isinstance(value, str) and _ENTRY.fullmatch(value):
             try:

@@ -291,21 +291,19 @@ class Matrix:
 
     @staticmethod
     def from_jsonable(field: FieldSpec, data, rows: int | None = None, cols: int | None = None) -> "Matrix":
-        """Parse the JSON matrix form (array of rows). Zero-dimension
-        matrices lose a dimension in JSON ([] could be 0x3), so the intended
-        shape may be supplied."""
+        """Parse the JSON matrix form, as to_jsonable writes it: an r x c
+        matrix is r rows of c entries, so an r x 0 matrix is r empty rows.
+        A matrix with no rows loses its column count in JSON ([] could be
+        0x3), so the intended shape may be supplied."""
         if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
             raise ShapeError("matrix JSON must be an array of arrays")
-        r = len(data)
-        c = len(data[0]) if data else 0
-        if rows is not None and cols is not None:
-            if data == [] or all(row == [] for row in data):
-                if rows * cols == 0:
-                    return Matrix(field, rows, cols)
-            if (r, c) != (rows, cols):
-                raise ShapeError(f"expected {rows}x{cols} matrix, got {r}x{c}")
-        m = Matrix.from_rows(field, data) if data else Matrix(field, 0, c)
-        return m
+        if rows is None:
+            rows = len(data)
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ShapeError(f"expected {rows}x{cols} matrix as {rows} rows of {cols} entries")
+        return Matrix(field, rows, cols, [x for r in data for x in r])
 
 
 def hstack(mats) -> Matrix:

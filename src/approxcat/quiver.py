@@ -4,7 +4,7 @@ constructions elsewhere."""
 
 from typing import NamedTuple
 
-from .errors import ApproxcatError, ShapeError
+from .errors import ApproxcatError, ShapeError, _need
 
 
 class Arrow(NamedTuple):
@@ -112,13 +112,13 @@ class Quiver:
 
     @staticmethod
     def from_jsonable(data: dict) -> "Quiver":
-        try:
-            if not isinstance(data["arrows"], list):
-                raise TypeError("arrows must be a list")
-            arrows = [(a["id"], a["source"], a["target"]) for a in data["arrows"]]
-            return Quiver(int(data["vertices"]), arrows)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ApproxcatError(f"bad quiver JSON: {exc}") from None
+        """Read the to_jsonable form: JSON integers for the vertex count
+        and the arrow ends, strings for the arrow ids."""
+        arrows = [
+            (_need(a, "id", str), _need(a, "source", int), _need(a, "target", int))
+            for a in _need(data, "arrows", list)
+        ]
+        return Quiver(_need(data, "vertices", int), arrows)
 
 
 def a2_quiver() -> Quiver:

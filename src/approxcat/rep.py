@@ -690,12 +690,11 @@ def projective(quiver: Quiver, field: FieldSpec, vertex: int) -> Rep:
     dims = [len(paths) for paths in basis]
     maps = {}
     for a in quiver.arrows:
-        m = Matrix.zeros(field, dims[a.target], dims[a.source]).to_lists()
+        rows, cols = dims[a.target], dims[a.source]
+        e = [field.zero] * (rows * cols)
         for p in basis[a.source]:
-            m[index[a.target][p + (a.id,)]][index[a.source][p]] = field.one
-        maps[a.id] = (
-            Matrix.from_rows(field, m) if dims[a.target] else Matrix(field, 0, dims[a.source])
-        )
+            e[index[a.target][p + (a.id,)] * cols + index[a.source][p]] = field.one
+        maps[a.id] = Matrix._trusted(field, rows, cols, e)
     return Rep(quiver, field, dims, maps)
 
 

@@ -16,7 +16,7 @@ from .approx import (
     ExtEvidence,
 )
 from .counterex import LoopQuiverConfig, RefutationWitness
-from .errors import ApproxcatError, CertificateError
+from .errors import ApproxcatError, CertificateError, _need, _typed
 from .extfilt import FiltrationCertificate, OrderedFamily
 from .fields import FieldSpec
 from .matrix import Matrix
@@ -24,12 +24,6 @@ from .quiver import Quiver
 from .rep import Filtration, Rep, RepMorphism, ShortExactSeq
 
 FORMAT = 1
-
-
-def _need(data, key):
-    if not isinstance(data, dict) or key not in data:
-        raise CertificateError(f"missing field {key!r}")
-    return data[key]
 
 
 def rep_to_jsonable(rep: Rep) -> dict:
@@ -40,17 +34,11 @@ def rep_to_jsonable(rep: Rep) -> dict:
 
 
 def rep_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Rep:
-    try:
-        dims = [int(d) for d in _need(data, "dims")]
-    except (TypeError, ValueError):
-        raise CertificateError("dims must be a list of integers") from None
+    dims = [_typed(d, int, "dims") for d in _need(data, "dims", list)]
     if len(dims) != quiver.vertex_count:
         raise CertificateError("one dimension per vertex required")
-    maps_data = data.get("maps", {})
-    if not isinstance(maps_data, dict):
-        raise CertificateError("maps must be an object keyed by arrow id")
     maps = {}
-    for aid, block in maps_data.items():
+    for aid, block in _typed(data.get("maps", {}), dict, "maps").items():
         # an unknown id is refused; Rep makes an omitted arrow act as zero
         a = quiver.arrow(aid)
         maps[aid] = Matrix.from_jsonable(field, block, rows=dims[a.target], cols=dims[a.source])
@@ -68,7 +56,7 @@ def morphism_to_jsonable(f: RepMorphism) -> dict:
 def morphism_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> RepMorphism:
     source = rep_from_jsonable(quiver, field, _need(data, "source"))
     target = rep_from_jsonable(quiver, field, _need(data, "target"))
-    blocks = _need(data, "components")
+    blocks = _need(data, "components", list)
     if len(blocks) != quiver.vertex_count:
         raise CertificateError("one component per vertex required")
     comps = [
@@ -108,7 +96,7 @@ def handle_to_jsonable(handle) -> dict:
 def handle_from_jsonable(quiver: Quiver, field: FieldSpec, data):
     kind = _need(data, "kind")
     if kind == "add":
-        gens = [rep_from_jsonable(quiver, field, g) for g in _need(data, "generators")]
+        gens = [rep_from_jsonable(quiver, field, g) for g in _need(data, "generators", list)]
         return AddCategory(gens, quiver=quiver, field=field)
     if kind == "ext":
         return ExtCategory(
@@ -138,7 +126,7 @@ def evidence_to_jsonable(ev) -> dict:
 def evidence_from_jsonable(quiver: Quiver, field: FieldSpec, data):
     kind = _need(data, "kind")
     if kind == "add":
-        mults = tuple(int(c) for c in _need(data, "multiplicities"))
+        mults = tuple(_typed(c, int, "multiplicities") for c in _need(data, "multiplicities", list))
         return AddEvidence(mults, morphism_from_jsonable(quiver, field, _need(data, "iso")))
     if kind == "ext":
         return ExtEvidence(
@@ -154,7 +142,7 @@ def filtration_to_jsonable(f: Filtration) -> dict:
 
 
 def filtration_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Filtration:
-    steps = [morphism_from_jsonable(quiver, field, s) for s in _need(data, "steps")]
+    steps = [morphism_from_jsonable(quiver, field, s) for s in _need(data, "steps", list)]
     return Filtration(steps)
 
 
@@ -164,7 +152,7 @@ def config_to_jsonable(cfg: LoopQuiverConfig) -> dict:
 
 def config_from_jsonable(data) -> LoopQuiverConfig:
     return LoopQuiverConfig(
-        int(_need(data, "n_loops")), FieldSpec.from_label(_need(data, "field"))
+        _need(data, "n_loops", int), FieldSpec.from_label(_need(data, "field"))
     )
 
 
@@ -215,7 +203,7 @@ def filtration_certificate_from_jsonable(data) -> FiltrationCertificate:
     quiver = Quiver.from_jsonable(_need(data, "quiver"))
     field = FieldSpec.from_label(_need(data, "field"))
     family = OrderedFamily(
-        [rep_from_jsonable(quiver, field, g) for g in _need(data, "family")]
+        [rep_from_jsonable(quiver, field, g) for g in _need(data, "family", list)]
     )
     return FiltrationCertificate(
         filtration=filtration_from_jsonable(quiver, field, _need(data, "filtration")),
@@ -223,7 +211,7 @@ def filtration_certificate_from_jsonable(data) -> FiltrationCertificate:
         family=family,
         factor_assignments=tuple(
             evidence_from_jsonable(quiver, field, ev)
-            for ev in _need(data, "factor_assignments")
+            for ev in _need(data, "factor_assignments", list)
         ),
     )
 
@@ -250,23 +238,21 @@ def refutation_witness_from_jsonable(data) -> RefutationWitness:
     cfg = config_from_jsonable(_need(data, "config"))
     quiver = cfg.quiver()
     field = cfg.field
-    proof = tuple(
-        (
-            morphism_from_jsonable(quiver, field, pair[0]),
-            morphism_from_jsonable(quiver, field, pair[1]),
-        )
-        for pair in _need(data, "vanishing_proof")
-    )
+    proof = []
+    for pair in _need(data, "vanishing_proof", list):
+        if len(_typed(pair, list, "vanishing_proof entry")) != 2:
+            raise CertificateError("a vanishing_proof entry is a pair of morphisms")
+        proof.append(tuple(morphism_from_jsonable(quiver, field, f) for f in pair))
     return RefutationWitness(
         candidate=morphism_from_jsonable(quiver, field, _need(data, "candidate")),
-        i0=int(_need(data, "i0")),
+        i0=_need(data, "i0", int),
         w=rep_from_jsonable(quiver, field, _need(data, "w")),
         w_evidence=evidence_from_jsonable(quiver, field, _need(data, "w_evidence")),
         nonzero_target_map=morphism_from_jsonable(
             quiver, field, _need(data, "nonzero_target_map")
         ),
-        vanishing_proof=proof,
-        escalated=bool(data.get("escalated", False)),
+        vanishing_proof=tuple(proof),
+        escalated=_typed(data.get("escalated", False), bool, "escalated"),
         config=cfg,
     )
 
@@ -293,10 +279,11 @@ def _reader(data):
     data is an object of the current format with a known type."""
     if not isinstance(data, dict):
         raise CertificateError("a certificate must be a JSON object")
-    if data.get("format") != FORMAT:
-        raise CertificateError(f"unsupported format {data.get('format')!r}")
-    kind = _need(data, "type")
-    if not isinstance(kind, str) or kind not in _READERS:
+    fmt = _need(data, "format", int)
+    if fmt != FORMAT:
+        raise CertificateError(f"unsupported format {fmt!r}")
+    kind = _need(data, "type", str)
+    if kind not in _READERS:
         raise CertificateError(f"unknown certificate type {kind!r}")
     return _READERS[kind]
 
@@ -314,10 +301,6 @@ def verify_certificate(data) -> bool:
     """
     read = _reader(data)
     try:
-        cert = read(data)
-    except (ApproxcatError, ValueError, TypeError, KeyError, IndexError):
-        return False
-    try:
-        return bool(cert.verify())
+        return bool(read(data).verify())
     except ApproxcatError:
         return False

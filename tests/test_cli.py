@@ -479,6 +479,19 @@ class TestRefute:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("edit", ["multiplicities", "components"])
+    def test_malformed_candidate_is_an_input_error(self, capsys, tmp_path, loop_ws, edit):
+        cand = pathlib.Path(self._candidate_file(tmp_path, [1, 0]))
+        data = json.loads(cand.read_text())
+        if edit == "multiplicities":
+            data["evidence"]["sub_evidence"]["multiplicities"] = ["x"]
+        else:
+            data["candidate"]["components"] = 5
+        cand.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["refute", "--workspace", loop_ws, "--candidate", str(cand)])
+        assert code == 2
+        assert out["error"]["code"] == "CertificateInvalid"
+
 
 class TestVerify:
     def _cert_file(self, capsys, tmp_path, a2_ws):
@@ -751,3 +764,28 @@ class TestInternalError:
             "code": "InternalError", "message": "RuntimeError: simulated defect",
         }
         assert "Traceback" in err
+
+
+class TestCertificateFilesReadOnce:
+    """exchange and normalize read their file through the certificate
+    reader, envelope checks included: a malformed file is an input error
+    (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["normalize", "exchange"])
+    @pytest.mark.parametrize("edit", [("type", "approximation"), ("format", 99), ("format", True)])
+    def test_filtration_commands_check_the_envelope(self, capsys, tmp_path, command, edit):
+        data = certificate_to_jsonable(_split_pair_certificate())
+        data[edit[0]] = edit[1]
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(data))
+        argv = [command, "--certificate", str(cert_file)]
+        code, out, _ = run(capsys, argv + (["--index", "0"] if command == "exchange" else []))
+        assert code == 2
+        assert out["error"]["code"] == "CertificateInvalid"
+
+    def test_filtration_commands_need_a_filtration_certificate(self, capsys, tmp_path):
+        cert_file = tmp_path / "approx.json"
+        cert_file.write_text((GOLDEN / "approximation-F2.json").read_text())
+        code, out, _ = run(capsys, ["normalize", "--certificate", str(cert_file)])
+        assert code == 2
+        assert "not a filtration certificate" in out["error"]["message"]

@@ -272,3 +272,46 @@ class TestEnvelope:
         data = self._any_cert_data()
         del data["morphism"]["components"]
         assert not verify_certificate(data)
+
+
+class TestStrictReads:
+    """Values the readers used to convert leniently are refused: only JSON
+    integers are integers, and a matrix is read only in the row shape that
+    to_jsonable writes."""
+
+    @pytest.mark.parametrize("dims", [[2, 1.5], [2, True], "21"])
+    def test_misread_member_dims_are_negative(self, dims):
+        # int(1.5) and int(True) read as 1, and "21" as the dims [2, 1]
+        data = json.loads((GOLDEN / "filtration-Q.json").read_text())
+        assert data["member"]["dims"] == [2, 1] and verify_certificate(data)
+        data["member"]["dims"] = dims
+        assert verify_certificate(data) is False
+
+    @pytest.mark.parametrize("block", [[], [[]]])
+    def test_zero_column_map_needs_one_row_per_target_dimension(self, block):
+        # a 2x0 map is two empty rows
+        assert Matrix.from_jsonable(Q, [[], []], rows=2, cols=0) == Matrix(Q, 2, 0)
+        with pytest.raises(ApproxcatError):
+            Matrix.from_jsonable(Q, block, rows=2, cols=0)
+        with pytest.raises(ApproxcatError):
+            rep_from_jsonable(A2, F2, {"dims": [0, 2], "maps": {"a": block}})
+
+    def test_boolean_format_is_refused(self):
+        data = json.loads((GOLDEN / "approximation-F2.json").read_text())
+        data["format"] = True
+        for read in READERS:
+            with pytest.raises(CertificateError):
+                read(data)
+
+    @pytest.mark.parametrize("value", [1, "yes", None])
+    def test_escalated_must_be_a_bool(self, value):
+        data = json.loads((GOLDEN / "refutation-F2.json").read_text())
+        assert verify_certificate(data)
+        data["escalated"] = value
+        assert verify_certificate(data) is False
+
+    def test_boolean_entry_is_not_a_scalar(self):
+        with pytest.raises(ApproxcatError):
+            F2.coerce(True)
+        with pytest.raises(ApproxcatError):
+            Matrix.from_jsonable(F2, [[True]])
