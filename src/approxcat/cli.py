@@ -117,6 +117,8 @@ def load_workspace(path) -> Workspace:
             raise ShapeError(f"unknown handle reference {spec!r}")
         if not isinstance(spec, dict):
             raise ShapeError(f"bad handle definition near {trail}")
+        if ("add" in spec) == ("ext" in spec):
+            raise ShapeError(f"handle {trail} needs exactly one of an \"add\" or \"ext\" entry")
         if "add" in spec:
             names = spec["add"]
             if not isinstance(names, list) or not all(isinstance(rn, str) for rn in names):
@@ -127,15 +129,13 @@ def load_workspace(path) -> Workspace:
                     raise ShapeError(f"handle {trail} lists unknown rep {rn!r}")
                 gens.append(reps[rn])
             return AddCategory(gens, quiver=quiver, field=field)
-        if "ext" in spec:
-            parts = spec["ext"]
-            if not isinstance(parts, list) or len(parts) != 2:
-                raise ShapeError(f"handle {trail}: \"ext\" takes two entries")
-            return ExtCategory(
-                build_handle(parts[0], trail + ".left"),
-                build_handle(parts[1], trail + ".right"),
-            )
-        raise ShapeError(f"handle {trail} needs an \"add\" or \"ext\" entry")
+        parts = spec["ext"]
+        if not isinstance(parts, list) or len(parts) != 2:
+            raise ShapeError(f"handle {trail}: \"ext\" takes two entries")
+        return ExtCategory(
+            build_handle(parts[0], trail + ".left"),
+            build_handle(parts[1], trail + ".right"),
+        )
 
     for name, spec in handles_data.items():
         if name in reps:
@@ -356,12 +356,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    kwargs = {}
-    if args.name == "loop-refutation":
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
+    kwargs = {"samples": args.samples, "seed": args.seed}
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    if kwargs and args.name != "loop-refutation":
+        raise ShapeError(f"scenario {args.name} takes no --samples or --seed")
     out = run_scenario(args.name, **kwargs)
     _emit(
         args,

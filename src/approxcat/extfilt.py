@@ -15,12 +15,13 @@ Other families peel an add(S) bottom layer from m and search the
 quotients within the budget, over a prime field only. The
 layers come from SubrepSearch: over m, or, for a family with zero arrow
 maps, over the joint kernels of m's outgoing maps, which contain every
-such layer. The minimal depth per representation is memoized, and the
-certificate is lifted to m in one pass: term k is the kernel of the
-composite projection of m onto the k-th peeled quotient. A vertex-simple
-certificate reads one radical series of m, since rad_T(m/U) = (rad_T(m) +
-U)/U: once the peeled quotient's Loewy length reaches the remaining depth,
-each further term is rad_T^j(m) + U.
+such layer. The radical series, or the peel search's minimal depth, is
+memoized per representation, and the certificate is lifted to m in one
+pass: term k is the kernel of the composite projection of m onto the k-th
+peeled quotient. A vertex-simple certificate reads the radical series of m
+that decided membership, since rad_T(m/U) = (rad_T(m) + U)/U: once the
+peeled quotient's Loewy length reaches the remaining depth, each further
+term is rad_T^j(m) + U.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, and filt_normalize applies the exchange as a bubble
@@ -73,7 +74,7 @@ from .rep import (
     ses_verify,
     subrep_from_bases,
 )
-from .search import Budget, SubrepSearch, _require_prime, default_budget
+from .search import Budget, SubrepSearch, _require_prime, default_budget, iter_subreps
 
 
 class OrderedFamily:
@@ -178,9 +179,7 @@ def member_ext(z: Rep, x, y, budget: Budget | None = None) -> Optional[ExtEviden
     Only prime fields are supported: absence is an exhaustiveness claim.
     """
     budget = budget or default_budget()
-    search = SubrepSearch(z, budget)
-    for combo in search.tuples():
-        sub, incl = search.build(combo)
+    for sub, incl in iter_subreps(z, budget):
         sub_ev = _member_handle(sub, x, budget)
         if sub_ev is None:
             continue
@@ -227,10 +226,10 @@ def _add_decide(m: Rep, handle: AddCategory) -> bool:
     return member_add(m, handle) is not None
 
 
-# filtration depths: per (support T, representation) the Loewy length of a
-# vertex-simple family, or None when there is none; per (family,
-# representation, budget) the peel search's (deepest cap tried, minimal
-# depth or None within that cap).
+# filtration depths: per (support T, representation) the radical series of
+# a vertex-simple family, whose length is the Loewy length, or None when
+# there is none; per (family, representation, budget) the peel search's
+# (deepest cap tried, minimal depth or None within that cap).
 _depth_memo: dict = {}
 
 
@@ -334,19 +333,19 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     family = _as_family(s)
     handle = family.add_handle()
     support = _family_kind(handle)[1]
+    series = None
     if support is not None:
         key = (support, m.key())
         if key not in _depth_memo:
-            series = _radical_series(m, support)
-            _depth_memo[key] = None if series is None else len(series)
-        length = _depth_memo[key]
-        if length is None or length > r:
+            _depth_memo[key] = _radical_series(m, support)
+        series = _depth_memo[key]
+        if series is None or len(series) > r:
             return None
     else:
         budget = budget or default_budget()
         if _min_depth(m, handle, r, budget) is None:
             return None
-    return _build_filtration(m, family, handle, support, r, budget)
+    return _build_filtration(m, family, handle, support, series, r, budget)
 
 
 def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
@@ -394,20 +393,20 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
 
 
 def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, support,
-                      r: int, budget: Budget) -> FiltrationCertificate:
+                      series, r: int, budget: Budget) -> FiltrationCertificate:
     """Certificate construction mirroring the decision order; the caller
     guarantees membership. Peels until the quotient lies in add, then lifts
     in one pass: term k is the kernel of the composite projection onto the
     k-th quotient, the preimage of the quotient's own filtration.
 
-    A vertex-simple family computes the radical series R_k of m once. Since
+    A vertex-simple family passes the radical series R_k of m that decided
+    membership; other families pass None and peel by search. Since
     rad_T(m/U) = (rad_T(m) + U)/U, the Loewy length of the quotient m/U is
     the number of R_k not inside U. Below the remaining depth the first
     candidate is peeled from the quotient; once the length reaches it, each
     further peel is rad_T^(j)(m/U), so term j is R_j + U. Its basis is the
     kernel basis of the annihilator of R_j + U, a function of the subspace
     alone and so the one the composite projection would give."""
-    series = None if support is None else _radical_series(m, support)
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     terms, cur, top = [], m, 0
     while not _add_decide(cur, handle):
@@ -502,14 +501,16 @@ def _check_ext_hypothesis(family: OrderedFamily):
 
 def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory):
     """Split every filtration layer whose factor mixes several generators
-    into consecutive layers, each a sum of copies of one generator. Returns
-    the refined filtration and a parallel list of generator indices (None
-    for layers with zero factor)."""
+    into consecutive layers, each a sum of copies of one generator. A layer
+    with zero factor is an isomorphism: it is composed into the next step
+    before that step's cokernel is taken, or onto the last step at the top.
+    Returns the refined filtration and a parallel list of generator indices;
+    a filtration of the zero representation keeps one layer, index None."""
     gens = family.members
-    steps = []
-    indices = []
-    for j in range(filt.depth):
-        step = filt.steps[j]
+    steps, indices, iso = [], [], None
+    for step in filt.steps:
+        if iso is not None:
+            step = compose(step, iso)
         factor, q_j = cokernel(step)
         ev = member_add(factor, handle)
         if ev is None:
@@ -517,9 +518,11 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
         effective = [
             i for i, c in enumerate(ev.multiplicities) if c > 0 and gens[i].total_dim > 0
         ]
-        if len(effective) <= 1:
+        iso = None if effective else step
+        if len(effective) == 1:
             steps.append(step)
-            indices.append(effective[0] if effective else None)
+            indices.append(effective[0])
+        if len(effective) <= 1:
             continue
         total, layout = handle.canonical_sum(ev.multiplicities)
         psi = compose(ev.iso, q_j)
@@ -535,36 +538,11 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
         chain = mids + [(step.target, RepMorphism.identity(step.target))]
         steps.extend(_chain_steps(step.source, step, chain))
         indices.extend(effective)
+    if not steps:
+        return Filtration([iso]), [None]
+    if iso is not None:
+        steps[-1] = compose(iso, steps[-1])
     return Filtration(steps), indices
-
-
-def _drop_zero_layers(filt: Filtration, indices):
-    """Merge layers with zero factor into their neighbors by composing
-    steps. A filtration of the zero representation keeps one zero layer."""
-    segs = []
-    start = 0
-    for t, idx in enumerate(indices):
-        if idx is not None:
-            segs.append((start, t + 1, idx))
-            start = t + 1
-    if not segs:
-        segs = [(0, filt.depth, None)]
-    elif start < filt.depth:
-        s, _, idx = segs[-1]
-        segs[-1] = (s, filt.depth, idx)
-    return _compose_runs(filt, [(s, e) for s, e, _ in segs]), [idx for _, _, idx in segs]
-
-
-def _compose_runs(filt: Filtration, runs) -> Filtration:
-    """The filtration whose steps are the composites of the runs [s, e) of
-    consecutive steps of filt."""
-    steps = []
-    for s, e in runs:
-        comp = filt.steps[s]
-        for t in range(s + 1, e):
-            comp = compose(filt.steps[t], comp)
-        steps.append(comp)
-    return Filtration(steps)
 
 
 def filt_normalize(cert: FiltrationCertificate, s=None) -> FiltrationCertificate:
@@ -582,23 +560,15 @@ def filt_normalize(cert: FiltrationCertificate, s=None) -> FiltrationCertificate
     _check_ext_hypothesis(family)
     handle = family.add_handle()
     filt, indices = _refine_layers(cert.filtration, family, handle)
-    filt, indices = _drop_zero_layers(filt, indices)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(filt.depth - 1):
-            if indices[i + 1] is not None and indices[i] is not None and indices[i] > indices[i + 1]:
+    for end in range(filt.depth - 1, 0, -1):
+        for i in range(end):
+            if indices[i] > indices[i + 1]:
                 filt = filt_exchange(filt, i)
                 indices[i], indices[i + 1] = indices[i + 1], indices[i]
-                changed = True
-    runs, pos = [], 0
-    while pos < filt.depth:
-        end = pos + 1
-        while end < filt.depth and indices[end] == indices[pos]:
-            end += 1
-        runs.append((pos, end))
-        pos = end
-    out = _compose_runs(filt, runs)
+    steps = []
+    for j, step in enumerate(filt.steps):
+        steps.append(compose(step, steps.pop()) if j and indices[j] == indices[j - 1] else step)
+    out = Filtration(steps)
     if out.depth > max(1, len(family)):
         raise ApproxcatError("normalization left more layers than generators; this is a bug")
     result = _certify(out, cert.member, family, handle)

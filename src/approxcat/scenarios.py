@@ -64,18 +64,17 @@ def _check_factoring(m, morphism, targets, failures) -> int:
     return checks
 
 
-def run_loop_refutation(samples: int = 100, max_total_dim: int = 6,
-                        seed: int = 0, n_loops: int = 2) -> dict:
+def run_loop_refutation(samples: int = 100, seed: int = 0) -> dict:
     """Certified members of add{S1} * add{M} never admit the candidate as a
     left approximation: every sampled member, every candidate out of S2,
     one verified refutation witness each."""
-    cfg = LoopQuiverConfig(n_loops, F2)
+    cfg = LoopQuiverConfig(2, F2)
     checks = 0
     failures = []
     refutations = 0
     escalations = 0
     for idx, (v, ev) in enumerate(
-        sample_members(cfg, samples, max_total_dim=max_total_dim, seed=seed)
+        sample_members(cfg, samples, max_total_dim=6, seed=seed)
     ):
         tag = f"sample {idx} dims {v.dims}"
         checks += 1
@@ -100,11 +99,12 @@ def run_loop_refutation(samples: int = 100, max_total_dim: int = 6,
     )
 
 
-def run_ext_approx_exhaustive_a2(member_bound=(2, 2), target_bound=(3, 3)) -> dict:
+def run_ext_approx_exhaustive_a2() -> dict:
     """On the two-vertex arrow quiver, the pushout-built morphism into
-    add{S1} * add{S2} is a left approximation for every small
-    representation: every morphism into every member of the extension
-    category within the bound factors through it."""
+    add{S1} * add{S2} is a left approximation for every representation
+    within dims (2, 2): every morphism into every member of the extension
+    category within dims (3, 3) factors through it."""
+    target_bound = (3, 3)
     q = a2_quiver()
     s1 = Rep.simple(q, F2, 0)
     s2 = Rep.simple(q, F2, 1)
@@ -123,7 +123,7 @@ def run_ext_approx_exhaustive_a2(member_bound=(2, 2), target_bound=(3, 3)) -> di
             if ext1_dim(quot, sub) != 0:
                 failures.append(f"nonsplit extension class at ({a}, {b})")
             targets.append(direct_sum_rep([sub, quot]))
-    members = list(iter_all_reps(q, F2, member_bound))
+    members = list(iter_all_reps(q, F2, (2, 2)))
     for m in members:
         cert = left_approx_ext(m, x, y)
         checks += 1
@@ -137,7 +137,7 @@ def run_ext_approx_exhaustive_a2(member_bound=(2, 2), target_bound=(3, 3)) -> di
     )
 
 
-def run_filt_normalize_a2(bound=(3, 3)) -> dict:
+def run_filt_normalize_a2() -> dict:
     """Over the ordered family (S2, S1) on the arrow quiver, every found
     filtration normalizes to a verified certificate of depth at most 2, and
     membership at depth 2 agrees with membership at depth 4."""
@@ -148,7 +148,7 @@ def run_filt_normalize_a2(bound=(3, 3)) -> dict:
     checks = 0
     failures = []
     found = 0
-    for v in iter_all_reps(q, F2, bound):
+    for v in iter_all_reps(q, F2, (3, 3)):
         tag = f"dims {v.dims} map {v.map('a').to_jsonable()}"
         c4 = member_filt(v, family, 4)
         c2 = member_filt(v, family, 2)
@@ -169,16 +169,17 @@ def run_filt_normalize_a2(bound=(3, 3)) -> dict:
     return _report("filt-normalize-a2", checks, failures, members_found=found)
 
 
-def run_nilpotent_loop(dim_bound: int = 4, max_r: int = 4) -> dict:
+def run_nilpotent_loop() -> dict:
     """On the one-loop quiver, depth-r filtration membership over {S1} is
-    exactly nilpotency of order r, for every representation within the
-    bound and every r up to max_r."""
+    exactly nilpotency of order r, for every representation of dimension at
+    most 4 and every r up to max_r = 4."""
+    max_r = 4
     loop = loop_quiver(1)
     s = Rep.simple(loop, F2, 0)
     checks = 0
     failures = []
     members = 0
-    for v in iter_all_reps(loop, F2, (dim_bound,)):
+    for v in iter_all_reps(loop, F2, (4,)):
         alpha = v.map("alpha1")
         certs = {}
         for r in range(max_r, 0, -1):
@@ -198,12 +199,13 @@ def run_nilpotent_loop(dim_bound: int = 4, max_r: int = 4) -> dict:
     return _report("nilpotent-loop", checks, failures, members=members)
 
 
-def run_simple_covers_a2(bound=(2, 2)) -> dict:
+def run_simple_covers_a2() -> dict:
     """Minimal right approximations of the simples by the projectives on
     the arrow quiver land on exactly one projective each; the two-step
     filtration closure of the projectives is their add-closure both ways;
     and every small representation has a verified left approximation into
     it."""
+    bound = (2, 2)
     q = a2_quiver()
     s1 = Rep.simple(q, F2, 0)
     s2 = Rep.simple(q, F2, 1)

@@ -628,6 +628,16 @@ class TestScenario:
         assert code == 0
         assert out["passed"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["nilpotent-loop", "--seed", "3", "--samples", "0"],
+        ["simple-covers-a2", "--seed", "3"],
+        ["filt-normalize-a2", "--samples", "4"],
+    ])
+    def test_knobs_refused_where_no_scenario_reads_them(self, capsys, argv):
+        code, out, _ = run(capsys, ["scenario"] + argv)
+        assert code == 2
+        assert out["error"]["code"] == "ShapeMismatch"
+
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["scenario", "no-such-thing"])
@@ -645,6 +655,7 @@ BAD_WORKSPACE_EDITS = {
     "ext-not-a-list": (("handles", "semis"), {"ext": 5}),
     "entry-not-a-scalar": (("reps", "P1", "maps", "a"), [["z"]]),
     "vertices-not-an-integer": (("quiver", "vertices"), "x"),
+    "add-and-ext": (("handles", "projs"), {"add": ["P1", "S2"], "ext": ["simples1", "simples2"]}),
 }
 
 

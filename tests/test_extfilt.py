@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from approxcat.approx import AddCategory, ExtCategory, member_add, verify_evidence
@@ -30,7 +32,7 @@ from approxcat.rep import (
     iso_test,
     subrep_from_bases,
 )
-from approxcat import search
+from approxcat import extfilt, search
 from approxcat.search import (
     Budget,
     SubrepSearch,
@@ -39,6 +41,7 @@ from approxcat.search import (
     subspace_count,
     subspace_table,
 )
+from approxcat.serialize import certificate_to_jsonable
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -313,6 +316,22 @@ class TestMemberFilt:
             member_filt(m, [direct_sum([s, s])[0]], 2, Budget(max_subspaces=100))
         assert (3, 5) not in search._subspace_cache
 
+    def test_certificates_reuse_the_decision_series(self, monkeypatch):
+        # the 531 one-loop F2 reps of dim <= 3, visited once per bound 0..3
+        # (554 visits) at r = 4, 3, 2, 1: one radical series per distinct
+        # rep, and no certificate builds it again
+        monkeypatch.setattr(extfilt, "_depth_memo", {})
+        calls = []
+        series = extfilt._radical_series
+        monkeypatch.setattr(extfilt, "_radical_series",
+                            lambda m, support: calls.append(m) or series(m, support))
+        s = Rep.simple(LOOP, F2, 0)
+        for bound in range(4):
+            for v in iter_all_reps(LOOP, F2, (bound,)):
+                for r in (4, 3, 2, 1):
+                    member_filt(v, [s], r)
+        assert len(calls) == 531
+
 
 def _two_step_filtration(total, sub_bases):
     """0 -> U -> total with U spanned by the given per-vertex bases."""
@@ -479,6 +498,57 @@ class TestFiltNormalize:
         cert = member_filt(jordan(F2, 3), [s], 3)
         with pytest.raises(HypothesisViolationError):
             filt_normalize(cert)
+
+
+def _with_identity_steps(filt):
+    """filt with an identity step inserted at each position in turn, two at
+    the bottom, two at the top, and one at every position at once."""
+    steps, terms = list(filt.steps), filt.terms
+    ident = [RepMorphism.identity(t) for t in terms]
+    out = [steps[:k] + [ident[k]] + steps[k:] for k in range(len(terms))]
+    out += [ident[:1] * 2 + steps, steps + ident[-1:] * 2]
+    out.append([g for k, t in enumerate(ident) for g in [t] + steps[k:k + 1]])
+    return [Filtration(v) for v in out]
+
+
+def _normal_form(cert, family=None):
+    return json.dumps(certificate_to_jsonable(filt_normalize(cert, family)), sort_keys=True)
+
+
+class TestNormalizeFoldsZeroLayers:
+    """Identity steps are layers with zero factor. Wherever they sit, the
+    serialized normal form is the one of the filtration without them."""
+
+    @pytest.mark.parametrize("field, bound", [(F2, (2, 2)), (F3, (2, 1))])
+    def test_member_filt_certificates(self, field, bound):
+        s1, s2 = Rep.simple(A2, field, 0), Rep.simple(A2, field, 1)
+        for family in (OrderedFamily([s2, s1]), OrderedFamily([s2, s1, p1(field)])):
+            for v in iter_all_reps(A2, field, bound):
+                cert = member_filt(v, family, 4)
+                expected = _normal_form(cert)
+                for filt in _with_identity_steps(cert.filtration):
+                    assert _normal_form(_certify(filt, family)) == expected
+
+    @pytest.mark.parametrize("field, bound", [(F2, (2, 2)), (F3, (2, 1))])
+    def test_chains_that_need_exchanges(self, field, bound, monkeypatch):
+        # 0 < U < v with U and v/U semisimple, certified over (S1, S2) and
+        # renormalized to (S2, S1), which exchanges an S1 layer below an S2
+        exchanges = []
+        exchange = extfilt.filt_exchange
+        monkeypatch.setattr(extfilt, "filt_exchange",
+                            lambda f, i: exchanges.append(i) or exchange(f, i))
+        s1, s2 = Rep.simple(A2, field, 0), Rep.simple(A2, field, 1)
+        family = OrderedFamily([s1, s2])
+        swapped = OrderedFamily([s2, s1])
+        for v in iter_all_reps(A2, field, bound):
+            for _, incl in iter_subreps(v, Budget()):
+                filt = _two_step_filtration(v, incl.components)
+                if not all(f.map("a").is_zero() for f in filt.factors()):
+                    continue
+                expected = _normal_form(_certify(filt, family), swapped)
+                for f in _with_identity_steps(filt):
+                    assert _normal_form(_certify(f, family), swapped) == expected
+        assert exchanges
 
 
 class TestFrEnumerate:
