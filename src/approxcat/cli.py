@@ -149,12 +149,6 @@ def _budget_from_args(args) -> Budget:
     return replace(default_budget(), **{k: v for k, v in limits.items() if v is not None})
 
 
-def _emit(args, payload, summary):
-    print(json.dumps(payload, sort_keys=True))
-    if not args.json_only and summary:
-        print(summary, file=sys.stderr)
-
-
 def _add_handle_or_die(handle, flag):
     if not isinstance(handle, AddCategory):
         raise ShapeError(
@@ -164,51 +158,43 @@ def _add_handle_or_die(handle, flag):
     return handle
 
 
-def cmd_hom(args) -> int:
-    ws = load_workspace(args.workspace)
+def _approximation_report(cert, what):
+    """The report of a verified approximation; `what` names it in the summary."""
+    payload = {
+        "certificate": certificate_to_jsonable(cert),
+        "approximating_dims": list(cert.approximating.dims),
+    }
+    return 0, payload, f"{what} {tuple(cert.approximating.dims)}, verified"
+
+
+def cmd_hom(args, ws):
     basis = hom_basis(ws.rep(args.source), ws.rep(args.target))
     payload = {
         "dim": len(basis),
         "basis": [morphism_to_jsonable(f) for f in basis],
     }
-    _emit(args, payload, f"dim Hom({args.source}, {args.target}) = {len(basis)}")
-    return 0
+    return 0, payload, f"dim Hom({args.source}, {args.target}) = {len(basis)}"
 
 
-def cmd_ext1(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_ext1(args, ws):
     d = ext1_dim(ws.rep(args.source), ws.rep(args.target))
-    _emit(
-        args,
-        {"dim": d},
+    return (
+        0, {"dim": d},
         f"dim Ext1({args.source}, {args.target}) = {d} "
         "(classes of extensions with the target as subobject)",
     )
-    return 0
 
 
-def cmd_approx_add(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_approx_add(args, ws):
     m = ws.rep(args.of)
     handle = _add_handle_or_die(ws.handle(args.into), "--into")
     cert = left_approx_add(m, handle) if args.side == "left" else right_approx_add(m, handle)
     if args.minimize:
         cert = minimize_approx(cert)
-    payload = {
-        "certificate": certificate_to_jsonable(cert),
-        "approximating_dims": list(cert.approximating.dims),
-    }
-    _emit(
-        args,
-        payload,
-        f"{args.side} approximation of {args.of}: target dims "
-        f"{tuple(cert.approximating.dims)}, verified",
-    )
-    return 0
+    return _approximation_report(cert, f"{args.side} approximation of {args.of}: target dims")
 
 
-def cmd_approx_ext(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_approx_ext(args, ws):
     m = ws.rep(args.of)
     x = _add_handle_or_die(ws.handle(args.x), "--x")
     y = _add_handle_or_die(ws.handle(args.y), "--y")
@@ -216,77 +202,56 @@ def cmd_approx_ext(args) -> int:
         cert = left_approx_ext_subclosed(m, x, y, budget=_budget_from_args(args))
     else:
         cert = left_approx_ext(m, x, y)
-    payload = {
-        "certificate": certificate_to_jsonable(cert),
-        "approximating_dims": list(cert.approximating.dims),
-    }
-    _emit(
-        args,
-        payload,
-        f"left approximation of {args.of} into {args.x} * {args.y}: "
-        f"dims {tuple(cert.approximating.dims)}, verified",
+    return _approximation_report(
+        cert, f"left approximation of {args.of} into {args.x} * {args.y}: dims"
     )
-    return 0
 
 
-def cmd_member_add(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_member_add(args, ws):
     m = ws.rep(args.rep)
     handle = _add_handle_or_die(ws.handle(args.handle), "--in")
     ev = member_add(m, handle)
     if ev is None:
-        _emit(args, {"member": False}, f"{args.rep} is not in {args.handle}")
-        return 1
+        return 1, {"member": False}, f"{args.rep} is not in {args.handle}"
     payload = {"member": True, "evidence": evidence_to_jsonable(ev)}
-    _emit(
-        args,
-        payload,
+    return (
+        0, payload,
         f"{args.rep} is in {args.handle} with multiplicities "
         f"{tuple(ev.multiplicities)}",
     )
-    return 0
 
 
-def cmd_member_ext(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_member_ext(args, ws):
     m = ws.rep(args.rep)
     handle = ws.handle(args.handle)
     if not isinstance(handle, ExtCategory):
         raise ShapeError("--in must name an ext handle for member-ext")
     ev = member_ext(m, handle.left, handle.right, budget=_budget_from_args(args))
     if ev is None:
-        _emit(args, {"member": False}, f"{args.rep} is not in {args.handle}")
-        return 1
+        return 1, {"member": False}, f"{args.rep} is not in {args.handle}"
     payload = {"member": True, "evidence": evidence_to_jsonable(ev)}
-    _emit(
-        args,
-        payload,
+    return (
+        0, payload,
         f"{args.rep} is in {args.handle}: subobject dims "
         f"{tuple(ev.ses.sub.dims)}, quotient dims {tuple(ev.ses.quot.dims)}",
     )
-    return 0
 
 
-def cmd_member_filt(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_member_filt(args, ws):
     m = ws.rep(args.rep)
     family = OrderedFamily([ws.rep(n) for n in args.family.split(",")])
     cert = member_filt(m, family, args.depth, budget=_budget_from_args(args))
     if cert is None:
-        _emit(
-            args,
-            {"member": False},
+        return (
+            1, {"member": False},
             f"{args.rep} has no filtration of depth <= {args.depth} over "
             f"({args.family})",
         )
-        return 1
     payload = {"member": True, "certificate": certificate_to_jsonable(cert)}
-    _emit(
-        args,
-        payload,
+    return (
+        0, payload,
         f"{args.rep} filters in {cert.depth} layer(s) over ({args.family})",
     )
-    return 0
 
 
 def _load_filtration_certificate(path):
@@ -302,32 +267,29 @@ def _load_filtration_certificate(path):
     return cert
 
 
-def cmd_exchange(args) -> int:
+def cmd_exchange(args, ws):
     cert = _load_filtration_certificate(args.certificate)
     swapped = filt_exchange(cert.filtration, args.index)
+    factor_dims = [swapped.factor(j).dims for j in range(swapped.depth)]
     payload = {
         "filtration": filtration_to_jsonable(swapped),
-        "factor_dims": [list(swapped.factor(j).dims) for j in range(swapped.depth)],
+        "factor_dims": [list(dims) for dims in factor_dims],
     }
-    _emit(
-        args,
-        payload,
+    return (
+        0, payload,
         f"exchanged layers {args.index} and {args.index + 1}; factor dims "
-        f"{[tuple(swapped.factor(j).dims) for j in range(swapped.depth)]}",
+        f"{[tuple(dims) for dims in factor_dims]}",
     )
-    return 0
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args, ws):
     cert = _load_filtration_certificate(args.certificate)
     out = filt_normalize(cert)
     payload = {"certificate": certificate_to_jsonable(out), "depth": out.depth}
-    _emit(args, payload, f"normalized to depth {out.depth}, verified")
-    return 0
+    return 0, payload, f"normalized to depth {out.depth}, verified"
 
 
-def cmd_refute(args) -> int:
-    ws = load_workspace(args.workspace)
+def cmd_refute(args, ws):
     data = _load_json(args.candidate)
     phi = morphism_from_jsonable(ws.quiver, ws.field, _need(data, "candidate"))
     evidence = evidence_from_jsonable(ws.quiver, ws.field, _need(data, "evidence"))
@@ -338,36 +300,31 @@ def cmd_refute(args) -> int:
         "refuted": True,
         "witness": certificate_to_jsonable(witness),
     }
-    _emit(
-        args,
-        payload,
+    return (
+        1, payload,
         f"refuted: loop index {witness.i0}"
         + (" (escalated truncation)" if witness.escalated else "")
         + ", every composite into W vanishes while Hom(S2, W) is nonzero",
     )
-    return 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, ws):
     data = _load_json(args.certificate)
     ok = verify_certificate(data)
-    _emit(args, {"verified": ok}, "verified" if ok else "does not verify")
-    return 0 if ok else 1
+    return (0 if ok else 1), {"verified": ok}, "verified" if ok else "does not verify"
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args, ws):
     kwargs = {"samples": args.samples, "seed": args.seed}
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
     if kwargs and args.name != "loop-refutation":
         raise ShapeError(f"scenario {args.name} takes no --samples or --seed")
     out = run_scenario(args.name, **kwargs)
-    _emit(
-        args,
-        out,
+    return (
+        0 if out["passed"] else 1, out,
         f"scenario {args.name}: {'pass' if out['passed'] else 'FAIL'} "
         f"({out['checks']} checks, {out['elapsed_s']}s)",
     )
-    return 0 if out["passed"] else 1
 
 
 def _shared_flags(parser, defaults: bool):
@@ -379,16 +336,14 @@ def _shared_flags(parser, defaults: bool):
         default=False if defaults else argparse.SUPPRESS,
         help="suppress the human summary on stderr",
     )
-    parser.add_argument(
-        "--max-total-dim", type=budget_limit,
-        default=None if defaults else argparse.SUPPRESS,
-        help="enumeration budget: largest total dimension searched",
-    )
-    parser.add_argument(
-        "--max-subspaces", type=budget_limit,
-        default=None if defaults else argparse.SUPPRESS,
-        help="enumeration budget: largest subspace count searched",
-    )
+    for flag, limit in (
+        ("--max-total-dim", "total dimension"), ("--max-subspaces", "subspace count"),
+    ):
+        parser.add_argument(
+            flag, type=budget_limit,
+            default=None if defaults else argparse.SUPPRESS,
+            help=f"enumeration budget: largest {limit} searched",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workspace", required=True, help="workspace JSON file")
         return p
 
-    p = ws_cmd("hom", cmd_hom, "dimension and basis of Hom(from, to)")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-
-    p = ws_cmd("ext1", cmd_ext1, "dimension of Ext1(from, to)")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
+    for name, fn, help_text in (
+        ("hom", cmd_hom, "dimension and basis of Hom(from, to)"),
+        ("ext1", cmd_ext1, "dimension of Ext1(from, to)"),
+    ):
+        p = ws_cmd(name, fn, help_text)
+        p.add_argument("--from", dest="source", required=True)
+        p.add_argument("--to", dest="target", required=True)
 
     for side in ("left", "right"):
         p = ws_cmd(f"approx-{side}", cmd_approx_add, f"{side} approximation by an add handle")
@@ -439,13 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         "y must be closed under subobjects",
     )
 
-    p = ws_cmd("member-add", cmd_member_add, "membership in an add handle")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--in", dest="handle", required=True)
-
-    p = ws_cmd("member-ext", cmd_member_ext, "membership in an ext handle")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--in", dest="handle", required=True)
+    for kind, fn in (("add", cmd_member_add), ("ext", cmd_member_ext)):
+        p = ws_cmd(f"member-{kind}", fn, f"membership in an {kind} handle")
+        p.add_argument("--rep", required=True)
+        p.add_argument("--in", dest="handle", required=True)
 
     p = ws_cmd(
         "member-filt", cmd_member_filt,
@@ -485,22 +437,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_report(code, message, exit_code):
+    return exit_code, {"error": {"code": code, "message": message}}, f"error[{code}]: {message}"
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and print its report: one JSON line on stdout
+    and, unless --json-only, the summary on stderr. A command that takes
+    --workspace gets it read here; the others get None."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        ws = load_workspace(args.workspace) if "workspace" in args else None
+        exit_code, payload, summary = args.fn(args, ws)
     except ApproxcatError as exc:
-        code, message, exit_code = exc.code, str(exc), exc.exit_code
+        exit_code, payload, summary = _error_report(exc.code, str(exc), exc.exit_code)
     except Exception as exc:
         import traceback  # only a crash pays for the import
 
         traceback.print_exc()
-        code, message = "InternalError", f"{type(exc).__name__}: {exc}"
-        exit_code = INTERNAL_ERROR_EXIT
-    print(json.dumps({"error": {"code": code, "message": message}}, sort_keys=True))
+        exit_code, payload, summary = _error_report(
+            "InternalError", f"{type(exc).__name__}: {exc}", INTERNAL_ERROR_EXIT
+        )
+    print(json.dumps(payload, sort_keys=True))
     if not args.json_only:
-        print(f"error[{code}]: {message}", file=sys.stderr)
+        print(summary, file=sys.stderr)
     return exit_code
 
 

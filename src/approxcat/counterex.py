@@ -41,7 +41,7 @@ from .errors import (
     NoFreeLoopError,
     ShapeError,
 )
-from .fields import FieldSpec, PRIME
+from .fields import FieldSpec
 from .matrix import Matrix
 from .quiver import Quiver
 from .rep import (
@@ -56,6 +56,7 @@ from .rep import (
     hom_basis,
     hom_dim,
 )
+from .search import _require_prime
 
 
 @dataclass(frozen=True)
@@ -331,8 +332,7 @@ def sample_members(cfg: LoopQuiverConfig, count: int, max_total_dim: int = 6,
     """A deterministic stream of certified members: multiplicities and
     cocycle coefficients are drawn from a seeded generator, one derived
     seed per sample."""
-    if cfg.field.kind != PRIME:
-        raise ShapeError("sampling needs a prime field")
+    _require_prime(cfg.field, "member sampling")
     p = cfg.field.modulus
     shapes = [
         (a, b)
@@ -356,8 +356,7 @@ def candidate_maps(v: Rep):
     """Every morphism S2 -> v, the zero map included: all coefficient
     tuples over the hom basis."""
     cfg = LoopQuiverConfig.of_rep(v)
-    if cfg.field.kind != PRIME:
-        raise ShapeError("candidate sweeps need a prime field")
+    _require_prime(cfg.field, "the candidate sweep")
     s2 = build_standard(cfg)[1]
     basis = hom_basis(s2, v)
     out = []

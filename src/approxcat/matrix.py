@@ -114,10 +114,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field.label}, {self.rows}x{self.cols}, {self.to_lists()})"
 
-    def key(self):
-        """Hashable canonical identity, used as a memo key component."""
-        return (self.field.label, self.rows, self.cols, self._e)
-
     # arithmetic
 
     def _require_same_shape(self, other):

@@ -22,7 +22,7 @@ from .errors import (
     NonAcyclicQuiverError,
     ShapeError,
 )
-from .fields import FieldSpec
+from .fields import PRIME, FieldSpec
 from .matrix import Matrix, block_diag, hstack, vstack
 from .quiver import Quiver
 
@@ -796,10 +796,10 @@ def iso_test(v: Rep, w: Rep):
         # combination has per-variable degree <= total_dim, so vanishing on
         # {0..total_dim}^h means no combination is invertible
         rng = random.Random(0xA11CE)
-        lo, hi = (0, F.modulus) if F.kind == "prime_field" else (-3, 4)
+        lo, hi = (0, F.modulus) if F.kind == PRIME else (-3, 4)
         for _ in range(48):
             yield [rng.randrange(lo, hi) for _ in range(h)]
-        if F.kind == "prime_field":
+        if F.kind == PRIME:
             if F.modulus ** h > 2 ** 16:
                 raise IsoInconclusiveError(
                     f"hom space of size {F.modulus}^{h} exceeds the exhaustive bound"

@@ -67,7 +67,10 @@ def _check_factoring(m, morphism, targets, failures) -> int:
 def run_loop_refutation(samples: int = 100, seed: int = 0) -> dict:
     """Certified members of add{S1} * add{M} never admit the candidate as a
     left approximation: every sampled member, every candidate out of S2,
-    one verified refutation witness each."""
+    one verified refutation witness each. A sweep of no samples checks
+    nothing, so samples must be at least 1."""
+    if samples < 1:
+        raise ShapeError(f"loop-refutation needs at least one sample, got {samples}")
     cfg = LoopQuiverConfig(2, F2)
     checks = 0
     failures = []

@@ -207,9 +207,7 @@ class SubrepSearch:
         rep = self.rep
         n = rep.quiver.vertex_count
         for dim_vec in _dim_vectors(rep.dims):
-            pools = [self.by_k[x].get(dim_vec[x]) for x in range(n)]
-            if any(pool is None for pool in pools):
-                continue
+            pools = [self.by_k[x][dim_vec[x]] for x in range(n)]
             for combo in itertools.product(*pools):
                 if self._stable(combo):
                     yield combo

@@ -11,6 +11,7 @@ import pytest
 from approxcat.approx import AddCategory, left_approx_add, member_add
 from approxcat.cli import main
 from approxcat.counterex import LoopQuiverConfig, assemble_member
+from approxcat.errors import ShapeError
 from approxcat.extfilt import FiltrationCertificate, OrderedFamily, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
@@ -23,6 +24,7 @@ from approxcat.rep import (
     hom_basis,
     subrep_from_bases,
 )
+from approxcat.scenarios import run_scenario
 from approxcat.serialize import (
     certificate_to_jsonable,
     evidence_to_jsonable,
@@ -800,3 +802,18 @@ class TestCertificateFilesReadOnce:
         code, out, _ = run(capsys, ["normalize", "--certificate", str(cert_file)])
         assert code == 2
         assert "not a filtration certificate" in out["error"]["message"]
+
+
+class TestEmptySweepRefused:
+    """A refutation sweep of no samples checks nothing, so it cannot pass."""
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_cli_exits_2(self, capsys, samples):
+        code, out, _ = run(capsys, ["scenario", "loop-refutation", "--samples", samples])
+        assert code == 2
+        assert out["error"]["code"] == "ShapeMismatch"
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_run_scenario_refuses(self, samples):
+        with pytest.raises(ShapeError):
+            run_scenario("loop-refutation", samples=samples)

@@ -24,6 +24,7 @@ from approxcat.errors import (
     CertificateError,
     NoFreeLoopError,
     NonAcyclicQuiverError,
+    RationalFieldUnsupportedError,
     ShapeError,
 )
 from approxcat.fields import FieldSpec
@@ -315,3 +316,17 @@ class TestSweep:
             assert beta_surjectivity_check(v, ev)
             for phi in candidate_maps(v):
                 assert refute(phi, ev).verify()
+
+
+class TestPrimeFieldRequired:
+    """The sampling functions enumerate over F_p, so Q is refused the way
+    every other enumeration refuses it: RationalFieldUnsupportedError."""
+
+    def test_sampling_refuses_q(self):
+        with pytest.raises(RationalFieldUnsupportedError):
+            sample_members(LoopQuiverConfig(2, FieldSpec.rationals()), 1)
+
+    def test_candidate_sweep_refuses_q(self):
+        v = build_standard(LoopQuiverConfig(2, FieldSpec.rationals()))[2]
+        with pytest.raises(RationalFieldUnsupportedError):
+            candidate_maps(v)

@@ -25,6 +25,12 @@ class TestFieldSpec:
         with pytest.raises(ApproxcatError):
             FieldSpec.prime(6)
 
+    @pytest.mark.parametrize("label", ["F9", "F15", "F25", "F49"])
+    def test_label_refuses_odd_composite(self, label):
+        # odd moduli reach the trial division by odd divisors
+        with pytest.raises(ApproxcatError):
+            FieldSpec.from_label(label)
+
     def test_coerce_rational_lowest_terms(self):
         x = Q.coerce("2/4")
         assert x == Fraction(1, 2)

@@ -6,6 +6,10 @@ the right ends and still composes to zero with the candidate, so only the
 comparison with hom_basis(V, W) tells it apart. The forged witness must be
 refused in process, through verify_certificate and under `approxcat
 verify`.
+
+Every other refusal of a witness, and of the membership evidence it
+carries, gets one forged witness that must verify as False in process and
+from its JSON form.
 """
 
 import dataclasses
@@ -14,9 +18,15 @@ import json
 import pytest
 
 from approxcat.cli import main
-from approxcat.counterex import LoopQuiverConfig, assemble_member, build_standard, refute
+from approxcat.counterex import (
+    LoopQuiverConfig,
+    assemble_member,
+    build_W,
+    build_standard,
+    refute,
+)
 from approxcat.fields import FieldSpec
-from approxcat.rep import compose, hom_basis
+from approxcat.rep import RepMorphism, ShortExactSeq, compose, hom_basis, ses_verify
 from approxcat.serialize import certificate_to_jsonable, verify_certificate
 
 
@@ -66,3 +76,53 @@ def test_natural_non_basis_proof_is_refused(case, capsys, tmp_path):
         code = main(["verify", "--certificate", str(path)])
         assert code == want_code
         assert json.loads(capsys.readouterr().out) == {"verified": want_ok}
+
+
+def _other_loop_witness(witness):
+    # W built at a loop that acts nonzero on the member V
+    v = witness.candidate.target
+    i0 = next(i for i in range(1, witness.config.n_loops + 1)
+              if not v.map(f"alpha{i}").is_zero())
+    return dataclasses.replace(witness, i0=i0, w=build_W(witness.config, i0))
+
+
+def _zero_projection(witness):
+    ses = witness.w_evidence.ses
+    forged = ShortExactSeq(ses.i, RepMorphism.zero(ses.mid, ses.quot))
+    assert not ses_verify(forged)
+    return dataclasses.replace(
+        witness, w_evidence=dataclasses.replace(witness.w_evidence, ses=forged)
+    )
+
+
+# each forgery reaches one refusal of RefutationWitness.verify or of the
+# verify_evidence call it makes on the member W
+FORGERIES = {
+    "i0-below-range": lambda w: dataclasses.replace(w, i0=0),
+    "i0-above-range": lambda w: dataclasses.replace(w, i0=w.config.n_loops + 1),
+    "candidate-not-from-s2": lambda w: dataclasses.replace(
+        w, candidate=RepMorphism.identity(w.candidate.target)
+    ),
+    "loop-i0-nonzero-on-v": _other_loop_witness,
+    "stored-composite-nonzero": lambda w: dataclasses.replace(
+        w, vanishing_proof=((w.vanishing_proof[0][0], w.nonzero_target_map),)
+        + w.vanishing_proof[1:]
+    ),
+    "ext-evidence-for-add-handle": lambda w: dataclasses.replace(
+        w, w_evidence=dataclasses.replace(w.w_evidence, sub_evidence=w.w_evidence)
+    ),
+    "add-evidence-for-ext-handle": lambda w: dataclasses.replace(
+        w, w_evidence=w.w_evidence.sub_evidence
+    ),
+    "sequence-not-exact": _zero_projection,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGERIES))
+def test_forged_witness_is_refused(case):
+    # coefficients (1, 0) make loop 1 act nonzero on V, so W sits at loop 2
+    witness = _witness(LoopQuiverConfig(2, FieldSpec.prime(2)), 1, 1, [1, 0])
+    assert witness.verify()
+    bad = FORGERIES[case](witness)
+    assert bad.verify() is False
+    assert verify_certificate(certificate_to_jsonable(bad)) is False
