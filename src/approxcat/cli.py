@@ -346,8 +346,17 @@ def _shared_flags(parser, defaults: bool):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ShapeError, so that main
+    reports them like any other input error; add_subparsers builds its
+    subcommand parsers of the same class."""
+
+    def error(self, message):
+        raise ShapeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="approxcat",
         description="Exact approximations, extensions and filtrations of "
         "quiver representations, with re-verifiable certificates.",
@@ -443,11 +452,15 @@ def _error_report(code, message, exit_code):
 
 def main(argv=None) -> int:
     """Run one subcommand and print its report: one JSON line on stdout
-    and, unless --json-only, the summary on stderr. A command that takes
-    --workspace gets it read here; the others get None."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    and, unless --json-only, the summary on stderr. A usage error is an
+    input error like any other; when it stops the parse, --json-only is
+    read off argv. A command that takes --workspace gets it read here; the
+    others get None."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    json_only = "--json-only" in argv
     try:
+        args = build_parser().parse_args(argv)
+        json_only = args.json_only
         ws = load_workspace(args.workspace) if "workspace" in args else None
         exit_code, payload, summary = args.fn(args, ws)
     except ApproxcatError as exc:
@@ -460,7 +473,7 @@ def main(argv=None) -> int:
             "InternalError", f"{type(exc).__name__}: {exc}", INTERNAL_ERROR_EXIT
         )
     print(json.dumps(payload, sort_keys=True))
-    if not args.json_only:
+    if not json_only:
         print(summary, file=sys.stderr)
     return exit_code
 

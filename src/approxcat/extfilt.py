@@ -16,12 +16,16 @@ quotients within the budget, over a prime field only. The
 layers come from SubrepSearch: over m, or, for a family with zero arrow
 maps, over the joint kernels of m's outgoing maps, which contain every
 such layer. The radical series, or the peel search's minimal depth, is
-memoized per representation, and the certificate is lifted to m in one
-pass: term k is the kernel of the composite projection of m onto the k-th
-peeled quotient. A vertex-simple certificate reads the radical series of m
-that decided membership, since rad_T(m/U) = (rad_T(m) + U)/U: once the
-peeled quotient's Loewy length reaches the remaining depth, each further
-term is rad_T^j(m) + U.
+memoized per representation; the series reads rad_T(m) off copies of the
+arrow maps, so no elimination is cached on m. The certificate is lifted
+to m in one pass: term k is the kernel of the composite projection of m
+onto the k-th peeled quotient. A vertex-simple certificate reads the
+radical series of m that decided membership, since rad_T(m/U) =
+(rad_T(m) + U)/U: once the peeled quotient's Loewy length reaches the
+remaining depth, each further term is rad_T^j(m) + U, spanned with the
+last peeled term's bases. Each step's cokernel is computed once and kept
+by its Filtration, where the certificate's evidence, verify, filt_exchange
+and filt_normalize all read it.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, and filt_normalize applies the exchange as a bubble
@@ -147,18 +151,12 @@ class FiltrationCertificate:
         return self.filtration.depth
 
     def verify(self) -> bool:
-        filt = self.filtration
-        if not all(step.is_natural() for step in filt.steps):
+        filt, handle = self.filtration, self.family.add_handle()
+        if filt.top != self.member or len(self.factor_assignments) != filt.depth:
             return False
-        if filt.top != self.member:
-            return False
-        if len(self.factor_assignments) != filt.depth:
-            return False
-        handle = self.family.add_handle()
-        for j, ev in enumerate(self.factor_assignments):
-            if not verify_evidence(ev, filt.factor(j), handle):
-                return False
-        return True
+        return all(step.is_natural() for step in filt.steps) and all(
+            verify_evidence(ev, filt.factor(j), handle)
+            for j, ev in enumerate(self.factor_assignments))
 
 
 # membership in x*y
@@ -237,17 +235,21 @@ def _radical_series(m: Rep, support) -> Optional[list]:
     """Per-vertex bases of the nonzero terms rad_T^k(m), k = 0, 1, ..., for
     T = support; their number is the Loewy length. None when the series
     stops shrinking at a nonzero term, so that m lies in no F_r."""
-    F = m.field
-    series, term = [], [Matrix.identity(F, d) for d in m.dims]
+    F, dims = m.field, m.dims
+    if any(d for x, d in enumerate(dims) if x not in support):
+        return None  # rad_T keeps all of m_x at a vertex x outside T: no term is 0
+    series, term = [], [Matrix.identity(F, d) for d in dims]
     while any(b.cols for b in term):
-        series.append(term)
-        parts = [[] if x in support else [term[x]] for x in range(len(m.dims))]
+        parts = [[] for _ in dims]
         for a in m.quiver.arrows:
-            parts[a.target].append(m.map(a.id) @ term[a.source])
-        nxt = [hstack(p).image_basis() if p else Matrix.zeros(F, d, 0)
-               for p, d in zip(parts, m.dims)]
+            parts[a.target].append(m.map(a.id) @ term[a.source] if series else m.map(a.id))
+        # rad_T(m) is read off the arrow maps, which hstack copies so that no
+        # rref is left on them; a single later product is used as it is
+        nxt = [(p[0] if series and len(p) == 1 else hstack(p)).image_basis() if p
+               else Matrix.zeros(F, d, 0) for p, d in zip(parts, dims)]
         if sum(b.cols for b in nxt) == sum(b.cols for b in term):
             return None
+        series.append(term)
         term = nxt
     return series
 
@@ -408,19 +410,22 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, suppor
     kernel basis of the annihilator of R_j + U, a function of the subspace
     alone and so the one the composite projection would give."""
     projs = [Matrix.identity(m.field, d) for d in m.dims]
+    u = [Matrix.zeros(m.field, d, 0) for d in m.dims]
     terms, cur, top = [], m, 0
     while not _add_decide(cur, handle):
         if series is None:
             proj = _peel(cur, handle, r, budget)
-        elif sum(any(not (p @ b).is_zero() for p, b in zip(projs, t)) for t in series) < r:
+        # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
+        elif next((k for k in range(1, len(series)) if all(
+                (p @ b).is_zero() for p, b in zip(projs, series[k]))), len(series)) < r:
             proj = _first_peel(cur, support)
         else:
             top = r
             break
         projs = [p @ c for p, c in zip(proj.components, projs)]
-        terms.append(subrep_from_bases(m, [c.kernel_basis() for c in projs]))
+        u = [c.kernel_basis() for c in projs]
+        terms.append(subrep_from_bases(m, u))
         cur, r = proj.target, r - 1
-    u = [c.kernel_basis() for c in projs]
     for j in range(top - 1, 0, -1):
         spans = [hstack([b, rj]) for b, rj in zip(u, series[j])]
         bases = [s.transpose().kernel_basis().transpose().kernel_basis() for s in spans]
@@ -457,10 +462,9 @@ def filt_exchange(f: Filtration, i: int) -> Filtration:
     """
     if i < 0 or i + 1 >= f.depth:
         raise ShapeError(f"no adjacent factor pair at step {i}")
-    u = f.steps[i]
-    v = f.steps[i + 1]
-    a_rep, q_a = cokernel(u)
-    c_rep, q_c = cokernel(v)
+    u, v = f.steps[i], f.steps[i + 1]
+    a_rep, q_a = f.step_cokernel(i)
+    c_rep, q_c = f.step_cokernel(i + 1)
     if ext1_dim(c_rep, a_rep) != 0:
         raise ExtObstructionError(
             f"Ext1 between the factors at steps {i + 1} and {i} does not vanish"
@@ -508,10 +512,11 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
     a filtration of the zero representation keeps one layer, index None."""
     gens = family.members
     steps, indices, iso = [], [], None
-    for step in filt.steps:
+    for j, step in enumerate(filt.steps):
+        # an isomorphism composed in keeps the image, so the cokernel is the step's
+        factor, q_j = filt.step_cokernel(j)
         if iso is not None:
             step = compose(step, iso)
-        factor, q_j = cokernel(step)
         ev = member_add(factor, handle)
         if ev is None:
             raise CertificateError("input filtration has a factor outside add of the family")

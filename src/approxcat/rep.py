@@ -266,9 +266,10 @@ class ShortExactSeq:
 
 class Filtration:
     """A chain 0 = M_0 -> M_1 -> ... -> M_r of injective morphisms, stored
-    as the steps M_j -> M_j+1. Factor j is coker(step j) = M_j+1 / M_j."""
+    as the steps M_j -> M_j+1. Factor j is coker(step j) = M_j+1 / M_j;
+    each step's cokernel is computed on first use and kept here."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "_cokernels")
 
     def __init__(self, steps):
         steps = tuple(steps)
@@ -282,6 +283,7 @@ class Filtration:
             if j and steps[j - 1].target != s.source:
                 raise ShapeError(f"filtration steps {j - 1} and {j} do not chain")
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_cokernels", [None] * len(steps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
@@ -298,8 +300,15 @@ class Filtration:
     def top(self) -> Rep:
         return self.steps[-1].target
 
+    def step_cokernel(self, j: int):
+        """(factor j, projection M_j+1 -> factor j): cokernel(step j)."""
+        got = self._cokernels[j]
+        if got is None:
+            got = self._cokernels[j] = cokernel(self.steps[j])
+        return got
+
     def factor(self, j: int) -> Rep:
-        return cokernel(self.steps[j])[0]
+        return self.step_cokernel(j)[0]
 
     def factors(self):
         return [self.factor(j) for j in range(self.depth)]
@@ -767,8 +776,10 @@ def iso_test(v: Rep, w: Rep):
     combinations); then decide completely, either by enumerating the finite
     hom space (prime field, at most 2^16 elements) or by evaluating the
     product of component determinants on an integer grid large enough to
-    detect the zero polynomial (rationals, hom dimension at most 4). Raises
-    IsoInconclusiveError when neither complete method is in budget, never
+    detect the zero polynomial (rationals, hom dimension at most 4). Over a
+    prime field whose hom space is past that bound, unequal dimensions of
+    Hom(v, w), End(v) and End(w) still prove v and w non-isomorphic. Raises
+    IsoInconclusiveError when no complete method is in budget, never
     returning an unsound None.
     """
     if v.quiver != w.quiver or v.field != w.field:
@@ -801,6 +812,10 @@ def iso_test(v: Rep, w: Rep):
             yield [rng.randrange(lo, hi) for _ in range(h)]
         if F.kind == PRIME:
             if F.modulus ** h > 2 ** 16:
+                if hom_dim(v, v) != h or hom_dim(w, w) != h:
+                    # no more candidates, so None: isomorphic reps have
+                    # dim End(v) = dim Hom(v, w) = dim End(w)
+                    return
                 raise IsoInconclusiveError(
                     f"hom space of size {F.modulus}^{h} exceeds the exhaustive bound"
                 )

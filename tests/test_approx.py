@@ -207,6 +207,24 @@ class TestMemberAdd:
         m = a2_rep(F3, 3, 3, [1, 0, 0, 0, 0, 0, 0, 0, 0])
         assert member_add(m, AddCategory([s2, s1])) is None
 
+    def test_hom_dimensions_decide_beyond_the_exhaustive_bound(self):
+        # Kronecker over F3, R_l = (a = 1, b = l): Hom(R_1^3 + R_2, R_1^4)
+        # has 3^12 elements, past the exhaustive bound, and every arrow rank
+        # agrees; dim End = 10 against dim Hom = 12 gives the sound negative
+        F3 = FieldSpec.prime(3)
+        kronecker = Quiver(2, [("a", 0, 1), ("b", 0, 1)])
+
+        def r(lam):
+            maps = {"a": Matrix(F3, 1, 1, [1]), "b": Matrix(F3, 1, 1, [lam])}
+            return Rep(kronecker, F3, [1, 1], maps)
+
+        m, _, _ = direct_sum([r(1), r(1), r(1), r(2)])
+        assert member_add(m, AddCategory([r(1)])) is None
+        four, _, _ = direct_sum([r(1)] * 4)
+        assert iso_test(m, four) is None
+        ev = member_add(four, AddCategory([r(1)]))
+        assert ev is not None and ev.multiplicities == (4,)
+
     def test_dims_feasible_but_not_isomorphic(self):
         # Jordan block and S + S share dims; only the latter is in add(S).
         s = Rep.simple(LOOP, F2, 0)

@@ -261,6 +261,31 @@ class TestMembership:
         assert code == 1
         assert out == {"member": False}
 
+    def test_member_add_absent_by_hom_dimensions(self, capsys, tmp_path):
+        # Kronecker over F3: R_1^3 + R_2 against R_1^4 is past the exhaustive
+        # iso bound with equal arrow ranks; dim End 10 against dim Hom 12
+        # gives the sound negative
+        ws = {
+            "format": 1,
+            "quiver": {"vertices": 2, "arrows": [
+                {"id": "a", "source": 0, "target": 1}, {"id": "b", "source": 0, "target": 1}]},
+            "field": "F3",
+            "reps": {
+                "R1": {"dims": [1, 1], "maps": {"a": [[1]], "b": [[1]]}},
+                "M": {"dims": [4, 4], "maps": {
+                    "a": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                    "b": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]}},
+            },
+            "handles": {"r1": {"add": ["R1"]}},
+        }
+        path = tmp_path / "kronecker.json"
+        path.write_text(json.dumps(ws))
+        code, out, _ = run(
+            capsys, ["member-add", "--workspace", str(path), "--rep", "M", "--in", "r1"]
+        )
+        assert code == 1
+        assert out == {"member": False}
+
     def test_member_ext_found_inline_handle(self, capsys, a2_ws):
         code, out, _ = run(
             capsys, ["member-ext", "--workspace", a2_ws, "--rep", "SS", "--in", "inline"]
@@ -349,12 +374,10 @@ class TestMembership:
     def test_bad_budget_flag_is_an_input_error(self, capsys, one_loop_ws, flag, value):
         member_filt = self._member_filt_j2(one_loop_ws)
         for argv in ([flag, value] + member_filt, member_filt + [flag, value]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert flag in captured.err
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out["error"]["code"] == "ShapeMismatch"
+            assert flag in out["error"]["message"] and flag in err
 
     @pytest.mark.parametrize("var", ["APPROXCAT_MAX_TOTAL_DIM", "APPROXCAT_MAX_SUBSPACES"])
     @pytest.mark.parametrize("value", ["abc", "-5", ""])
@@ -641,9 +664,35 @@ class TestScenario:
         assert out["error"]["code"] == "ShapeMismatch"
 
     def test_unknown_scenario_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["scenario", "no-such-thing"])
-        capsys.readouterr()
+        code, out, _ = run(capsys, ["scenario", "no-such-thing"])
+        assert code == 2
+        assert out["error"]["code"] == "ShapeMismatch"
+        assert "no-such-thing" in out["error"]["message"]
+
+
+class TestUsageErrors:
+    """A usage error is an input error like any other: one JSON report on
+    stdout and exit 2, under --json-only as well; --help still exits 0."""
+
+    @pytest.mark.parametrize("argv,missing", [
+        ([], "command"),
+        (["hom"], "--workspace"),
+        (["scenario", "no-such-name"], "no-such-name"),
+    ], ids=["bare", "hom-without-options", "unknown-scenario"])
+    def test_usage_error_is_one_report(self, capsys, argv, missing):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out["error"]["code"] == "ShapeMismatch"
+        assert missing in out["error"]["message"]
+        assert err.startswith("error[ShapeMismatch]")
+        code, out, err = run(capsys, ["--json-only"] + argv)
+        assert (code, out["error"]["code"], err) == (2, "ShapeMismatch", "")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
 
 # (path, value) edits of the A2 workspace that make it malformed
