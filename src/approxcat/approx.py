@@ -326,6 +326,12 @@ def _multiplicities(gen_dims, dims, bounded=False):
         return
     g = gen_dims[0]
     caps = [d // gx for d, gx in zip(dims, g) if gx]
+    if len(gen_dims) == 1 and not bounded:
+        # the last count is forced: c * g must be dims itself
+        c = min(caps, default=0)
+        if all(d == c * gx for d, gx in zip(dims, g)):
+            yield (c,)
+        return
     for c in range(min(caps) + 1 if caps else 1):
         rest = tuple(d - c * gx for d, gx in zip(dims, g))
         for tail in _multiplicities(gen_dims[1:], rest, bounded):

@@ -232,14 +232,16 @@ _depth_memo: dict = {}
 
 
 def _radical_series(m: Rep, support) -> Optional[list]:
-    """Per-vertex bases of the nonzero terms rad_T^k(m), k = 0, 1, ..., for
-    T = support; their number is the Loewy length. None when the series
-    stops shrinking at a nonzero term, so that m lies in no F_r."""
+    """The nonzero terms rad_T^k(m), k = 0, 1, ..., for T = support; their
+    number is the Loewy length. R_0 = m is its dimension vector, which is
+    all its readers need, and every later term is a list of per-vertex
+    bases. None when the series stops shrinking at a nonzero term, so that
+    m lies in no F_r."""
     F, dims = m.field, m.dims
     if any(d for x, d in enumerate(dims) if x not in support):
         return None  # rad_T keeps all of m_x at a vertex x outside T: no term is 0
-    series, term = [], [Matrix.identity(F, d) for d in dims]
-    while any(b.cols for b in term):
+    series, term, size = [], dims, sum(dims)
+    while size:
         parts = [[] for _ in dims]
         for a in m.quiver.arrows:
             parts[a.target].append(m.map(a.id) @ term[a.source] if series else m.map(a.id))
@@ -247,10 +249,11 @@ def _radical_series(m: Rep, support) -> Optional[list]:
         # rref is left on them; a single later product is used as it is
         nxt = [(p[0] if series and len(p) == 1 else hstack(p)).image_basis() if p
                else Matrix.zeros(F, d, 0) for p, d in zip(parts, dims)]
-        if sum(b.cols for b in nxt) == sum(b.cols for b in term):
+        nsize = sum(b.cols for b in nxt)
+        if nsize == size:
             return None
         series.append(term)
-        term = nxt
+        term, size = nxt, nsize
     return series
 
 
@@ -430,10 +433,11 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, suppor
         spans = [hstack([b, rj]) for b, rj in zip(u, series[j])]
         bases = [s.transpose().kernel_basis().transpose().kernel_basis() for s in spans]
         terms.append(subrep_from_bases(m, bases))
-    terms.append((m, RepMorphism.identity(m)))
     zero = Rep.zero(m.quiver, m.field)
-    filt = Filtration(_chain_steps(zero, RepMorphism.zero(zero, m), terms))
-    return _certify(filt, m, family, handle)
+    bottom = RepMorphism.zero(zero, m)
+    # the top step into m is the last term's inclusion, already checked natural
+    steps = _chain_steps(zero, bottom, terms) + [terms[-1][1] if terms else bottom]
+    return _certify(Filtration(steps), m, family, handle)
 
 
 def _certify(filt: Filtration, member: Rep, family: OrderedFamily,
@@ -540,8 +544,8 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
                 # the first cols[x] coordinates: stable, summand maps are block diagonal
                 bases = [Matrix.identity(F, d).take_cols(range(k)) for d, k in zip(total.dims, cols)]
                 mids.append(preimage_subrep(psi, subrep_from_bases(total, bases)[1]))
-        chain = mids + [(step.target, RepMorphism.identity(step.target))]
-        steps.extend(_chain_steps(step.source, step, chain))
+        steps.extend(_chain_steps(step.source, step, mids))
+        steps.append(mids[-1][1])
         indices.extend(effective)
     if not steps:
         return Filtration([iso]), [None]

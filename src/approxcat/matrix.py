@@ -4,6 +4,9 @@ bases, and linear solving. All outputs are deterministic (first-nonzero pivot
 scan, fixed free-variable ordering) so downstream constructions are canonical.
 
 Zero-row and zero-column matrices are first class; they carry their shape.
+A product with an empty or all-zero operand is the zero matrix at once, and
+an all-zero matrix is its own RREF with no pivots, so degenerate blocks cost
+no elimination.
 
 Every entry is canonical: an int in [0, p) over F_p, a Fraction over Q.
 The public constructors (Matrix(...), from_rows, column, from_jsonable)
@@ -155,6 +158,8 @@ class Matrix:
         F = self.field
         n, k, m = self.rows, self.cols, other.cols
         a, b, zero, p = self._e, other._e, F.zero, F.modulus
+        if not (any(a) and any(b)):  # an empty operand has no entries
+            return Matrix._trusted(F, n, m, (zero,) * (n * m))
         arows = [a[i * k : (i + 1) * k] for i in range(n)]
         bcols = [b[j::m] for j in range(m)]
         out = [sum(map(mul, row, col), zero) for row in arows for col in bcols]
@@ -191,6 +196,10 @@ class Matrix:
         F = self.field
         p = F.modulus
         rows, cols = self.rows, self.cols
+        if not any(self._e):
+            # a copy, not self: a matrix holding itself would wait for the cyclic GC
+            _set(self, "_rref", (Matrix._trusted(F, rows, cols, self._e), ()))
+            return self._rref
         m = [self.row_list(i) for i in range(rows)]
         pivots = []
         r = 0

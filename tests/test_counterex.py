@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxcat.approx import (
     AddCategory,
+    factor_through,
     left_approx_ext,
     verify_evidence,
 )
@@ -330,3 +333,17 @@ class TestPrimeFieldRequired:
         v = build_standard(LoopQuiverConfig(2, FieldSpec.rationals()))[2]
         with pytest.raises(RationalFieldUnsupportedError):
             candidate_maps(v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(min_value=0, max_value=10**6))
+def test_refuted_target_map_never_factors(p, seed):
+    # refute and verify read "g does not factor through the candidate" off
+    # the vanishing composites by linearity; a factorization solved
+    # directly must agree for every candidate
+    cfg = LoopQuiverConfig(2, FieldSpec.prime(p))
+    for v, ev in sample_members(cfg, 3, max_total_dim=4 if p == 5 else 5, seed=seed):
+        for phi in candidate_maps(v):
+            w = refute(phi, ev)
+            assert w.verify()
+            assert factor_through(w.nonzero_target_map, w.candidate) is None

@@ -225,3 +225,96 @@ def test_trusted_constructor_keeps_the_shape_check(field):
         Matrix._trusted(field, 2, 2, [field.zero] * 3)
     with pytest.raises(ShapeError):
         Matrix._trusted(field, -1, 0, [])
+
+
+# degenerate operands: empty shapes, and all-zero matrices about half the time
+
+
+def zero_scalars(field):
+    """Inputs that coerce to zero, so the constructor's reduction is crossed."""
+    if field.kind == "rationals":
+        return st.sampled_from([0, Fraction(0)])
+    p = field.modulus
+    return st.sampled_from([0, p, -p])
+
+
+@st.composite
+def maybe_zero_matrices(draw, field, rows=None, cols=None):
+    rows = draw(dims) if rows is None else rows
+    cols = draw(dims) if cols is None else cols
+    entries = zero_scalars(field) if draw(st.booleans()) else scalars(field)
+    return Matrix(field, rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                                   max_size=rows * cols)))
+
+
+@st.composite
+def degenerate_products(draw):
+    F = draw(fields)
+    n, k, m = draw(dims), draw(dims), draw(dims)
+    return F, draw(maybe_zero_matrices(F, n, k)), draw(maybe_zero_matrices(F, k, m))
+
+
+@SETTINGS
+@given(degenerate_products())
+def test_degenerate_matmul_matches_reference(case):
+    F, a, b = case
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.to_lists() == ref_matmul(F, a.to_lists(), b.to_lists(), a.cols, b.cols)
+    assert_canonical(got)
+    if a.is_zero() or b.is_zero():
+        assert got == Matrix.zeros(F, a.rows, b.cols)
+
+
+@SETTINGS
+@given(fields.flatmap(maybe_zero_matrices))
+def test_degenerate_rref_matches_reference(a):
+    R, pivots = a.rref()
+    ref, ref_pivots = ref_rref(a.field, a.to_lists(), a.cols)
+    assert pivots == ref_pivots
+    assert (R.rows, R.cols) == (a.rows, a.cols)
+    assert R.to_lists() == ref
+    assert_canonical(R)
+    assert R.rref() == (R, pivots)
+    # the RREF is a separate matrix: one holding itself would be a cycle
+    assert R is not a
+    assert a.rank() == len(ref_pivots)
+    assert a.image_basis().cols == len(ref_pivots)
+
+
+@SETTINGS
+@given(fields.flatmap(maybe_zero_matrices))
+def test_degenerate_kernel_basis_matches_reference(a):
+    K = a.kernel_basis()
+    assert (K.rows, K.cols) == (a.cols, a.cols - len(ref_rref(a.field, a.to_lists(), a.cols)[1]))
+    assert K.to_lists() == ref_kernel(a.field, a.to_lists(), a.cols)
+    assert (a @ K).is_zero()
+    assert_canonical(K)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """(A, b) with A, b or both all zero about half the time each."""
+    F = draw(fields)
+    a = draw(maybe_zero_matrices(F))
+    k = draw(dims)
+    if draw(st.booleans()):
+        b = a @ draw(maybe_zero_matrices(F, a.cols, k))
+    else:
+        b = draw(maybe_zero_matrices(F, a.rows, k))
+    return a, b
+
+
+@SETTINGS
+@given(degenerate_systems())
+def test_degenerate_solve_matches_reference(case):
+    a, b = case
+    x = a.solve(b)
+    ref = ref_solve(a.field, a.to_lists(), b.to_lists(), a.cols, b.cols)
+    if ref is None:
+        assert x is None
+        return
+    assert x is not None and (x.rows, x.cols) == (a.cols, b.cols)
+    assert x.to_lists() == ref
+    assert a @ x == b
+    assert_canonical(x)
