@@ -15,7 +15,7 @@ acyclicity requirement) for the assumption that y is closed under
 subobjects, replacing the y-approximation by its image.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import (
@@ -151,6 +151,10 @@ class AddEvidence:
 
     multiplicities: tuple
     iso: RepMorphism
+    # the keys of the members this evidence has been verified for (see
+    # counterex._member_verified): set on first use and freed with the
+    # evidence, like RepMorphism._memo
+    _verified: set = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def member(self) -> Rep:
@@ -165,6 +169,7 @@ class ExtEvidence:
     ses: ShortExactSeq
     sub_evidence: "Evidence"
     quot_evidence: "Evidence"
+    _verified: set = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def member(self) -> Rep:

@@ -24,6 +24,7 @@ refute escalates by one level, once, when every truncated loop is in use.
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .approx import (
     AddCategory,
@@ -70,9 +71,7 @@ class LoopQuiverConfig:
             raise ShapeError("at least one loop is required")
 
     def quiver(self) -> Quiver:
-        arrows = [(a, 0, 0) for a in self.loop_ids()]
-        arrows.append(("beta", 0, 1))
-        return Quiver(2, arrows)
+        return _stage(self.n_loops, self.field)[0]
 
     def loop_ids(self):
         return [f"alpha{i}" for i in range(1, self.n_loops + 1)]
@@ -89,64 +88,90 @@ class LoopQuiverConfig:
         return cfg
 
 
+# The stage is immutable and depends only on (n_loops, field), and W(i0) with
+# its evidence only on i0 besides, so each is built once and shared through a
+# small bounded memo. Typed keys keep 2.0 apart from 2, so a level that
+# cannot build a stage is refused even when an equal one is cached.
+@lru_cache(maxsize=8, typed=True)
+def _stage(n_loops: int, field: FieldSpec):
+    """(quiver, S1, S2, M, add{S1} * add{M}) at one truncation level."""
+    loops = [f"alpha{i}" for i in range(1, n_loops + 1)]
+    q = Quiver(2, [(a, 0, 0) for a in loops] + [("beta", 0, 1)])
+    s1 = Rep.simple(q, field, 0)
+    maps = {a: Matrix.zeros(field, 1, 1) for a in loops}
+    maps["beta"] = Matrix.identity(field, 1)
+    m = Rep(q, field, [1, 1], maps)
+    return q, s1, Rep.simple(q, field, 1), m, ExtCategory(AddCategory([s1]), AddCategory([m]))
+
+
+@lru_cache(maxsize=8, typed=True)
+def _w_stage(n_loops: int, field: FieldSpec, i0: int):
+    """(W(i0), the evidence of w_membership) at one truncation level."""
+    if not 1 <= i0 <= n_loops:
+        raise ShapeError(f"loop index {i0} outside 1..{n_loops}")
+    q, s1, _, m, _ = _stage(n_loops, field)
+    maps = {f"alpha{i0}": Matrix(field, 2, 2, [0, 0, 1, 0]),
+            "beta": Matrix(field, 1, 2, [1, 0])}
+    w = Rep(q, field, [2, 1], maps)
+    i = RepMorphism(s1, w, [Matrix(field, 2, 1, [0, 1]), Matrix(field, 1, 0)])
+    p = RepMorphism(w, m, [Matrix(field, 1, 2, [1, 0]), Matrix.identity(field, 1)])
+    sub_ev = AddEvidence((1,), RepMorphism.identity(s1))
+    quot_ev = AddEvidence((1,), RepMorphism.identity(m))
+    return w, ExtEvidence(ShortExactSeq(i, p), sub_ev, quot_ev)
+
+
 def build_standard(cfg: LoopQuiverConfig):
     """(S1, S2, M): the vertex simples and the dims (1, 1) module with all
     loops acting by zero and the exit arrow by the identity."""
-    q = cfg.quiver()
-    F = cfg.field
-    s1 = Rep.simple(q, F, 0)
-    s2 = Rep.simple(q, F, 1)
-    maps = {a: Matrix.zeros(F, 1, 1) for a in cfg.loop_ids()}
-    maps["beta"] = Matrix.identity(F, 1)
-    m = Rep(q, F, [1, 1], maps)
-    return s1, s2, m
+    return _stage(cfg.n_loops, cfg.field)[1:4]
 
 
 def build_W(cfg: LoopQuiverConfig, i0: int) -> Rep:
     """dims (2, 1): loop i0 sends e1 to e2, every other loop acts by zero,
     and the exit arrow sends e1 to the basis vector and kills e2."""
-    if not 1 <= i0 <= cfg.n_loops:
-        raise ShapeError(f"loop index {i0} outside 1..{cfg.n_loops}")
-    q = cfg.quiver()
-    F = cfg.field
-    maps = {a: Matrix.zeros(F, 2, 2) for a in cfg.loop_ids()}
-    maps[f"alpha{i0}"] = Matrix(F, 2, 2, [0, 0, 1, 0])
-    maps["beta"] = Matrix(F, 1, 2, [1, 0])
-    return Rep(q, F, [2, 1], maps)
+    return _w_stage(cfg.n_loops, cfg.field, i0)[0]
 
 
 def standard_handle(cfg: LoopQuiverConfig) -> ExtCategory:
     """add{S1} * add{M} on the configured quiver."""
-    s1, _, m = build_standard(cfg)
-    return ExtCategory(AddCategory([s1]), AddCategory([m]))
+    return _stage(cfg.n_loops, cfg.field)[4]
 
 
 def w_membership(cfg: LoopQuiverConfig, i0: int) -> ExtEvidence:
     """The short exact sequence 0 -> S1 -> W(i0) -> M -> 0, with add
     evidence at both ends: the sub is the second coordinate line at vertex
     0, which every arrow kills."""
-    s1, _, m = build_standard(cfg)
-    w = build_W(cfg, i0)
-    F = cfg.field
-    i = RepMorphism(s1, w, [Matrix(F, 2, 1, [0, 1]), Matrix(F, 1, 0)])
-    p = RepMorphism(w, m, [Matrix(F, 1, 2, [1, 0]), Matrix.identity(F, 1)])
-    sub_ev = AddEvidence((1,), RepMorphism.identity(s1))
-    quot_ev = AddEvidence((1,), RepMorphism.identity(m))
-    return ExtEvidence(ShortExactSeq(i, p), sub_ev, quot_ev)
+    return _w_stage(cfg.n_loops, cfg.field, i0)[1]
+
+
+def _member_verified(evidence: Evidence, member: Rep) -> bool:
+    """verify_evidence of member against the standard handle of its level,
+    run once per evidence object and member: a success is recorded on the
+    (immutable) evidence under member.key(), and freed with it."""
+    done = getattr(evidence, "_verified", None)
+    if done is not None and member.key() in done:
+        return True
+    if not verify_evidence(evidence, member, standard_handle(LoopQuiverConfig.of_rep(member))):
+        return False
+    if done is None:
+        done = set()
+        object.__setattr__(evidence, "_verified", done)
+    done.add(member.key())
+    return True
 
 
 def beta_surjectivity_check(z: Rep, evidence: Evidence) -> bool:
     """Whether the exit map of a certified member covers all of vertex 1.
 
-    The evidence is re-verified first and rejected loudly when it does not
-    hold up; on a valid certificate the answer is always True, because both
-    S1-powers (nothing at vertex 1) and M-powers (identity exit map) have
-    the property and it passes to extensions.
+    The evidence is verified first (once per evidence object and member)
+    and rejected loudly when it does not hold up; on a valid certificate
+    the answer is always True, because both S1-powers (nothing at vertex 1)
+    and M-powers (identity exit map) have the property and it passes to
+    extensions.
     """
     if evidence is None:
         raise CertificateError("membership evidence is required")
-    cfg = LoopQuiverConfig.of_rep(z)
-    if not verify_evidence(evidence, z, standard_handle(cfg)):
+    if not _member_verified(evidence, z):
         raise CertificateError("membership evidence does not verify")
     return z.map("beta").rank() == z.dims[1]
 
@@ -226,7 +251,7 @@ class RefutationWitness:
                 return False
         except (ShapeError, ApproxcatError):
             return False
-        s1, s2, m = build_standard(cfg)
+        s2 = build_standard(cfg)[1]
         if self.candidate.source != s2 or not self.candidate.is_natural():
             return False
         v = self.candidate.target
@@ -252,20 +277,24 @@ def refute(phi: RepMorphism, evidence: Evidence) -> RefutationWitness:
     """A witness that phi: S2 -> V is not a left approximation into
     add{S1} * add{M}, given membership evidence for V.
 
-    Verifies the evidence, picks the smallest loop index acting by zero on
-    V (escalating the truncation once when every loop is used), builds W at
-    that index, checks by direct computation that every composite of phi
-    with a morphism V -> W vanishes, and returns the nonzero map S2 -> W
-    the candidate fails to reach.
+    Verifies the evidence (once per evidence object and member), picks the
+    smallest loop index acting by zero on V (escalating the truncation once
+    when every loop is used), builds W at that index, checks by direct
+    computation that every composite of phi with a morphism V -> W
+    vanishes, and returns the nonzero map S2 -> W the candidate fails to
+    reach. Escalation needs no second check: embed_evidence of verified
+    evidence verifies at the higher level, since zero maps on the new
+    loops keep every naturality square, canonical sum, iso and exact
+    sequence intact, and the witness does not carry the member evidence.
     """
     cfg = LoopQuiverConfig.of_rep(phi.source)
-    s1, s2, m = build_standard(cfg)
+    s2 = build_standard(cfg)[1]
     if phi.source != s2:
         raise ShapeError("the candidate must start at the vertex-1 simple")
     if evidence is None:
         raise CertificateError("membership evidence for the target is required")
     v = phi.target
-    if not verify_evidence(evidence, v, standard_handle(cfg)):
+    if not _member_verified(evidence, v):
         raise CertificateError("membership evidence does not verify")
     escalated = False
     try:
@@ -274,9 +303,6 @@ def refute(phi: RepMorphism, evidence: Evidence) -> RefutationWitness:
         cfg = LoopQuiverConfig(cfg.n_loops + 1, cfg.field)
         phi = embed_morphism(phi, cfg)
         v = phi.target
-        evidence = embed_evidence(evidence, cfg)
-        if not verify_evidence(evidence, v, standard_handle(cfg)):
-            raise CertificateError("re-embedded evidence does not verify")
         s2 = build_standard(cfg)[1]
         escalated = True
         i0 = choose_i0(v)

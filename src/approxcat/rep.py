@@ -14,6 +14,7 @@ from one elimination.
 
 import itertools
 import random
+from operator import mul
 
 from .errors import (
     ApproxcatError,
@@ -119,8 +120,11 @@ class RepMorphism:
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
-    _memo holds the factorization systems built for this morphism (see
-    _factor); it is set on first use and freed with the morphism."""
+    _memo holds the factorization systems (lists of rows) built for this
+    morphism (see _factor); it is set on first use and freed with the
+    morphism. The loop-and-exit stage's morphisms are shared through
+    counterex's bounded memo, so a system kept on one of them lives as long
+    as its stage; refute and RefutationWitness.verify keep none there."""
 
     __slots__ = ("source", "target", "components", "_memo")
 
@@ -361,13 +365,6 @@ def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
     return RepMorphism(v, w, comps, check=False)
 
 
-def _vec_morphism(f: RepMorphism) -> Matrix:
-    entries = []
-    for c in f.components:
-        entries.extend(c._e)
-    return Matrix._trusted(f.source.field, len(entries), 1, entries)
-
-
 def hom_basis(v: Rep, w: Rep):
     """Deterministic basis of Hom(v, w) as a list of morphisms."""
     ker = _hom_system(v, w).kernel_basis()
@@ -587,8 +584,8 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is eliminated once per (side, w) and memoized on z; each call is
-    then two products with vec f."""
+    it is eliminated once per (side, w) and memoized on z; each call then
+    applies its two lists of rows to the flat entries of f."""
     w = f.target if side == "left" else f.source
     memo = z._memo
     if memo is None:
@@ -599,22 +596,31 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     if system is None:
         system = memo[key] = _factor_system(z, w, side)
     lift, obstruction = system
-    vec = _vec_morphism(f)
-    if not (obstruction @ vec).is_zero():
+    vec = [x for c in f.components for x in c._e]
+    if any(_apply_rows(obstruction, vec, w.field)):
         return None
     src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
-    return _unpack_hom_vector(src, dst, (lift @ vec)._e)
+    return _unpack_hom_vector(src, dst, _apply_rows(lift, vec, w.field))
+
+
+def _apply_rows(rows, vec, F: FieldSpec) -> list:
+    """The entries of rows times the column vec, canonical for F: one
+    `% p` per entry over F_p, nothing over Q."""
+    p = F.modulus
+    out = [sum(map(mul, row, vec), F.zero) for row in rows]
+    return [x % p for x in out] if p else out
 
 
 def _factor_system(z: RepMorphism, w: Rep, side: str):
-    """(lift, obstruction) for h z = f on the left (z h = f on the right).
-    The columns b_j of K are the hom basis of Hom(z.target, w) (of
-    Hom(w, z.source)) and column j of A is vec(b_j z) (vec(z b_j)). One
-    rref of [A | I] gives E = its right part and the pivots among A's
-    columns, rank of them: f factors exactly when obstruction = E[rank:]
-    kills vec f, and then lift = K[:, pivots] E[:rank] maps vec f to vec h,
-    h = K s for the solution s of A s = vec f with free variables zero.
-    Rows the elimination of I mixes into E[:rank] vanish on such vec f."""
+    """(lift, obstruction) for h z = f on the left (z h = f on the right),
+    each a list of rows. The columns b_j of K are the hom basis of
+    Hom(z.target, w) (of Hom(w, z.source)) and column j of A is vec(b_j z)
+    (vec(z b_j)). One rref of [A | I] gives E = its right part and the
+    pivots among A's columns, rank of them: f factors exactly when the rows
+    of obstruction = E[rank:] all kill vec f, and then the rows of
+    lift = K[:, pivots] E[:rank] map vec f to vec h, h = K s for the
+    solution s of A s = vec f with free variables zero. Rows the
+    elimination of I mixes into E[:rank] vanish on such vec f."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
     F = w.field
@@ -636,7 +642,8 @@ def _factor_system(z: RepMorphism, w: Rep, side: str):
     R, pivots = hstack([a, Matrix.identity(F, n)]).rref()
     rank = sum(pc < k for pc in pivots)
     E = R.take_cols(range(k, k + n))
-    return ker.take_cols(pivots[:rank]) @ E.take_rows(range(rank)), E.take_rows(range(rank, n))
+    lift = ker.take_cols(pivots[:rank]) @ E.take_rows(range(rank))
+    return lift.to_lists(), E.take_rows(range(rank, n)).to_lists()
 
 
 def is_split(s: ShortExactSeq):

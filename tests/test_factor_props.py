@@ -27,7 +27,7 @@ from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix, hstack
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, RepMorphism, _vec_morphism, compose, hom_basis
+from approxcat.rep import Rep, RepMorphism, compose, hom_basis
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.rationals()]
 # the Kronecker quiver has two parallel arrows 0 -> 1
@@ -36,6 +36,11 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 # the reference: the bodies before the system was memoized
+
+
+def _vec_morphism(f):
+    # the components' entries, row-major, stacked into one column
+    return Matrix.column(f.source.field, [x for c in f.components for x in c._e])
 
 
 def ref_factor_through(f, z):
