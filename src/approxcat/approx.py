@@ -51,9 +51,11 @@ class AddCategory:
     """add of a finite generator list: all finite direct sums of copies of
     the generators. It is not closed under direct summands: a summand of a
     generator is a member only when it is itself such a sum, so add{S1 + S2}
-    does not contain S1. Order matters for canonical sums and certificates."""
+    does not contain S1. Order matters for canonical sums and certificates,
+    and it makes the handle an ordered family X_1, ..., X_n for filtrations,
+    whose normalization hypothesis is Ext1(X_i, X_j) = 0 for i <= j."""
 
-    __slots__ = ("generators", "quiver", "field", "_key")
+    __slots__ = ("generators", "quiver", "field", "_key", "_kind")
 
     def __init__(self, generators, quiver=None, field=None):
         generators = tuple(generators)
@@ -69,6 +71,7 @@ class AddCategory:
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_kind", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AddCategory is immutable")
@@ -79,6 +82,23 @@ class AddCategory:
                  tuple(g.key() for g in self.generators))
             object.__setattr__(self, "_key", k)
         return self._key
+
+    def kind(self):
+        """(semisimple, support): whether every generator has zero arrow
+        maps, which makes add membership a dimension count, and for a
+        vertex-simple family (semisimple, and the simple of each vertex in a
+        generator's support is a generator) the set T of vertices its
+        generators support, else None. Computed once per handle."""
+        if self._kind is None:
+            gens, n = self.generators, self.quiver.vertex_count
+            semisimple = all(g.map(a.id).is_zero() for g in gens for a in self.quiver.arrows)
+            support = frozenset(x for g in gens for x in range(n) if g.dims[x])
+            gen_dims = {g.dims for g in gens}
+            vertex_simple = semisimple and all(
+                tuple(int(y == x) for y in range(n)) in gen_dims for x in support
+            )
+            object.__setattr__(self, "_kind", (semisimple, support if vertex_simple else None))
+        return self._kind
 
     def __eq__(self, other):
         return isinstance(other, AddCategory) and self.key() == other.key()
@@ -306,7 +326,7 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     multiplicity vector, and then it is literally the first canonical sum.
     """
     gen_dims = [g.dims for g in handle.generators]
-    if all(g.map(a.id).is_zero() for g in handle.generators for a in handle.quiver.arrows):
+    if handle.kind()[0]:
         if m.quiver != handle.quiver or m.field != handle.field:
             raise FieldMismatchError("member_add needs a common quiver and field")
         if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):

@@ -32,7 +32,6 @@ from .counterex import refute
 from .errors import ApproxcatError, CertificateError, ShapeError, _need
 from .extfilt import (
     FiltrationCertificate,
-    OrderedFamily,
     filt_exchange,
     filt_normalize,
     member_ext,
@@ -239,7 +238,7 @@ def cmd_member_ext(args, ws):
 
 def cmd_member_filt(args, ws):
     m = ws.rep(args.rep)
-    family = OrderedFamily([ws.rep(n) for n in args.family.split(",")])
+    family = AddCategory([ws.rep(n) for n in args.family.split(",")])
     cert = member_filt(m, family, args.depth, budget=_budget_from_args(args))
     if cert is None:
         return (

@@ -33,12 +33,19 @@ sort to bring any filtration certificate over an ordered family
 (X_1, ..., X_n) with Ext1(X_i, X_j) = 0 for i <= j into the normal form
 with at most n layers, each a direct sum of copies of a single X_i.
 
+A family is its add handle, an AddCategory whose generator order is the
+family order (OrderedFamily names the same type). The handle's kind (zero
+arrow maps, vertex-simple support) is computed once per handle, and a
+plain generator list is interned through a small bounded memo, so repeated
+calls over one list share a handle.
+
 fr_enumerate builds F_r(S) within a dimension bound bottom-up from
 extension cocycles; it is an independent oracle for member_filt.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .approx import (
@@ -81,57 +88,22 @@ from .rep import (
 from .search import Budget, SubrepSearch, _require_prime, default_budget, iter_subreps
 
 
-class OrderedFamily:
-    """An ordered list of representations X_1, ..., X_n. The order carries
-    the normalization hypothesis Ext1(X_i, X_j) = 0 for i <= j; membership
-    tests use the members as a plain generator set, the add handle that the
-    family wraps."""
-
-    __slots__ = ("_handle",)
-
-    def __init__(self, members, quiver=None, field=None):
-        self._handle = AddCategory(members, quiver=quiver, field=field)
-
-    @property
-    def members(self):
-        return self._handle.generators
-
-    @property
-    def quiver(self):
-        return self._handle.quiver
-
-    @property
-    def field(self):
-        return self._handle.field
-
-    def __len__(self):
-        return len(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-    def add_handle(self) -> AddCategory:
-        return self._handle
-
-    def key(self):
-        return ("family",) + self._handle.key()[1:]
-
-    def __eq__(self, other):
-        return isinstance(other, OrderedFamily) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"OrderedFamily({[m.dims for m in self.members]})"
+# An ordered family X_1, ..., X_n is its add handle: the generator order
+# carries the normalization hypothesis, and the handle its key and kind.
+OrderedFamily = AddCategory
 
 
-def _as_family(s) -> OrderedFamily:
-    if isinstance(s, OrderedFamily):
-        return s
-    if isinstance(s, AddCategory):
-        return OrderedFamily(s.generators, quiver=s.quiver, field=s.field)
-    return OrderedFamily(s)
+@lru_cache(maxsize=32)
+def _interned(generators: tuple) -> AddCategory:
+    """The handle of a plain generator tuple, shared by equal tuples so that
+    repeated calls over one list compute its key and kind once."""
+    return AddCategory(generators)
+
+
+def _as_family(s) -> AddCategory:
+    """s itself when it is an add handle, else the interned handle of the
+    generator list s."""
+    return s if isinstance(s, AddCategory) else _interned(tuple(s))
 
 
 @dataclass(frozen=True)
@@ -143,7 +115,7 @@ class FiltrationCertificate:
 
     filtration: Filtration
     member: Rep
-    family: OrderedFamily
+    family: AddCategory
     factor_assignments: tuple
 
     @property
@@ -151,11 +123,11 @@ class FiltrationCertificate:
         return self.filtration.depth
 
     def verify(self) -> bool:
-        filt, handle = self.filtration, self.family.add_handle()
+        filt = self.filtration
         if filt.top != self.member or len(self.factor_assignments) != filt.depth:
             return False
         return all(step.is_natural() for step in filt.steps) and all(
-            verify_evidence(ev, filt.factor(j), handle)
+            verify_evidence(ev, filt.factor(j), self.family)
             for j, ev in enumerate(self.factor_assignments))
 
 
@@ -190,27 +162,6 @@ def member_ext(z: Rep, x, y, budget: Budget | None = None) -> Optional[ExtEviden
 
 
 # membership in F_r(S)
-
-
-_semis_cache: dict = {}
-
-
-def _family_kind(handle: AddCategory):
-    """(semisimple, support): whether every generator has zero arrow maps,
-    which makes add membership a dimension count, and for a vertex-simple
-    family the set T of vertices its generators support, else None."""
-    key = handle.key()
-    got = _semis_cache.get(key)
-    if got is None:
-        gens, n = handle.generators, handle.quiver.vertex_count
-        semisimple = all(g.map(a.id).is_zero() for g in gens for a in handle.quiver.arrows)
-        support = frozenset(x for g in gens for x in range(n) if g.dims[x])
-        gen_dims = {g.dims for g in gens}
-        vertex_simple = semisimple and all(
-            tuple(int(y == x) for y in range(n)) in gen_dims for x in support
-        )
-        got = _semis_cache[key] = (semisimple, support if vertex_simple else None)
-    return got
 
 
 def _dims_feasible(handle: AddCategory, dims) -> bool:
@@ -275,7 +226,7 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
             f"total dimension {m.total_dim} exceeds the budget {budget.max_total_dim}"
         )
     space, kernels = m, None
-    if _family_kind(handle)[0]:
+    if handle.kind()[0]:
         kernels = [_outgoing_kernel(m, x) for x in range(m.quiver.vertex_count)]
         space = Rep(m.quiver, m.field, [k.cols for k in kernels])
     search = SubrepSearch(space, budget)
@@ -328,16 +279,16 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     """A verified filtration of m with at most r layers, each factor a
     member of add(S), or None when no such filtration exists.
 
-    S may be an OrderedFamily, an AddCategory, or a plain generator list.
-    A vertex-simple family is decided by the Loewy length over every field,
-    with no budget; any other family's peel search stays within the budget
-    and needs a prime field.
+    S is an add handle (OrderedFamily is the same type) or a plain
+    generator list, which is interned: equal lists share one handle, whose
+    kind is computed once. A vertex-simple family is decided by the Loewy
+    length over every field, with no budget; any other family's peel
+    search stays within the budget and needs a prime field.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
     family = _as_family(s)
-    handle = family.add_handle()
-    support = _family_kind(handle)[1]
+    support = family.kind()[1]
     series = None
     if support is not None:
         key = (support, m.key())
@@ -348,9 +299,9 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
             return None
     else:
         budget = budget or default_budget()
-        if _min_depth(m, handle, r, budget) is None:
+        if _min_depth(m, family, r, budget) is None:
             return None
-    return _build_filtration(m, family, handle, support, series, r, budget)
+    return _build_filtration(m, family, support, series, r, budget)
 
 
 def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
@@ -397,8 +348,8 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
     return steps
 
 
-def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, support,
-                      series, r: int, budget: Budget) -> FiltrationCertificate:
+def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
+                      budget: Budget) -> FiltrationCertificate:
     """Certificate construction mirroring the decision order; the caller
     guarantees membership. Peels until the quotient lies in add, then lifts
     in one pass: term k is the kernel of the composite projection onto the
@@ -415,9 +366,9 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, suppor
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     u = [Matrix.zeros(m.field, d, 0) for d in m.dims]
     terms, cur, top = [], m, 0
-    while not _add_decide(cur, handle):
+    while not _add_decide(cur, family):
         if series is None:
-            proj = _peel(cur, handle, r, budget)
+            proj = _peel(cur, family, r, budget)
         # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
         elif next((k for k in range(1, len(series)) if all(
                 (p @ b).is_zero() for p, b in zip(projs, series[k]))), len(series)) < r:
@@ -437,15 +388,14 @@ def _build_filtration(m: Rep, family: OrderedFamily, handle: AddCategory, suppor
     bottom = RepMorphism.zero(zero, m)
     # the top step into m is the last term's inclusion, already checked natural
     steps = _chain_steps(zero, bottom, terms) + [terms[-1][1] if terms else bottom]
-    return _certify(Filtration(steps), m, family, handle)
+    return _certify(Filtration(steps), m, family)
 
 
-def _certify(filt: Filtration, member: Rep, family: OrderedFamily,
-             handle: AddCategory) -> FiltrationCertificate:
+def _certify(filt: Filtration, member: Rep, family: AddCategory) -> FiltrationCertificate:
     """The certificate of filt with add evidence for every factor."""
     evidence = []
     for j in range(filt.depth):
-        ev = member_add(filt.factor(j), handle)
+        ev = member_add(filt.factor(j), family)
         if ev is None:
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)
@@ -497,31 +447,30 @@ def filt_exchange(f: Filtration, i: int) -> Filtration:
 # normalization to at most n layers
 
 
-def _check_ext_hypothesis(family: OrderedFamily):
-    n = len(family)
-    for i in range(n):
-        for j in range(i, n):
-            if ext1_dim(family[i], family[j]) != 0:
-                raise HypothesisViolationError(
-                    f"Ext1(X_{i + 1}, X_{j + 1}) does not vanish for this ordering"
-                )
+def _check_ext_hypothesis(family: AddCategory):
+    gens = family.generators
+    for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
+        if ext1_dim(gens[i], gens[j]) != 0:
+            raise HypothesisViolationError(
+                f"Ext1(X_{i + 1}, X_{j + 1}) does not vanish for this ordering"
+            )
 
 
-def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory):
+def _refine_layers(filt: Filtration, family: AddCategory):
     """Split every filtration layer whose factor mixes several generators
     into consecutive layers, each a sum of copies of one generator. A layer
     with zero factor is an isomorphism: it is composed into the next step
     before that step's cokernel is taken, or onto the last step at the top.
     Returns the refined filtration and a parallel list of generator indices;
     a filtration of the zero representation keeps one layer, index None."""
-    gens = family.members
+    gens = family.generators
     steps, indices, iso = [], [], None
     for j, step in enumerate(filt.steps):
         # an isomorphism composed in keeps the image, so the cokernel is the step's
         factor, q_j = filt.step_cokernel(j)
         if iso is not None:
             step = compose(step, iso)
-        ev = member_add(factor, handle)
+        ev = member_add(factor, family)
         if ev is None:
             raise CertificateError("input filtration has a factor outside add of the family")
         effective = [
@@ -533,7 +482,7 @@ def _refine_layers(filt: Filtration, family: OrderedFamily, handle: AddCategory)
             indices.append(effective[0])
         if len(effective) <= 1:
             continue
-        total, layout = handle.canonical_sum(ev.multiplicities)
+        total, layout = family.canonical_sum(ev.multiplicities)
         psi = compose(ev.iso, q_j)
         F = total.field
         cols = [0] * total.quiver.vertex_count
@@ -567,8 +516,7 @@ def filt_normalize(cert: FiltrationCertificate, s=None) -> FiltrationCertificate
     """
     family = _as_family(s) if s is not None else cert.family
     _check_ext_hypothesis(family)
-    handle = family.add_handle()
-    filt, indices = _refine_layers(cert.filtration, family, handle)
+    filt, indices = _refine_layers(cert.filtration, family)
     for end in range(filt.depth - 1, 0, -1):
         for i in range(end):
             if indices[i] > indices[i + 1]:
@@ -578,9 +526,9 @@ def filt_normalize(cert: FiltrationCertificate, s=None) -> FiltrationCertificate
     for j, step in enumerate(filt.steps):
         steps.append(compose(step, steps.pop()) if j and indices[j] == indices[j - 1] else step)
     out = Filtration(steps)
-    if out.depth > max(1, len(family)):
+    if out.depth > max(1, len(family.generators)):
         raise ApproxcatError("normalization left more layers than generators; this is a bug")
-    result = _certify(out, cert.member, family, handle)
+    result = _certify(out, cert.member, family)
     if not result.verify():
         raise CertificateError("normalized certificate failed verification")
     return result

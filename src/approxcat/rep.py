@@ -264,6 +264,9 @@ class ShortExactSeq:
     def __eq__(self, other):
         return isinstance(other, ShortExactSeq) and self.i == other.i and self.p == other.p
 
+    def __hash__(self):
+        return hash((self.i, self.p))
+
     def __repr__(self):
         return f"SES({self.sub.dims} -> {self.mid.dims} -> {self.quot.dims})"
 

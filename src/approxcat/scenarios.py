@@ -28,7 +28,7 @@ from .counterex import (
     standard_handle,
 )
 from .errors import ShapeError
-from .extfilt import OrderedFamily, filt_normalize, fr_enumerate, member_filt
+from .extfilt import filt_normalize, fr_enumerate, member_filt
 from .fields import FieldSpec
 from .matrix import Matrix
 from .quiver import a2_quiver, loop_quiver
@@ -147,7 +147,7 @@ def run_filt_normalize_a2() -> dict:
     q = a2_quiver()
     s1 = Rep.simple(q, F2, 0)
     s2 = Rep.simple(q, F2, 1)
-    family = OrderedFamily([s2, s1])
+    family = AddCategory([s2, s1])
     checks = 0
     failures = []
     found = 0

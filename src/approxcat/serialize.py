@@ -17,7 +17,7 @@ from .approx import (
 )
 from .counterex import LoopQuiverConfig, RefutationWitness
 from .errors import ApproxcatError, CertificateError, _need, _typed
-from .extfilt import FiltrationCertificate, OrderedFamily
+from .extfilt import FiltrationCertificate
 from .fields import FieldSpec
 from .matrix import Matrix
 from .quiver import Quiver
@@ -191,7 +191,7 @@ def filtration_certificate_to_jsonable(cert: FiltrationCertificate) -> dict:
         "quiver": quiver.to_jsonable(),
         "field": field.label,
         "member": rep_to_jsonable(cert.member),
-        "family": [rep_to_jsonable(g) for g in cert.family.members],
+        "family": [rep_to_jsonable(g) for g in cert.family.generators],
         "filtration": filtration_to_jsonable(cert.filtration),
         "factor_assignments": [
             evidence_to_jsonable(ev) for ev in cert.factor_assignments
@@ -202,7 +202,8 @@ def filtration_certificate_to_jsonable(cert: FiltrationCertificate) -> dict:
 def filtration_certificate_from_jsonable(data) -> FiltrationCertificate:
     quiver = Quiver.from_jsonable(_need(data, "quiver"))
     field = FieldSpec.from_label(_need(data, "field"))
-    family = OrderedFamily(
+    # no explicit quiver and field: a certificate with an empty family is refused
+    family = AddCategory(
         [rep_from_jsonable(quiver, field, g) for g in _need(data, "family", list)]
     )
     return FiltrationCertificate(

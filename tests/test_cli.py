@@ -398,8 +398,7 @@ def _split_pair_certificate():
     u, incl = subrep_from_bases(m, [Matrix(F2, 1, 1, [1]), Matrix(F2, 1, 0)])
     filt = Filtration([RepMorphism.zero(Rep.zero(A2, F2), u), incl])
     family = OrderedFamily([s2, s1])
-    handle = family.add_handle()
-    evidence = tuple(member_add(filt.factor(j), handle) for j in range(2))
+    evidence = tuple(member_add(filt.factor(j), family) for j in range(2))
     return FiltrationCertificate(filt, m, family, evidence)
 
 
@@ -612,7 +611,7 @@ def _forged_j3_certificate():
              RepMorphism(m1, j3, [Matrix(F2, 3, 2, [0, 0, 1, 0, 0, 1])], check=False)]
     filt = Filtration(steps)
     family = OrderedFamily([s])
-    evidence = tuple(member_add(filt.factor(j), family.add_handle()) for j in range(2))
+    evidence = tuple(member_add(filt.factor(j), family) for j in range(2))
     assert all(ev is not None for ev in evidence)
     return FiltrationCertificate(filt, j3, family, evidence)
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from approxcat.approx import (
     AddCategory,
+    ExtEvidence,
     factor_through,
     left_approx_ext,
     verify_evidence,
@@ -36,6 +37,7 @@ from approxcat.quiver import a2_quiver
 from approxcat.rep import (
     Rep,
     RepMorphism,
+    ShortExactSeq,
     hom_basis,
     hom_dim,
     is_split,
@@ -138,6 +140,18 @@ class TestAssembleMember:
     def test_coefficient_count_checked(self):
         with pytest.raises(ShapeError):
             assemble_member(CFG2, 1, 1, [1])
+
+    def test_evidence_hashes_like_it_compares(self):
+        # a frozen evidence dataclass hashes its short exact sequence
+        _, ev = assemble_member(CFG2, 1, 1, [1, 0])
+        _, again = assemble_member(CFG2, 1, 1, [1, 0])
+        assert ev is not again and ev == again
+        assert hash(ev) == hash(again) and hash(ev.ses) == hash(again.ses)
+        w_ev = w_membership(CFG2, 1)
+        rebuilt = ExtEvidence(ShortExactSeq(w_ev.ses.i, w_ev.ses.p),
+                              w_ev.sub_evidence, w_ev.quot_evidence)
+        assert rebuilt is not w_ev and rebuilt == w_ev and hash(rebuilt) == hash(w_ev)
+        assert {ev: 1}[again] == 1
 
     def test_zero_member(self):
         member, ev = assemble_member(CFG2, 0, 0, [])

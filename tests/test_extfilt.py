@@ -13,7 +13,6 @@ from approxcat.errors import (
 )
 from approxcat.extfilt import (
     FiltrationCertificate,
-    _family_kind,
     OrderedFamily,
     filt_exchange,
     filt_normalize,
@@ -164,6 +163,16 @@ class TestMemberExt:
         with pytest.raises(RationalFieldUnsupportedError):
             member_ext(jordan(Q, 2), AddCategory([s]), AddCategory([s]))
 
+    def test_an_ordered_family_is_a_handle(self):
+        s1 = Rep.simple(LOOP_EXIT, F2, 0)
+        m = beta_module(F2)
+        w = w_module(F2)
+        x = OrderedFamily([s1])
+        assert isinstance(x, AddCategory) and repr(x) == "AddCategory([(1, 0)])"
+        ev = member_ext(w, x, AddCategory([m]))
+        assert ev is not None
+        assert verify_evidence(ev, w, ExtCategory(AddCategory([s1]), AddCategory([m])))
+
 
 class TestMemberFilt:
     def test_socle_filtration_of_projective(self):
@@ -244,8 +253,37 @@ class TestMemberFilt:
         by_list = member_filt(p1(F2), [s2, s1], 2)
         by_handle = member_filt(p1(F2), AddCategory([s2, s1]), 2)
         by_family = member_filt(p1(F2), OrderedFamily([s2, s1]), 2)
-        for cert in (by_list, by_handle, by_family):
+        by_tuple = member_filt(p1(F2), (s2, s1), 2)
+        for cert in (by_list, by_handle, by_family, by_tuple):
             assert cert is not None and cert.verify()
+        dumps = {json.dumps(certificate_to_jsonable(c), sort_keys=True)
+                 for c in (by_list, by_handle, by_family, by_tuple)}
+        assert len(dumps) == 1
+
+    def test_equal_generator_lists_share_one_handle(self):
+        s1 = Rep.simple(A2, F2, 0)
+        s2 = Rep.simple(A2, F2, 1)
+        first = member_filt(p1(F2), [s2, s1], 2).family
+        assert member_filt(p1(F2), [Rep.simple(A2, F2, 1), s1], 2).family is first
+        assert member_filt(p1(F2), (s2, s1), 2).family is first
+        assert member_filt(p1(F2), [s1, s2], 2).family is not first
+        handle = OrderedFamily([s2, s1])
+        assert handle is not first and handle == first
+        assert member_filt(p1(F2), handle, 2).family is handle
+
+    def test_interned_handles_are_bounded(self):
+        info = extfilt._interned.cache_info
+        assert info().maxsize is not None
+        for d in range(100):
+            extfilt._as_family([Rep(A2, F2, [d, 1])])
+        assert 0 < info().currsize <= info().maxsize
+
+    def test_kind_is_computed_once_per_handle(self):
+        s1 = Rep.simple(A2, F2, 0)
+        handle = AddCategory([s1, p1(F2)])
+        assert handle.kind() == (False, None)
+        assert handle.kind() is handle.kind()
+        assert AddCategory([s1]).kind() == (True, frozenset({0}))
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ShapeError):
@@ -256,7 +294,7 @@ class TestMemberFilt:
         s2 = Rep.simple(A2, F2, 1)
 
         def support(gens):
-            return _family_kind(AddCategory(gens, quiver=A2, field=F2))[1]
+            return AddCategory(gens, quiver=A2, field=F2).kind()[1]
 
         assert support([]) == frozenset()
         assert support([s1, direct_sum([s1, s1])[0]]) == frozenset({0})
@@ -393,10 +431,9 @@ class TestFiltExchange:
 
 
 def _certify(filt, family):
-    handle = family.add_handle()
     evidence = []
     for j in range(filt.depth):
-        ev = member_add(filt.factor(j), handle)
+        ev = member_add(filt.factor(j), family)
         assert ev is not None
         evidence.append(ev)
     return FiltrationCertificate(filt, filt.top, family, tuple(evidence))
@@ -412,7 +449,7 @@ class TestFiltrationCertificateVerify:
         filt = Filtration([RepMorphism.zero(z, s),
                            RepMorphism(s, j2, [Matrix(F2, 2, 1, [1, 0])], check=False)])
         family = OrderedFamily([s])
-        ev = member_add(s, family.add_handle())
+        ev = member_add(s, family)
         assert FiltrationCertificate(filt, j2, family, (ev, ev)).verify() is False
 
 

@@ -92,13 +92,12 @@ def cases(draw):
 @given(cases())
 def test_member_filt_agrees_with_the_peel_search(case):
     m, family = case
-    handle = family.add_handle()
-    assert extfilt._family_kind(handle)[1] is not None
+    assert family.kind()[1] is not None
     budget = Budget()
     memo = {}
     for r in range(1, 5):
-        want = ref_min_depth(m, handle, r, budget, memo)
-        assert extfilt._min_depth(m, handle, r, budget) == want
+        want = ref_min_depth(m, family, r, budget, memo)
+        assert extfilt._min_depth(m, family, r, budget) == want
         cert = member_filt(m, family, r)
         assert (cert is not None) == (want is not None)
         if cert is not None:

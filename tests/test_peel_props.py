@@ -113,7 +113,7 @@ def cases(draw):
                            max_size=q.vertex_count).filter(any)
     gens = [Rep(q, F, dims) for dims in draw(st.lists(dim_vectors, min_size=1, max_size=3))]
     handle = AddCategory(gens, quiver=q, field=F)
-    assume(extfilt._family_kind(handle) == (True, None))
+    assume(handle.kind() == (True, None))
     return m, handle
 
 

@@ -201,6 +201,17 @@ class TestFiltrationCertificates:
         del data["filtration"]["steps"][0]
         assert not verify_certificate(data)
 
+    def test_empty_family_is_refused_by_the_reader(self):
+        # the zero member over an explicit empty family certifies in process,
+        # but the reader builds the family from its generators alone
+        cert = member_filt(Rep.zero(A2, F2), AddCategory([], quiver=A2, field=F2), 1)
+        assert cert is not None and cert.verify()
+        data = through_json(certificate_to_jsonable(cert))
+        assert data["family"] == [] and data["factor_assignments"][0]["multiplicities"] == []
+        assert verify_certificate(data) is False
+        with pytest.raises(ApproxcatError):
+            filtration_certificate_from_jsonable(data)
+
 
 class TestRefutationWitnesses:
     def test_round_trip(self):

@@ -72,12 +72,11 @@ def ref_peel(m, support, r):
 def ref_build(m, family, r):
     """The certificate as built before the series was shared: one series
     per peeled quotient, terms from composite projections."""
-    handle = family.add_handle()
-    support = extfilt._family_kind(handle)[1]
+    support = family.kind()[1]
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     terms = []
     cur = m
-    while not extfilt._add_decide(cur, handle):
+    while not extfilt._add_decide(cur, family):
         proj = ref_peel(cur, support, r)
         projs = [p @ c for p, c in zip(proj.components, projs)]
         terms.append(subrep_from_bases(m, [c.kernel_basis() for c in projs]))
@@ -87,7 +86,7 @@ def ref_build(m, family, r):
     filt = Filtration(extfilt._chain_steps(zero, RepMorphism.zero(zero, m), terms))
     evidence = []
     for j in range(filt.depth):
-        ev = member_add(filt.factor(j), handle)
+        ev = member_add(filt.factor(j), family)
         if ev is None:
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)
@@ -147,7 +146,7 @@ def dump(cert):
 @given(cases())
 def test_one_series_certificates_equal_the_per_quotient_build(case):
     m, family = case
-    support = extfilt._family_kind(family.add_handle())[1]
+    support = family.kind()[1]
     assert support is not None
     series = ref_radical_series(m, support)
     for r in range(1, 6):
