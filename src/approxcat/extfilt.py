@@ -11,6 +11,13 @@ semisimple representation supported on that vertex set T) it reads the
 Loewy series over every field, with no search and no budget: for
 rad_T(N) = sum_a a(N) + sum_{x not in T} N_x, N lies in F_r iff
 rad_T^r(N) = 0, and m/U lies in F_(r-1) iff U contains rad_T^(r-1)(m).
+For the total arrow operator A of m (block (t, s) the sum of m_a over the
+arrows a: s -> t), im A^k lies in rad_T^k(m), so a member has A nilpotent
+and every loop map of trace 0. The decision runs in that order: a loop
+map of nonzero trace, then a nonzero A^(2^j) with 2^j >= dim m, answers
+None before any series term is built; only a nilpotent A gets its series,
+which still answers None if it stops short of 0. An acyclic quiver, whose
+A is nilpotent, skips the test.
 Other families peel an add(S) bottom layer from m and search the
 quotients within the budget, over a prime field only. The
 layers come from SubrepSearch: over m, or, for a family with zero arrow
@@ -182,15 +189,44 @@ def _add_decide(m: Rep, handle: AddCategory) -> bool:
 _depth_memo: dict = {}
 
 
+def _nilpotent(m: Rep) -> bool:
+    """Whether the total arrow operator A of m is nilpotent: A acts on the
+    sum of the m_x, with block (t, s) the sum of m_a over the arrows
+    a: s -> t. Decided by the loop maps' traces, then by squaring A until
+    the exponent reaches dim m, stopping early at zero."""
+    if any(m.map(a.id).trace() for a in m.quiver.arrows if a.source == a.target):
+        return False  # a nilpotent loop map has trace 0 over every field
+    blocks = {}
+    for a in m.quiver.arrows:
+        b = blocks.get((a.target, a.source))
+        blocks[a.target, a.source] = m.map(a.id) if b is None else b + m.map(a.id)
+    power, k = blocks.get((0, 0)), 1  # a single vertex on a cycle carries a loop
+    if len(m.dims) > 1:
+        power = vstack([hstack([blocks.get((t, s)) or Matrix.zeros(m.field, dt, ds)
+                                for s, ds in enumerate(m.dims)]) for t, dt in enumerate(m.dims)])
+    while k < m.total_dim and not power.is_zero():
+        power, k = power @ power, 2 * k
+    return power.is_zero()
+
+
 def _radical_series(m: Rep, support) -> Optional[list]:
     """The nonzero terms rad_T^k(m), k = 0, 1, ..., for T = support; their
     number is the Loewy length. R_0 = m is its dimension vector, which is
     all its readers need, and every later term is a list of per-vertex
-    bases. None when the series stops shrinking at a nonzero term, so that
-    m lies in no F_r."""
+    bases. None when the series never reaches 0, so that m lies in no F_r.
+
+    im A^k lies in rad_T^k(m) for the total arrow operator A (_nilpotent),
+    so a member has A nilpotent and its loop maps of trace 0: a nonzero
+    trace, then a non-nilpotent A, gives None before any term is built; an
+    acyclic quiver skips the test. A nilpotent A gets the series, which
+    still gives None if it stops shrinking at a nonzero term. Where no two
+    paths of one length share both ends, as on the one-loop quiver, A^k
+    is made of single path maps and that never happens."""
     F, dims = m.field, m.dims
-    if any(d for x, d in enumerate(dims) if x not in support):
-        return None  # rad_T keeps all of m_x at a vertex x outside T: no term is 0
+    # rad_T keeps all of m_x at a vertex x outside T, and a member's A is nilpotent
+    if any(d for x, d in enumerate(dims) if x not in support) or not (
+            m.quiver.is_acyclic or _nilpotent(m)):
+        return None
     series, term, size = [], dims, sum(dims)
     while size:
         parts = [[] for _ in dims]
@@ -282,7 +318,9 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     S is an add handle (OrderedFamily is the same type) or a plain
     generator list, which is interned: equal lists share one handle, whose
     kind is computed once. A vertex-simple family is decided by the Loewy
-    length over every field, with no budget; any other family's peel
+    length over every field, with no budget: a loop map of nonzero trace,
+    or a total arrow operator that is not nilpotent, is refused before the
+    radical series is built (see _radical_series). Any other family's peel
     search stays within the budget and needs a prime field.
     """
     if r < 1:

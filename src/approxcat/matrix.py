@@ -165,6 +165,14 @@ class Matrix:
         out = [sum(map(mul, row, col), zero) for row in arows for col in bcols]
         return Matrix._trusted(F, n, m, [x % p for x in out] if p else out)
 
+    def trace(self):
+        """The sum of the diagonal entries of a square matrix."""
+        if self.rows != self.cols:
+            raise ShapeError(f"trace of a non-square {self.rows}x{self.cols} matrix")
+        p = self.field.modulus
+        t = sum(self._e[:: self.cols + 1], self.field.zero)
+        return t % p if p else t
+
     def transpose(self) -> "Matrix":
         e = self._e
         c = self.cols

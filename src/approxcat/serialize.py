@@ -6,6 +6,10 @@ tag plus enough context (quiver, field) to rebuild the objects from the
 file alone. verify_certificate re-runs the certificate's own verification
 on the rebuilt objects, so stored certificates never have to be trusted:
 tampering shows up as a False, not as a crash.
+
+The filtration and refutation forms import extfilt and counterex in the
+functions that build their objects, so reading or writing one kind of
+certificate loads no other kind's module.
 """
 
 from .approx import (
@@ -15,9 +19,7 @@ from .approx import (
     ExtCategory,
     ExtEvidence,
 )
-from .counterex import LoopQuiverConfig, RefutationWitness
 from .errors import ApproxcatError, CertificateError, _need, _typed
-from .extfilt import FiltrationCertificate
 from .fields import FieldSpec
 from .matrix import Matrix
 from .quiver import Quiver
@@ -146,11 +148,13 @@ def filtration_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Filtrati
     return Filtration(steps)
 
 
-def config_to_jsonable(cfg: LoopQuiverConfig) -> dict:
+def config_to_jsonable(cfg) -> dict:
     return {"n_loops": cfg.n_loops, "field": cfg.field.label}
 
 
-def config_from_jsonable(data) -> LoopQuiverConfig:
+def config_from_jsonable(data):
+    from .counterex import LoopQuiverConfig
+
     return LoopQuiverConfig(
         _need(data, "n_loops", int), FieldSpec.from_label(_need(data, "field"))
     )
@@ -182,7 +186,7 @@ def approx_certificate_from_jsonable(data) -> ApproxCertificate:
     )
 
 
-def filtration_certificate_to_jsonable(cert: FiltrationCertificate) -> dict:
+def filtration_certificate_to_jsonable(cert) -> dict:
     quiver = cert.member.quiver
     field = cert.member.field
     return {
@@ -199,12 +203,14 @@ def filtration_certificate_to_jsonable(cert: FiltrationCertificate) -> dict:
     }
 
 
-def filtration_certificate_from_jsonable(data) -> FiltrationCertificate:
+def filtration_certificate_from_jsonable(data):
+    from .extfilt import FiltrationCertificate
+
     quiver = Quiver.from_jsonable(_need(data, "quiver"))
     field = FieldSpec.from_label(_need(data, "field"))
-    # no explicit quiver and field: a certificate with an empty family is refused
     family = AddCategory(
-        [rep_from_jsonable(quiver, field, g) for g in _need(data, "family", list)]
+        [rep_from_jsonable(quiver, field, g) for g in _need(data, "family", list)],
+        quiver=quiver, field=field,
     )
     return FiltrationCertificate(
         filtration=filtration_from_jsonable(quiver, field, _need(data, "filtration")),
@@ -217,7 +223,7 @@ def filtration_certificate_from_jsonable(data) -> FiltrationCertificate:
     )
 
 
-def refutation_witness_to_jsonable(witness: RefutationWitness) -> dict:
+def refutation_witness_to_jsonable(witness) -> dict:
     return {
         "format": FORMAT,
         "type": "refutation",
@@ -235,7 +241,9 @@ def refutation_witness_to_jsonable(witness: RefutationWitness) -> dict:
     }
 
 
-def refutation_witness_from_jsonable(data) -> RefutationWitness:
+def refutation_witness_from_jsonable(data):
+    from .counterex import RefutationWitness
+
     cfg = config_from_jsonable(_need(data, "config"))
     quiver = cfg.quiver()
     field = cfg.field
@@ -259,11 +267,13 @@ def refutation_witness_from_jsonable(data) -> RefutationWitness:
 
 
 def certificate_to_jsonable(cert) -> dict:
-    if isinstance(cert, ApproxCertificate):
+    # by class name, so that writing one kind imports no other kind's module
+    name = type(cert).__name__
+    if name == "ApproxCertificate":
         return approx_certificate_to_jsonable(cert)
-    if isinstance(cert, FiltrationCertificate):
+    if name == "FiltrationCertificate":
         return filtration_certificate_to_jsonable(cert)
-    if isinstance(cert, RefutationWitness):
+    if name == "RefutationWitness":
         return refutation_witness_to_jsonable(cert)
     raise CertificateError(f"not a certificate: {cert!r}")
 

@@ -668,6 +668,25 @@ class TestScenario:
         assert out["error"]["code"] == "ShapeMismatch"
         assert "no-such-thing" in out["error"]["message"]
 
+    def test_unknown_scenario_with_knobs_is_reported_as_unknown(self, capsys):
+        code, out, _ = run(capsys, ["scenario", "no-such-thing", "--samples", "3"])
+        assert code == 2
+        assert out["error"]["code"] == "ShapeMismatch"
+        assert "unknown scenario 'no-such-thing'" in out["error"]["message"]
+
+
+def test_cli_import_loads_no_command_module():
+    # a fresh interpreter: this process has imported everything already
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, approxcat.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split("'")
+    assert "approxcat.cli" in loaded and "approxcat.serialize" in loaded
+    assert not {"approxcat.counterex", "approxcat.extfilt", "approxcat.scenarios"} & set(loaded)
+
 
 class TestUsageErrors:
     """A usage error is an input error like any other: one JSON report on

@@ -201,16 +201,18 @@ class TestFiltrationCertificates:
         del data["filtration"]["steps"][0]
         assert not verify_certificate(data)
 
-    def test_empty_family_is_refused_by_the_reader(self):
-        # the zero member over an explicit empty family certifies in process,
-        # but the reader builds the family from its generators alone
+    def test_empty_family_round_trips(self):
+        # the zero member over an explicit empty family: the reader builds the
+        # family over the certificate's own quiver and field, so what verifies
+        # in process verifies from its JSON too
         cert = member_filt(Rep.zero(A2, F2), AddCategory([], quiver=A2, field=F2), 1)
         assert cert is not None and cert.verify()
         data = through_json(certificate_to_jsonable(cert))
         assert data["family"] == [] and data["factor_assignments"][0]["multiplicities"] == []
-        assert verify_certificate(data) is False
-        with pytest.raises(ApproxcatError):
-            filtration_certificate_from_jsonable(data)
+        assert verify_certificate(data) is True
+        back = filtration_certificate_from_jsonable(data)
+        assert back.verify() and back.family == cert.family
+        assert certificate_to_jsonable(back) == data
 
 
 class TestRefutationWitnesses:
