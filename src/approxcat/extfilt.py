@@ -30,15 +30,17 @@ onto the k-th peeled quotient. A vertex-simple certificate reads the
 radical series of m that decided membership, since rad_T(m/U) =
 (rad_T(m) + U)/U: once the peeled quotient's Loewy length reaches the
 remaining depth, each further term is rad_T^j(m) + U, spanned with the
-last peeled term's bases. Each step's cokernel is computed once and kept
-by its Filtration, where the certificate's evidence, verify, filt_exchange
-and filt_normalize all read it.
+last peeled term's bases. Over a zero-map family its factors act by
+zero, so their evidence is read off the step dimensions; verify,
+filt_exchange, filt_normalize and other families' evidence read the
+cokernel that the Filtration keeps for each step.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
-Ext group vanishes, and filt_normalize applies the exchange as a bubble
-sort to bring any filtration certificate over an ordered family
-(X_1, ..., X_n) with Ext1(X_i, X_j) = 0 for i <= j into the normal form
-with at most n layers, each a direct sum of copies of a single X_i.
+Ext group vanishes, checked by isomorphisms it constructs, and
+filt_normalize applies the exchange as a bubble sort to bring any
+filtration certificate over an ordered family (X_1, ..., X_n) with
+Ext1(X_i, X_j) = 0 for i <= j into the normal form with at most n
+layers, each a direct sum of copies of a single X_i.
 
 A family is its add handle, an AddCategory whose generator order is the
 family order (OrderedFamily names the same type). The handle's kind (zero
@@ -89,7 +91,6 @@ from .rep import (
     is_split,
     iso_test,
     preimage_subrep,
-    ses_verify,
     subrep_from_bases,
 )
 from .search import Budget, SubrepSearch, _require_prime, default_budget, iter_subreps
@@ -175,11 +176,6 @@ def _dims_feasible(handle: AddCategory, dims) -> bool:
     """Whether dims = sum of c_i * dims(generator i) has a solution in
     non-negative integers."""
     return next(_multiplicities([g.dims for g in handle.generators], dims), None) is not None
-
-
-def _add_decide(m: Rep, handle: AddCategory) -> bool:
-    """Membership decision for add(handle)."""
-    return member_add(m, handle) is not None
 
 
 # filtration depths: per (support T, representation) the radical series of
@@ -291,7 +287,7 @@ def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optiona
     minimum is at most r."""
     if cap < 1:
         return None
-    if _add_decide(m, handle):
+    if member_add(m, handle) is not None:
         return 1
     if cap <= 1:
         return None
@@ -312,8 +308,8 @@ def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optiona
 
 
 def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[FiltrationCertificate]:
-    """A verified filtration of m with at most r layers, each factor a
-    member of add(S), or None when no such filtration exists.
+    """A filtration certificate of m (built, not verified) with at most r
+    layers, each factor a member of add(S), or None when none exists.
 
     S is an add handle (OrderedFamily is the same type) or a plain
     generator list, which is interned: equal lists share one handle, whose
@@ -372,7 +368,9 @@ def _first_peel(m: Rep, support) -> RepMorphism:
 def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
     """The injective steps from prev_rep through the terms of chain, a list
     of (term, inclusion) pairs of subrepresentations of one representation,
-    each containing the previous one."""
+    each containing the previous one. A step s exactly solves
+    t_incl s = prev_incl, which makes it natural (both inclusions are
+    natural, t_incl injective), so it is not checked again."""
     steps = []
     for t_rep, t_incl in chain:
         comps = [
@@ -381,7 +379,7 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
         ]
         if any(c is None for c in comps):
             raise ApproxcatError("filtration terms do not chain")
-        steps.append(RepMorphism(prev_rep, t_rep, comps))
+        steps.append(RepMorphism(prev_rep, t_rep, comps, check=False))
         prev_rep, prev_incl = t_rep, t_incl
     return steps
 
@@ -404,7 +402,7 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     u = [Matrix.zeros(m.field, d, 0) for d in m.dims]
     terms, cur, top = [], m, 0
-    while not _add_decide(cur, family):
+    while member_add(cur, family) is None:
         if series is None:
             proj = _peel(cur, family, r, budget)
         # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
@@ -424,16 +422,25 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
         terms.append(subrep_from_bases(m, bases))
     zero = Rep.zero(m.quiver, m.field)
     bottom = RepMorphism.zero(zero, m)
-    # the top step into m is the last term's inclusion, already checked natural
+    # the top step into m is the last term's inclusion, natural by construction
     steps = _chain_steps(zero, bottom, terms) + [terms[-1][1] if terms else bottom]
     return _certify(Filtration(steps), m, family)
 
 
 def _certify(filt: Filtration, member: Rep, family: AddCategory) -> FiltrationCertificate:
-    """The certificate of filt with add evidence for every factor."""
+    """The certificate of filt with add evidence for every factor.
+
+    Precondition: over a semisimple family (family.kind()[0]), member_filt
+    or filt_normalize built filt, so every factor acts by zero (a peel lies
+    in the joint kernels, a radical layer is killed by rad_T, a merged run
+    splits as Ext1(X_i, X_i) = 0), and factor j is the zero-map rep on
+    dims(M_j+1) - dims(M_j): no step cokernel is taken. Other families
+    read filt.factor(j)."""
     evidence = []
-    for j in range(filt.depth):
-        ev = member_add(filt.factor(j), family)
+    for j, step in enumerate(filt.steps):
+        factor = filt.factor(j) if not family.kind()[0] else Rep(
+            member.quiver, member.field, [t - s for s, t in zip(step.source.dims, step.target.dims)])
+        ev = member_add(factor, family)
         if ev is None:
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)
@@ -448,9 +455,12 @@ def filt_exchange(f: Filtration, i: int) -> Filtration:
     M_{i+1} is replaced so that the new i-th factor is isomorphic to the old
     (i+1)-st and vice versa.
 
-    Requires Ext1(factor(i+1), factor(i)) = 0; then the short exact
-    sequence relating the two factors inside M_{i+2}/M_i splits, and the
-    replacement term is the preimage of the section's image.
+    Requires Ext1(factor(i+1), factor(i)) = 0; then the sequence
+    A -> B -> C of the two factors in B = M_{i+2}/M_i splits by a section
+    sigma, and the new term N is the preimage of im sigma. The swap is
+    checked on the isomorphisms the construction gives, with no search:
+    N/M_i -> C induced by q_c = c_bar q_b, and a_bar followed by
+    B -> M_{i+2}/N, as B = a_bar(A) + im sigma.
     """
     if i < 0 or i + 1 >= f.depth:
         raise ShapeError(f"no adjacent factor pair at step {i}")
@@ -465,19 +475,18 @@ def filt_exchange(f: Filtration, i: int) -> Filtration:
     _, q_b = cokernel(vu)
     a_bar = factor_through_cokernel(q_a, compose(q_b, v))
     c_bar = factor_through_cokernel(q_b, q_c)
-    ses = ShortExactSeq(a_bar, c_bar)
-    if not ses_verify(ses):
-        raise ApproxcatError("factor sequence is not exact; filtration is broken")
-    sigma = is_split(ses)
+    sigma = is_split(ShortExactSeq(a_bar, c_bar))
     if sigma is None:
         raise ApproxcatError("section missing despite vanishing Ext; this is a bug")
-    im_sigma, incl_sigma, _ = image(sigma)
+    _, incl_sigma, _ = image(sigma)
     new_mid, new_incl = preimage_subrep(q_b, incl_sigma)
     steps = list(f.steps)
     steps[i] = _chain_steps(u.source, vu, [(new_mid, new_incl)])[0]
     steps[i + 1] = new_incl
     out = Filtration(steps)
-    if iso_test(out.factor(i), c_rep) is None or iso_test(out.factor(i + 1), a_rep) is None:
+    to_c = factor_through_cokernel(out.step_cokernel(i)[1], compose(q_c, new_incl))
+    from_a = compose(factor_through_cokernel(q_b, out.step_cokernel(i + 1)[1]), a_bar)
+    if not (to_c.is_iso() and from_a.is_iso()):
         raise ApproxcatError("exchanged factors are not the swapped originals")
     return out
 

@@ -753,7 +753,8 @@ def projective_epi(m: Rep):
 
 
 def subrep_from_bases(rep: Rep, bases):
-    """(U, incl) for an arrow-stable family of full-column-rank bases."""
+    """(U, incl) for an arrow-stable family of full-column-rank bases; each
+    arrow map of U solves incl's naturality equation, so it is not rechecked."""
     q, F = rep.quiver, rep.field
     dims = [b.cols for b in bases]
     maps = {}
@@ -763,7 +764,7 @@ def subrep_from_bases(rep: Rep, bases):
             raise ShapeError("bases are not arrow-stable")
         maps[a.id] = ua
     u = Rep(q, F, dims, maps)
-    return u, RepMorphism(u, rep, bases)
+    return u, RepMorphism(u, rep, bases, check=False)
 
 
 def preimage_subrep(f: RepMorphism, incl: RepMorphism):

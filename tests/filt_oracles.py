@@ -1,7 +1,27 @@
 """Test-only oracles for the filtration layer, each a direct computation
-that the library no longer makes."""
+that the library no longer makes, and a builder of filtrations with given
+factors."""
 
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from approxcat.approx import member_add
+from approxcat.errors import CertificateError
+from approxcat.extfilt import FiltrationCertificate
 from approxcat.matrix import Matrix, hstack
+from approxcat.rep import (
+    Filtration,
+    Rep,
+    RepMorphism,
+    _cocycle_combination,
+    cokernel,
+    ext1_basis,
+    extension_from_cocycle,
+)
+
+# small rationals, so that products of Q entries stay small
+Q_POOL = [0, 0, 1, -1, 2, Fraction(1, 2)]
 
 
 def ref_radical_series(m, support):
@@ -25,3 +45,43 @@ def ref_radical_series(m, support):
         series.append(term)
         term, size = nxt, nsize
     return series
+
+
+def ref_certify(filt, member, family):
+    """The certificate of filt as it was built before factors over a family
+    with zero arrow maps were read from dimensions: a cokernel of every
+    step, then add membership of that factor."""
+    evidence = []
+    for step in filt.steps:
+        ev = member_add(cokernel(step)[0], family)
+        if ev is None:
+            raise CertificateError("a filtration factor failed add membership")
+        evidence.append(ev)
+    return FiltrationCertificate(filt, member, family, tuple(evidence))
+
+
+@st.composite
+def extension_chains(draw, layers):
+    """A filtration 0 = M_0 < M_1 < ... < M_k whose factor j is layers[j]:
+    M_(j+1) is the extension of layers[j] by M_j with a drawn combination of
+    the ext1_basis as its cocycle, and the top is moved by a drawn change of
+    basis at each vertex (the identity where the drawn matrix is singular)."""
+    F = layers[0].field
+    scalar = st.integers(0, F.modulus - 1) if F.modulus else st.sampled_from(Q_POOL)
+    cur, steps = Rep.zero(layers[0].quiver, F), []
+    for layer in layers:
+        basis = ext1_basis(layer, cur)
+        coeffs = draw(st.lists(scalar, min_size=len(basis), max_size=len(basis)))
+        ses = extension_from_cocycle(layer, cur, _cocycle_combination(basis, coeffs))
+        steps.append(ses.i)
+        cur = ses.mid
+    change = []
+    for d in cur.dims:
+        g = Matrix(F, d, d, draw(st.lists(scalar, min_size=d * d, max_size=d * d)))
+        change.append(g if g.is_invertible() else Matrix.identity(F, d))
+    inverse = [g.solve(Matrix.identity(F, g.rows)) for g in change]
+    top = Rep(cur.quiver, F, cur.dims, {
+        a.id: change[a.target] @ cur.map(a.id) @ inverse[a.source] for a in cur.quiver.arrows})
+    steps[-1] = RepMorphism(steps[-1].source, top,
+                            [g @ c for g, c in zip(change, steps[-1].components)])
+    return Filtration(steps)

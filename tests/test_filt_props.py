@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxcat import extfilt
+from approxcat.approx import member_add
 from approxcat.extfilt import OrderedFamily, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
@@ -31,7 +32,7 @@ def ref_min_depth(m, handle, cap, budget, memo):
     or None."""
     if cap < 1:
         return None
-    if extfilt._add_decide(m, handle):
+    if member_add(m, handle) is not None:
         return 1
     if cap <= 1:
         return None
@@ -48,7 +49,7 @@ def ref_min_depth(m, handle, cap, budget, memo):
         if sum(e.k for e in combo) in (0, m.total_dim):
             continue
         sub, incl = search.build(combo)
-        if not extfilt._add_decide(sub, handle):
+        if member_add(sub, handle) is None:
             continue
         quot, _ = cokernel(incl)
         inner = ref_min_depth(quot, handle, cap - 1 if best is None else best - 2, budget, memo)

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from approxcat import extfilt
-from approxcat.approx import AddCategory
+from approxcat.approx import AddCategory, member_add
 from approxcat.errors import ApproxcatError, BudgetExceededError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
@@ -134,7 +134,7 @@ def test_peel_candidates_equal_the_kernel_walk(case):
     assert got == outcome(ref_kernel_peel_candidates(m, handle, budget))
     assert isinstance(got, list)
     for incl in got:
-        assert extfilt._add_decide(incl.source, handle)
+        assert member_add(incl.source, handle) is not None
         assert RepMorphism(incl.source, m, incl.components).is_injective()
 
 

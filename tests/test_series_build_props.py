@@ -76,7 +76,7 @@ def ref_build(m, family, r):
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     terms = []
     cur = m
-    while not extfilt._add_decide(cur, family):
+    while member_add(cur, family) is None:
         proj = ref_peel(cur, support, r)
         projs = [p @ c for p, c in zip(proj.components, projs)]
         terms.append(subrep_from_bases(m, [c.kernel_basis() for c in projs]))

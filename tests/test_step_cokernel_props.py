@@ -1,8 +1,11 @@
 """Property test of the cokernel a filtration keeps for each step.
 
 A Filtration computes the cokernel of each step once, on first use, and
-keeps it; the certificate construction, verify, filt_exchange and
-filt_normalize all read that one factor. Over F2, F3 and Q, for
+keeps it; verify, filt_exchange, filt_normalize and the certificate
+construction over a family with nonzero arrow maps all read that one
+factor (over a zero-map family the construction reads each factor off the
+dimensions of its step, which test_filt_evidence_props checks). Over F2,
+F3 and Q, for
 certificates from member_filt (vertex-simple families, and over F_p
 families that the peel search decides), from filt_normalize, and read back
 from JSON, every kept factor and projection must equal a fresh cokernel of
