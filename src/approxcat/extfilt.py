@@ -28,19 +28,22 @@ arrow maps, so no elimination is cached on m. The certificate is lifted
 to m in one pass: term k is the kernel of the composite projection of m
 onto the k-th peeled quotient. A vertex-simple certificate reads the
 radical series of m that decided membership, since rad_T(m/U) =
-(rad_T(m) + U)/U: once the peeled quotient's Loewy length reaches the
-remaining depth, each further term is rad_T^j(m) + U, spanned with the
-last peeled term's bases. Over a zero-map family its factors act by
-zero, so their evidence is read off the step dimensions; verify,
-filt_exchange, filt_normalize and other families' evidence read the
-cokernel that the Filtration keeps for each step.
+(rad_T(m) + U)/U: the peel stops when the quotient's Loewy length is at
+most 1, and once that length reaches the remaining depth, each further
+term is rad_T^j(m) + U, spanned with the last peeled term's bases. Over
+a zero-map family its factors act by zero, so their evidence is read off
+the step dimensions; verify, filt_exchange, filt_normalize and other
+families' evidence read the cokernel that the Filtration keeps for each
+step.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, checked by isomorphisms it constructs, and
 filt_normalize applies the exchange as a bubble sort to bring any
 filtration certificate over an ordered family (X_1, ..., X_n) with
 Ext1(X_i, X_j) = 0 for i <= j into the normal form with at most n
-layers, each a direct sum of copies of a single X_i.
+layers, each a direct sum of copies of a single X_i. Over a semisimple
+family it reads each input layer's counts off the step dimensions, and
+takes a step cokernel only for a layer that mixes generators.
 
 A family is its add handle, an AddCategory whose generator order is the
 family order (OrderedFamily names the same type). The handle's kind (zero
@@ -389,7 +392,10 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
     """Certificate construction mirroring the decision order; the caller
     guarantees membership. Peels until the quotient lies in add, then lifts
     in one pass: term k is the kernel of the composite projection onto the
-    k-th quotient, the preimage of the quotient's own filtration.
+    k-th quotient, the preimage of the quotient's own filtration. Other
+    families decide that stop by add membership; a vertex-simple family by
+    the Loewy length the loop computes anyway, as m/U lies in add(S)
+    exactly when that length is at most 1.
 
     A vertex-simple family passes the radical series R_k of m that decided
     membership; other families pass None and peel by search. Since
@@ -402,16 +408,21 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
     projs = [Matrix.identity(m.field, d) for d in m.dims]
     u = [Matrix.zeros(m.field, d, 0) for d in m.dims]
     terms, cur, top = [], m, 0
-    while member_add(cur, family) is None:
+    while True:
         if series is None:
+            if member_add(cur, family) is not None:
+                break
             proj = _peel(cur, family, r, budget)
-        # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
-        elif next((k for k in range(1, len(series)) if all(
-                (p @ b).is_zero() for p, b in zip(projs, series[k]))), len(series)) < r:
-            proj = _first_peel(cur, support)
         else:
-            top = r
-            break
+            # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
+            length = next((k for k in range(1, len(series)) if all(
+                (p @ b).is_zero() for p, b in zip(projs, series[k]))), len(series))
+            if length <= 1:
+                break
+            if length >= r:
+                top = r
+                break
+            proj = _first_peel(cur, support)
         projs = [p @ c for p, c in zip(proj.components, projs)]
         u = [c.kernel_basis() for c in projs]
         terms.append(subrep_from_bases(m, u))
@@ -509,40 +520,56 @@ def _refine_layers(filt: Filtration, family: AddCategory):
     with zero factor is an isomorphism: it is composed into the next step
     before that step's cokernel is taken, or onto the last step at the top.
     Returns the refined filtration and a parallel list of generator indices;
-    a filtration of the zero representation keeps one layer, index None."""
-    gens = family.generators
+    a filtration of the zero representation keeps one layer, index None.
+
+    Over a semisimple family (family.kind()[0]) with Ext1(X_i, X_i) = 0,
+    which filt_normalize checks, a layer's counts are the first
+    multiplicities of its dimension difference: dim Ext1(S_s, S_t) counts
+    the arrows s -> t, so no arrow joins two vertices of supp X_i, and
+    every representation of dims c * dims(X_i) is X_i^c. Only a layer whose
+    counts mix generators, and which needs an isomorphism to split, takes
+    its cokernel and decides add membership, which refuses a factor outside
+    add. Other families decide every layer so."""
+    gens, semisimple = family.generators, family.kind()[0]
+    gen_dims = [g.dims for g in gens]
+
+    def effective(counts):
+        return [i for i, c in enumerate(counts) if c > 0 and gens[i].total_dim > 0]
+
     steps, indices, iso = [], [], None
     for j, step in enumerate(filt.steps):
-        # an isomorphism composed in keeps the image, so the cokernel is the step's
-        factor, q_j = filt.step_cokernel(j)
+        counts = next(_multiplicities(gen_dims, [t - s for s, t in zip(
+            step.source.dims, step.target.dims)]), None) if semisimple else None
+        if counts is None or len(effective(counts)) > 1:
+            # an isomorphism composed in keeps the image, so the cokernel is the step's
+            factor, q_j = filt.step_cokernel(j)
+            ev = member_add(factor, family)
+            if ev is None:
+                raise CertificateError("input filtration has a factor outside add of the family")
+            counts = ev.multiplicities
+        used = effective(counts)
         if iso is not None:
             step = compose(step, iso)
-        ev = member_add(factor, family)
-        if ev is None:
-            raise CertificateError("input filtration has a factor outside add of the family")
-        effective = [
-            i for i, c in enumerate(ev.multiplicities) if c > 0 and gens[i].total_dim > 0
-        ]
-        iso = None if effective else step
-        if len(effective) == 1:
+        iso = None if used else step
+        if len(used) == 1:
             steps.append(step)
-            indices.append(effective[0])
-        if len(effective) <= 1:
+            indices.append(used[0])
+        if len(used) <= 1:
             continue
-        total, layout = family.canonical_sum(ev.multiplicities)
+        total, layout = family.canonical_sum(counts)
         psi = compose(ev.iso, q_j)
         F = total.field
         cols = [0] * total.quiver.vertex_count
         mids = []
-        for i in range(effective[-1]):
-            cols = [k + d * ev.multiplicities[i] for k, d in zip(cols, gens[i].dims)]
-            if i in effective:
+        for i in range(used[-1]):
+            cols = [k + d * counts[i] for k, d in zip(cols, gens[i].dims)]
+            if i in used:
                 # the first cols[x] coordinates: stable, summand maps are block diagonal
                 bases = [Matrix.identity(F, d).take_cols(range(k)) for d, k in zip(total.dims, cols)]
                 mids.append(preimage_subrep(psi, subrep_from_bases(total, bases)[1]))
         steps.extend(_chain_steps(step.source, step, mids))
         steps.append(mids[-1][1])
-        indices.extend(effective)
+        indices.extend(used)
     if not steps:
         return Filtration([iso]), [None]
     if iso is not None:

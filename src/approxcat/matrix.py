@@ -2,6 +2,9 @@
 rest of the toolkit is built on: reduced row echelon form, kernel and image
 bases, and linear solving. All outputs are deterministic (first-nonzero pivot
 scan, fixed free-variable ordering) so downstream constructions are canonical.
+A coefficient matrix in unit form, as every kernel basis is, is solved by
+selection: b's rows at the unit rows, kept when the product gives b back,
+with no elimination.
 
 Zero-row and zero-column matrices are first class; they carry their shape.
 A product with an empty or all-zero operand is the zero matrix at once, and
@@ -275,16 +278,38 @@ class Matrix:
         _, pivots = self.rref()
         return self.take_cols(pivots)
 
+    def _unit_rows(self):
+        """Per column j the last row u_j with a nonzero entry in it, when
+        every row u_j is the j-th unit vector; else None."""
+        e, c = self._e, self.cols
+        units = []
+        for j in range(c):
+            u = next((i for i in range(self.rows - 1, -1, -1) if e[i * c + j]), None)
+            if u is None or e[u * c + j] != 1 or any(e[u * c : u * c + j]) or any(
+                    e[u * c + j + 1 : (u + 1) * c]):
+                return None
+            units.append(u)
+        return units
+
     def solve(self, b: "Matrix"):
         """A particular solution x of self @ x = b, or None if inconsistent.
 
         b may have several columns; they are solved simultaneously. Free
         variables are set to zero, making the solution canonical.
+
+        A matrix in unit form (_unit_rows: a kernel basis, an identity, a
+        transposed cokernel projection) has independent columns and reads
+        x_j off row u_j, so the only candidate is b's rows at the unit rows,
+        kept when its product gives b back. Other matrices reduce [A | b].
         """
         if self.field != b.field:
             raise FieldMismatchError(f"{self.field.label} vs {b.field.label}")
         if self.rows != b.rows:
             raise ShapeError(f"solve: {self.rows} rows vs rhs {b.rows}")
+        units = self._unit_rows()
+        if units is not None:
+            x = b.take_rows(units)
+            return x if self @ x == b else None
         aug = hstack([self, b])
         R, pivots = aug.rref()
         if pivots and pivots[-1] >= self.cols:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from approxcat.approx import member_add
 from approxcat.errors import CertificateError
-from approxcat.extfilt import FiltrationCertificate
+from approxcat.extfilt import FiltrationCertificate, _chain_steps
 from approxcat.matrix import Matrix, hstack
 from approxcat.rep import (
     Filtration,
@@ -16,8 +16,11 @@ from approxcat.rep import (
     RepMorphism,
     _cocycle_combination,
     cokernel,
+    compose,
     ext1_basis,
     extension_from_cocycle,
+    preimage_subrep,
+    subrep_from_bases,
 )
 
 # small rationals, so that products of Q entries stay small
@@ -58,6 +61,48 @@ def ref_certify(filt, member, family):
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)
     return FiltrationCertificate(filt, member, family, tuple(evidence))
+
+
+def ref_refine_layers(filt, family):
+    """The layer refinement of filt_normalize as it was before layer counts
+    were read off dimensions: a cokernel of every step, then add membership
+    of that factor, whose multiplicities decide the layer."""
+    gens = family.generators
+    steps, indices, iso = [], [], None
+    for j, step in enumerate(filt.steps):
+        factor, q_j = filt.step_cokernel(j)
+        if iso is not None:
+            step = compose(step, iso)
+        ev = member_add(factor, family)
+        if ev is None:
+            raise CertificateError("input filtration has a factor outside add of the family")
+        effective = [
+            i for i, c in enumerate(ev.multiplicities) if c > 0 and gens[i].total_dim > 0
+        ]
+        iso = None if effective else step
+        if len(effective) == 1:
+            steps.append(step)
+            indices.append(effective[0])
+        if len(effective) <= 1:
+            continue
+        total, _ = family.canonical_sum(ev.multiplicities)
+        psi = compose(ev.iso, q_j)
+        F = total.field
+        cols = [0] * total.quiver.vertex_count
+        mids = []
+        for i in range(effective[-1]):
+            cols = [k + d * ev.multiplicities[i] for k, d in zip(cols, gens[i].dims)]
+            if i in effective:
+                bases = [Matrix.identity(F, d).take_cols(range(k)) for d, k in zip(total.dims, cols)]
+                mids.append(preimage_subrep(psi, subrep_from_bases(total, bases)[1]))
+        steps.extend(_chain_steps(step.source, step, mids))
+        steps.append(mids[-1][1])
+        indices.extend(effective)
+    if not steps:
+        return Filtration([iso]), [None]
+    if iso is not None:
+        steps[-1] = compose(iso, steps[-1])
+    return Filtration(steps), indices
 
 
 @st.composite

@@ -1,12 +1,28 @@
 """Test-only oracles for the representation layer: extension classes,
 the Yoneda dimension identity and arrow stability of subspace families,
-each checked by a direct computation that the library does not use."""
+each checked by a direct computation that the library does not use; and
+for the matrix layer, linear solving by reduction of [A | b] alone."""
 
 from approxcat.errors import ApproxcatError
 from approxcat.fields import FieldSpec
-from approxcat.matrix import Matrix
+from approxcat.matrix import Matrix, hstack
 from approxcat.quiver import Quiver
 from approxcat.rep import Rep, ShortExactSeq, _ext_row_layout, _hom_system, hom_dim, projective
+
+
+def ref_solve(a: Matrix, b: Matrix):
+    """Matrix.solve as it was before solutions were read by selection: the
+    RREF of [A | b], None when a pivot falls in b, else b's reduced entries
+    at the pivot rows and zero at every free variable."""
+    R, pivots = hstack([a, b]).rref()
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    n, k, e = a.cols, b.cols, R._e
+    out = [a.field.zero] * (n * k)
+    for r, pc in enumerate(pivots):
+        base = r * (n + k) + n
+        out[pc * k : (pc + 1) * k] = e[base : base + k]
+    return Matrix._trusted(a.field, n, k, out)
 
 
 def _vec_cocycle(v: Rep, w: Rep, blocks) -> Matrix:

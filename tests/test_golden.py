@@ -32,7 +32,7 @@ from approxcat.counterex import (
     refute,
     standard_handle,
 )
-from approxcat.extfilt import fr_enumerate, member_filt
+from approxcat.extfilt import filt_normalize, fr_enumerate, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import a2_quiver, loop_quiver
@@ -120,6 +120,24 @@ def filtration_deep(label):
     s1, s2, _, _ = _a2_reps(F, c)
     m = Rep(A2, F, [3, 2], {"a": Matrix(F, 2, 3, [0, 0, 0, 1, c, 0])})
     return certificate_to_jsonable(member_filt(m, [s2, s1], 4))
+
+
+def normalization(name):
+    """filt_normalize over (S2, S1) of the committed deep certificates
+    (F3, Q), read from their golden files, and of the depth-4 certificate of
+    the A2 rep of dims (3, 2) over F3 whose arrow has image e_0: the first
+    peel is that image, so the top layer S1^3 + S2 mixes both simples and
+    normalization splits it."""
+    if name == "mixed-F3":
+        F, c = FIELDS["F3"], C["F3"]
+        s1, s2, _, _ = _a2_reps(F, c)
+        m = Rep(A2, F, [3, 2], {"a": Matrix(F, 2, 3, [1, c, 0, 0, 0, 0])})
+        cert = member_filt(m, [s2, s1], 4)
+    else:
+        label = name.removeprefix("deep-")
+        cert = certificate_from_jsonable(
+            json.loads((GOLDEN / f"filtration_deep-{label}.json").read_text()))
+    return certificate_to_jsonable(filt_normalize(cert))
 
 
 def filtration_semisimple(label):
@@ -257,6 +275,10 @@ CASES.update({
 CASES.update({
     f"filtration_deep-{label}": (lambda label=label: filtration_deep(label))
     for label in ("F3", "Q")
+})
+CASES.update({
+    f"normalization-{name}": (lambda name=name: normalization(name))
+    for name in ("deep-F3", "deep-Q", "mixed-F3")
 })
 CASES["bases-Q"] = bases_q
 CASES.update({

@@ -1,0 +1,64 @@
+"""Deterministic operation counts of one repetition of a benchmark workload.
+
+    python tools/op_counts.py <workload> <seed> [checkout]
+
+runs every item of the workload's seed once, in this process (the in-process
+workloads: a2-filt, loop-filt, refute-approx-f3), against the
+sources of checkout (default: this repository), and prints one JSON object
+of call counts. A profile hook counts calls by code object, so a function
+imported under another name is still counted. Besides the calls of
+Matrix.rref, Matrix.__matmul__, Matrix.solve, rep.cokernel and
+approx.member_add it counts the member_add calls made from extfilt and the
+solves that reduce [A | b] (rref_solves): every solve where Matrix has no
+_unit_rows, else those where _unit_rows returned None.
+"""
+
+import collections
+import json
+import pathlib
+import sys
+import tempfile
+
+
+def main(root: pathlib.Path, workload: str, seed: int) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from approxcat import approx, extfilt, matrix, rep
+    from perfbench import workloads
+
+    targets = {
+        matrix.Matrix.rref.__code__: "rref",
+        matrix.Matrix.__matmul__.__code__: "matmul",
+        matrix.Matrix.solve.__code__: "solve",
+        rep.cokernel.__code__: "cokernel",
+        approx.member_add.__code__: "member_add",
+    }
+    unit = getattr(matrix.Matrix, "_unit_rows", None)
+    counts = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = targets.get(frame.f_code)
+            if name:
+                counts[name] += 1
+                if name == "member_add" and frame.f_back.f_code.co_filename == extfilt.__file__:
+                    counts["member_add_from_extfilt"] += 1
+        elif event == "return" and unit is not None and frame.f_code is unit.__code__:
+            counts["selection_solves"] += arg is not None
+
+    with tempfile.TemporaryDirectory() as workdir:
+        wl = workloads.make(workload, workdir, inproc=True)
+        items = wl.build(seed)
+        sys.setprofile(hook)
+        try:
+            for item in items:
+                wl.run(item)
+        finally:
+            sys.setprofile(None)
+    counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
+    counts["items"] = len(items)
+    return dict(sorted(counts.items()))
+
+
+if __name__ == "__main__":
+    checkout = pathlib.Path(sys.argv[3]) if len(sys.argv) > 3 else pathlib.Path(__file__).parent.parent
+    print(json.dumps(main(checkout.resolve(), sys.argv[1], int(sys.argv[2]))))
