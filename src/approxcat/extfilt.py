@@ -22,9 +22,13 @@ Other families peel an add(S) bottom layer from m and search the
 quotients within the budget, over a prime field only. The
 layers come from SubrepSearch: over m, or, for a family with zero arrow
 maps, over the joint kernels of m's outgoing maps, which contain every
-such layer. The radical series, or the peel search's minimal depth, is
-memoized per representation; the series reads rad_T(m) off copies of the
-arrow maps, so no elimination is cached on m. The certificate is lifted
+such layer. The radical series of (m, T) is kept in a bounded lru_cache
+(_loewy_series), so the decisions over one m at r = 4, 3, 2, 1 and their
+certificates build it once; it reads rad_T(m) off copies of the arrow
+maps, so no elimination is cached on m. The peel search's minimal depths
+are kept in a dict made per decision and dropped with it, keyed by
+representation alone, as the family and budget are fixed within one
+decision; a repeated decision searches again. The certificate is lifted
 to m in one pass: term k is the kernel of the composite projection of m
 onto the k-th peeled quotient. A vertex-simple certificate reads the
 radical series of m that decided membership, since rad_T(m/U) =
@@ -43,7 +47,10 @@ filtration certificate over an ordered family (X_1, ..., X_n) with
 Ext1(X_i, X_j) = 0 for i <= j into the normal form with at most n
 layers, each a direct sum of copies of a single X_i. Over a semisimple
 family it reads each input layer's counts off the step dimensions, and
-takes a step cokernel only for a layer that mixes generators.
+takes a step cokernel only for a layer that mixes generators. Both may be
+handed an unverified certificate, so each step is checked to be a
+morphism just before its cokernel is taken, and one that is not raises
+CertificateError.
 
 A family is its add handle, an AddCategory whose generator order is the
 family order (OrderedFamily names the same type). The handle's kind (zero
@@ -181,13 +188,6 @@ def _dims_feasible(handle: AddCategory, dims) -> bool:
     return next(_multiplicities([g.dims for g in handle.generators], dims), None) is not None
 
 
-# filtration depths: per (support T, representation) the radical series of
-# a vertex-simple family, whose length is the Loewy length, or None when
-# there is none; per (family, representation, budget) the peel search's
-# (deepest cap tried, minimal depth or None within that cap).
-_depth_memo: dict = {}
-
-
 def _nilpotent(m: Rep) -> bool:
     """Whether the total arrow operator A of m is nilpotent: A acts on the
     sum of the m_x, with block (t, s) the sum of m_a over the arrows
@@ -208,10 +208,10 @@ def _nilpotent(m: Rep) -> bool:
     return power.is_zero()
 
 
-def _radical_series(m: Rep, support) -> Optional[list]:
+def _radical_series(m: Rep, support) -> Optional[tuple]:
     """The nonzero terms rad_T^k(m), k = 0, 1, ..., for T = support; their
     number is the Loewy length. R_0 = m is its dimension vector, which is
-    all its readers need, and every later term is a list of per-vertex
+    all its readers need, and every later term is a tuple of per-vertex
     bases. None when the series never reaches 0, so that m lies in no F_r.
 
     im A^k lies in rad_T^k(m) for the total arrow operator A (_nilpotent),
@@ -233,14 +233,19 @@ def _radical_series(m: Rep, support) -> Optional[list]:
             parts[a.target].append(m.map(a.id) @ term[a.source] if series else m.map(a.id))
         # rad_T(m) is read off the arrow maps, which hstack copies so that no
         # rref is left on them; a single later product is used as it is
-        nxt = [(p[0] if series and len(p) == 1 else hstack(p)).image_basis() if p
-               else Matrix.zeros(F, d, 0) for p, d in zip(parts, dims)]
+        nxt = tuple((p[0] if series and len(p) == 1 else hstack(p)).image_basis() if p
+                    else Matrix.zeros(F, d, 0) for p, d in zip(parts, dims))
         nsize = sum(b.cols for b in nxt)
         if nsize == size:
             return None
         series.append(term)
         term, size = nxt, nsize
-    return series
+    return tuple(series)
+
+
+# the series of one (representation, support), shared by the decisions over
+# it at r = 4, 3, 2, 1 and their certificates; tuples, since callers share it
+_loewy_series = lru_cache(maxsize=256)(_radical_series)
 
 
 def _outgoing_kernel(m: Rep, x: int) -> Matrix:
@@ -283,31 +288,32 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
             yield incl
 
 
-def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget) -> Optional[int]:
+def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget,
+               memo: dict) -> Optional[int]:
     """Minimal r <= cap with m in F_r(add handle), or None, by the peel
     search within the budget; the search refuses every field but F_p. Since
     the F_r form an increasing chain, m is a member of F_r exactly when the
-    minimum is at most r."""
+    minimum is at most r. memo belongs to one decision, whose family and
+    budget are fixed: per representation key, (deepest cap tried, minimal
+    depth or None within that cap)."""
     if cap < 1:
         return None
     if member_add(m, handle) is not None:
         return 1
     if cap <= 1:
         return None
-    key = (handle.key(), m.key(), budget)
-    got = _depth_memo.get(key)
+    got = memo.get(m.key())
     if got is None or (got[1] is None and got[0] < cap):
         best = None
         for incl in _peel_candidates(m, handle, budget):
             quot, _ = cokernel(incl)
-            inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget)
+            inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget, memo)
             if inner is not None and (best is None or inner + 1 < best):
                 best = inner + 1
                 if best == 2:
                     break
-        got = _depth_memo[key] = (cap, best)
-    val = got[1]
-    return val if val is not None and val <= cap else None
+        got = memo[m.key()] = (cap, best)
+    return got[1] if got[1] is not None and got[1] <= cap else None
 
 
 def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[FiltrationCertificate]:
@@ -319,34 +325,34 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     kind is computed once. A vertex-simple family is decided by the Loewy
     length over every field, with no budget: a loop map of nonzero trace,
     or a total arrow operator that is not nilpotent, is refused before the
-    radical series is built (see _radical_series). Any other family's peel
-    search stays within the budget and needs a prime field.
+    radical series is built (see _radical_series); the series is kept in a
+    bounded lru_cache (_loewy_series). Any other family's peel search stays
+    within the budget and needs a prime field; its memo lives for this one
+    decision and its certificate, so no earlier call's budget can change it.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
     family = _as_family(s)
     support = family.kind()[1]
-    series = None
+    series, memo = None, {}
     if support is not None:
-        key = (support, m.key())
-        if key not in _depth_memo:
-            _depth_memo[key] = _radical_series(m, support)
-        series = _depth_memo[key]
+        series = _loewy_series(m, support)
         if series is None or len(series) > r:
             return None
     else:
         budget = budget or default_budget()
-        if _min_depth(m, family, r, budget) is None:
+        if _min_depth(m, family, r, budget, memo) is None:
             return None
-    return _build_filtration(m, family, support, series, r, budget)
+    return _build_filtration(m, family, support, series, r, budget, memo)
 
 
-def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget) -> RepMorphism:
+def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget, memo: dict) -> RepMorphism:
     """The projection of m onto m/U for the first peel candidate U whose
-    quotient lies in F_(r-1), given that m lies in F_r."""
+    quotient lies in F_(r-1), given that m lies in F_r; memo is the
+    decision's (_min_depth)."""
     for incl in _peel_candidates(m, handle, budget):
         quot, proj = cokernel(incl)
-        if _min_depth(quot, handle, r - 1, budget) is not None:
+        if _min_depth(quot, handle, r - 1, budget, memo) is not None:
             return proj
     raise CertificateError("membership decision and construction disagree")
 
@@ -388,7 +394,7 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
 
 
 def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
-                      budget: Budget) -> FiltrationCertificate:
+                      budget: Budget, memo: dict) -> FiltrationCertificate:
     """Certificate construction mirroring the decision order; the caller
     guarantees membership. Peels until the quotient lies in add, then lifts
     in one pass: term k is the kernel of the composite projection onto the
@@ -412,7 +418,7 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
         if series is None:
             if member_add(cur, family) is not None:
                 break
-            proj = _peel(cur, family, r, budget)
+            proj = _peel(cur, family, r, budget, memo)
         else:
             # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
             length = next((k for k in range(1, len(series)) if all(
@@ -431,10 +437,9 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
         spans = [hstack([b, rj]) for b, rj in zip(u, series[j])]
         bases = [s.transpose().kernel_basis().transpose().kernel_basis() for s in spans]
         terms.append(subrep_from_bases(m, bases))
-    zero = Rep.zero(m.quiver, m.field)
-    bottom = RepMorphism.zero(zero, m)
+    bottom = RepMorphism.zero(Rep.zero(m.quiver, m.field), m)
     # the top step into m is the last term's inclusion, natural by construction
-    steps = _chain_steps(zero, bottom, terms) + [terms[-1][1] if terms else bottom]
+    steps = _chain_steps(bottom.source, bottom, terms) + [terms[-1][1] if terms else bottom]
     return _certify(Filtration(steps), m, family)
 
 
@@ -461,6 +466,15 @@ def _certify(filt: Filtration, member: Rep, family: AddCategory) -> FiltrationCe
 # the factors-exchanging operation
 
 
+def _natural_step_cokernel(filt: Filtration, j: int):
+    """filt.step_cokernel(j) once step j is checked to be a morphism: a
+    certificate handed to exchange or normalization may be unverified, and
+    its steps built unchecked."""
+    if not filt.steps[j].is_natural():
+        raise CertificateError(f"filtration step {j} is not a morphism of representations")
+    return filt.step_cokernel(j)
+
+
 def filt_exchange(f: Filtration, i: int) -> Filtration:
     """Swap the factors at steps i and i+1 (zero-based): the middle term
     M_{i+1} is replaced so that the new i-th factor is isomorphic to the old
@@ -476,8 +490,8 @@ def filt_exchange(f: Filtration, i: int) -> Filtration:
     if i < 0 or i + 1 >= f.depth:
         raise ShapeError(f"no adjacent factor pair at step {i}")
     u, v = f.steps[i], f.steps[i + 1]
-    a_rep, q_a = f.step_cokernel(i)
-    c_rep, q_c = f.step_cokernel(i + 1)
+    a_rep, q_a = _natural_step_cokernel(f, i)
+    c_rep, q_c = _natural_step_cokernel(f, i + 1)
     if ext1_dim(c_rep, a_rep) != 0:
         raise ExtObstructionError(
             f"Ext1 between the factors at steps {i + 1} and {i} does not vanish"
@@ -542,7 +556,7 @@ def _refine_layers(filt: Filtration, family: AddCategory):
             step.source.dims, step.target.dims)]), None) if semisimple else None
         if counts is None or len(effective(counts)) > 1:
             # an isomorphism composed in keeps the image, so the cokernel is the step's
-            factor, q_j = filt.step_cokernel(j)
+            factor, q_j = _natural_step_cokernel(filt, j)
             ev = member_add(factor, family)
             if ev is None:
                 raise CertificateError("input filtration has a factor outside add of the family")

@@ -7,12 +7,14 @@ Subspace tables carry, besides the basis matrix, a coordinate lookup for
 every vector of the span. Stability checks and subrepresentation
 construction then run on precomputed arrow action tables instead of
 repeated linear solves, which is what makes the big exhaustive sweeps
-affordable.
+affordable. The tables are kept in a bounded lru_cache (subspace_table),
+shared by every search over the same field and dimension.
 """
 
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ApproxcatError, BudgetExceededError, RationalFieldUnsupportedError
 from .fields import PRIME, FieldSpec
@@ -86,17 +88,13 @@ class SubspaceEntry:
         self.basis_vectors = basis_vectors
 
 
-_subspace_cache: dict = {}
-
-
+@lru_cache(maxsize=32)
 def subspace_table(field: FieldSpec, dim: int):
     """All subspaces of F_p^dim in canonical order: dimension ascending,
-    then echelon pivot sets and free entries lexicographically."""
+    then echelon pivot sets and free entries lexicographically. Kept in a
+    bounded lru_cache and shared by every search, so callers must not
+    change the list."""
     _require_prime(field, "subspace_table")
-    key = (field.modulus, dim)
-    cached = _subspace_cache.get(key)
-    if cached is not None:
-        return cached
     p = field.modulus
     elems = list(range(p))
     out = []
@@ -130,7 +128,6 @@ def subspace_table(field: FieldSpec, dim: int):
                     else Matrix(field, dim, 0)
                 )
                 out.append(SubspaceEntry(k, basis, span, basis_vectors))
-    _subspace_cache[key] = out
     return out
 
 

@@ -30,8 +30,9 @@ Q_POOL = [0, 0, 1, -1, 2, Fraction(1, 2)]
 def ref_radical_series(m, support):
     """The radical series rad_T^k(m), T = support, built term by term until
     it reaches 0 or stops shrinking, with no nilpotency test first: R_0 is
-    m's dimension vector, every later term a list of per-vertex bases, and
-    None when the series stalls at a nonzero term."""
+    m's dimension vector, every later term a tuple of per-vertex bases (the
+    library's shape, a tuple of tuples), and None when the series stalls at
+    a nonzero term."""
     F, dims = m.field, m.dims
     if any(d for x, d in enumerate(dims) if x not in support):
         return None
@@ -40,14 +41,14 @@ def ref_radical_series(m, support):
         parts = [[] for _ in dims]
         for a in m.quiver.arrows:
             parts[a.target].append(m.map(a.id) @ term[a.source] if series else m.map(a.id))
-        nxt = [hstack(p).image_basis() if p else Matrix.zeros(F, d, 0)
-               for p, d in zip(parts, dims)]
+        nxt = tuple(hstack(p).image_basis() if p else Matrix.zeros(F, d, 0)
+                    for p, d in zip(parts, dims))
         nsize = sum(b.cols for b in nxt)
         if nsize == size:
             return None
         series.append(term)
         term, size = nxt, nsize
-    return series
+    return tuple(series)
 
 
 def ref_certify(filt, member, family):

@@ -6,6 +6,7 @@ from approxcat.approx import AddCategory, ExtCategory, member_add, verify_eviden
 from approxcat.errors import (
     ApproxcatError,
     BudgetExceededError,
+    CertificateError,
     ExtObstructionError,
     HypothesisViolationError,
     RationalFieldUnsupportedError,
@@ -346,29 +347,55 @@ class TestMemberFilt:
     def test_semisimple_peel_counts_tuples_before_building_tables(self, monkeypatch):
         # a rank-1 loop on F3^6 has a 5-dimensional kernel; over [S + S]
         # the peel search refuses on the count of subspace tuples, before
-        # it builds the subspace table of F3^5
-        monkeypatch.setattr(search, "_subspace_cache", {})
+        # it asks for the subspace table of F3^5
+        tables, table = [], search.subspace_table
+        monkeypatch.setattr(search, "subspace_table",
+                            lambda field, dim: tables.append((field.modulus, dim)) or table(field, dim))
         s = Rep.simple(LOOP, F3, 0)
         m = Rep(LOOP, F3, [6], {"alpha1": Matrix(F3, 6, 6, [int(k == 1) for k in range(36)])})
         with pytest.raises(BudgetExceededError):
             member_filt(m, [direct_sum([s, s])[0]], 2, Budget(max_subspaces=100))
-        assert (3, 5) not in search._subspace_cache
+        assert (3, 5) not in tables
 
     def test_certificates_reuse_the_decision_series(self, monkeypatch):
         # the 531 one-loop F2 reps of dim <= 3, visited once per bound 0..3
         # (554 visits) at r = 4, 3, 2, 1: one radical series per distinct
-        # rep, and no certificate builds it again
-        monkeypatch.setattr(extfilt, "_depth_memo", {})
-        calls = []
-        series = extfilt._radical_series
-        monkeypatch.setattr(extfilt, "_radical_series",
-                            lambda m, support: calls.append(m) or series(m, support))
+        # rep, each built on a miss of the series cache, and no certificate
+        # builds it again through the uncached function
+        extfilt._loewy_series.cache_clear()
+        monkeypatch.setattr(extfilt, "_radical_series", None)
         s = Rep.simple(LOOP, F2, 0)
         for bound in range(4):
             for v in iter_all_reps(LOOP, F2, (bound,)):
                 for r in (4, 3, 2, 1):
                     member_filt(v, [s], r)
-        assert len(calls) == 531
+        info = extfilt._loewy_series.cache_info()
+        assert (info.misses, info.hits + info.misses) == (531, 4 * 554)
+
+    def test_series_cache_is_bounded(self):
+        # more distinct reps than the series cache holds, each decided once
+        extfilt._loewy_series.cache_clear()
+        s = Rep.simple(LOOP, F2, 0)
+        reps = list(iter_all_reps(LOOP, F2, (3,)))
+        assert len(reps) > extfilt._loewy_series.cache_info().maxsize
+        for v in reps:
+            member_filt(v, [s], 2)
+        info = extfilt._loewy_series.cache_info()
+        assert info.misses == len(reps)
+        assert info.currsize <= info.maxsize
+
+    def test_peel_search_memo_lasts_one_decision(self, monkeypatch):
+        # J4 over [J2]: a second equal decision searches as much as the
+        # first, so no answer is read from an earlier call's memo
+        calls, peel = [], extfilt._peel_candidates
+        monkeypatch.setattr(extfilt, "_peel_candidates",
+                            lambda m, handle, budget: calls.append(m) or peel(m, handle, budget))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert member_filt(jordan(F3, 4), [jordan(F3, 2)], 2) is not None
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 def _two_step_filtration(total, sub_bases):
@@ -437,6 +464,38 @@ def _certify(filt, family):
         assert ev is not None
         evidence.append(ev)
     return FiltrationCertificate(filt, filt.top, family, tuple(evidence))
+
+
+def _a2_two_step_certificate(field, top, top_bases):
+    """A certificate over (S2, S1) whose steps are 0 -> S1 -> top, the second
+    step built unchecked with components top_bases."""
+    s1, s2 = Rep.simple(A2, field, 0), Rep.simple(A2, field, 1)
+    family = OrderedFamily([s2, s1])
+    z = Rep.zero(A2, field)
+    filt = Filtration([RepMorphism.zero(z, s1), RepMorphism(s1, top, top_bases, check=False)])
+    evidence = (member_add(s1, family), member_add(direct_sum([s1, s2])[0], family))
+    return FiltrationCertificate(filt, top, family, evidence)
+
+
+class TestNonNaturalSteps:
+    """An unverified certificate whose second step is not a morphism: S1
+    put into vertex 0 of a rep whose arrow moves that vector."""
+
+    def test_exchange_refuses_the_step(self):
+        # S1 -> P1 at vertex 0 over (S2, S1): normalization exchanges it
+        cert = _a2_two_step_certificate(F3, p1(F3), [Matrix(F3, 1, 1, [1]), Matrix(F3, 1, 0)])
+        with pytest.raises(CertificateError, match="step 1"):
+            filt_exchange(cert.filtration, 0)
+        with pytest.raises(CertificateError, match="step 1"):
+            filt_normalize(cert)
+
+    def test_refinement_refuses_a_mixed_layer(self):
+        # S1 -> P1 + S1 at vertex 0: a layer of dims (1, 1) mixes S2 and S1
+        top = a2_rep(F3, 2, 1, [1, 0])
+        cert = _a2_two_step_certificate(F3, top, [Matrix(F3, 2, 1, [1, 0]), Matrix(F3, 1, 0)])
+        assert not cert.filtration.steps[1].is_natural()
+        with pytest.raises(CertificateError, match="step 1"):
+            filt_normalize(cert)
 
 
 class TestFiltrationCertificateVerify:

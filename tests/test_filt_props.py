@@ -95,10 +95,10 @@ def test_member_filt_agrees_with_the_peel_search(case):
     m, family = case
     assert family.kind()[1] is not None
     budget = Budget()
-    memo = {}
+    memo, decision = {}, {}
     for r in range(1, 5):
         want = ref_min_depth(m, family, r, budget, memo)
-        assert extfilt._min_depth(m, family, r, budget) == want
+        assert extfilt._min_depth(m, family, r, budget, decision) == want
         cert = member_filt(m, family, r)
         assert (cert is not None) == (want is not None)
         if cert is not None:
