@@ -257,7 +257,13 @@ class RefutationWitness:
         v = self.candidate.target
         if not v.map(f"alpha{self.i0}").is_zero():
             return False
-        if not verify_evidence(self.w_evidence, self.w, standard_handle(cfg)):
+        # W's own evidence is one shared object, verified once through its
+        # record; evidence of any other value is verified in full
+        own = w_membership(cfg, self.i0)
+        if self.w_evidence == own:
+            if not _member_verified(own, self.w):
+                return False
+        elif not verify_evidence(self.w_evidence, self.w, standard_handle(cfg)):
             return False
         g = self.nonzero_target_map
         if g.source != s2 or g.target != self.w or g.is_zero() or not g.is_natural():

@@ -14,6 +14,7 @@ from one elimination.
 
 import itertools
 import random
+from functools import lru_cache
 from operator import mul
 
 from .errors import (
@@ -121,10 +122,14 @@ class RepMorphism:
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
     _memo holds the factorization systems (lists of rows) built for this
-    morphism (see _factor); it is set on first use and freed with the
-    morphism. The loop-and-exit stage's morphisms are shared through
-    counterex's bounded memo, so a system kept on one of them lives as long
-    as its stage; refute and RefutationWitness.verify keep none there."""
+    morphism, one per (side, far end) (see _factor); it is set on first use
+    and freed with the morphism. The hom kernels those systems start from
+    depend only on the ends, so they are not kept here but in the bounded
+    _hom_kernel cache, shared by every morphism. The loop-and-exit stage's
+    morphisms are shared through counterex's bounded memo, so a system
+    kept on one of them lives as long as its stage; refute and
+    RefutationWitness.verify keep none there. A certificate read shares
+    equal reps, never morphisms, so a read morphism's systems go with it."""
 
     __slots__ = ("source", "target", "components", "_memo")
 
@@ -614,34 +619,50 @@ def _apply_rows(rows, vec, F: FieldSpec) -> list:
     return [x % p for x in out] if p else out
 
 
+@lru_cache(maxsize=256)
+def _hom_kernel(v: Rep, w: Rep) -> Matrix:
+    """The kernel basis of the hom system of (v, w), whose columns are the
+    vectorized hom_basis(v, w): kept for _factor_system, which meets the
+    same few hom spaces for many z."""
+    return _hom_system(v, w).kernel_basis()
+
+
 def _factor_system(z: RepMorphism, w: Rep, side: str):
     """(lift, obstruction) for h z = f on the left (z h = f on the right),
-    each a list of rows. The columns b_j of K are the hom basis of
-    Hom(z.target, w) (of Hom(w, z.source)) and column j of A is vec(b_j z)
-    (vec(z b_j)). One rref of [A | I] gives E = its right part and the
-    pivots among A's columns, rank of them: f factors exactly when the rows
-    of obstruction = E[rank:] all kill vec f, and then the rows of
-    lift = K[:, pivots] E[:rank] map vec f to vec h, h = K s for the
-    solution s of A s = vec f with free variables zero. Rows the
-    elimination of I mixes into E[:rank] vanish on such vec f."""
+    each a list of rows. The columns b_j of K = _hom_kernel(...) are the
+    hom basis of Hom(z.target, w) (of Hom(w, z.source)) and column j of A
+    is vec(b_j z) (vec(z b_j)); each row of A is a combination of rows of
+    K with z's entries as coefficients. One rref of [A | I] gives E = its
+    right part and the pivots among A's columns, rank of them: f factors
+    exactly when the rows of obstruction = E[rank:] all kill vec f, and
+    then the rows of lift = K[:, pivots] E[:rank] map vec f to vec h,
+    h = K s for the solution s of A s = vec f with free variables zero.
+    Rows the elimination of I mixes into E[:rank] vanish on such vec f."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
     F = w.field
-    ker = _hom_system(src, dst).kernel_basis()
-    k = ker.cols
-    # A = D K, D block diagonal over the vertices; on the row-major vec of an
-    # r x c block b_x, vec(b z)_x = diag(z_x^T, ..., z_x^T) vec b_x (r copies)
-    # and vec(z b)_x = (z_x kron I_c) vec b_x
-    ops = []
-    for zx, r, c in zip(z.components, dst.dims, src.dims):
-        if left:
-            ops.append(block_diag(F, [zx.transpose()] * r))
-        else:
-            ops.append(Matrix._trusted(F, zx.rows * c, r * c, [
-                zx._e[i * r + t] if l == u else F.zero
-                for i in range(zx.rows) for l in range(c) for t in range(r) for u in range(c)]))
-    a = block_diag(F, ops) @ ker
-    n = a.rows
+    ker = _hom_kernel(src, dst)
+    ke, k = ker._e, ker.cols
+    n, out = 0, []
+    for zx, r, c, o in zip(z.components, dst.dims, src.dims, _hom_offsets(src, dst)[0]):
+        # each cell lists (z entry, row of K) over t, for the row-major
+        # r x c block b_x at offset o
+        ze, zc = zx._e, zx.cols
+        if left:  # entry (i, l) of b_x z_x is sum_t b_x[i, t] z_x[t, l]
+            cells = ([(ze[t * zc + l], o + i * c + t) for t in range(c)]
+                     for i in range(r) for l in range(zc))
+        else:  # entry (i, l) of z_x b_x is sum_t z_x[i, t] b_x[t, l]
+            cells = ([(ze[i * zc + t], o + t * c + l) for t in range(zc)]
+                     for i in range(zx.rows) for l in range(c))
+        for cell in cells:
+            row = [F.zero] * k
+            for coef, m in cell:
+                if coef:
+                    row = [u + coef * v for u, v in zip(row, ke[m * k : m * k + k])]
+            out += row
+            n += 1
+    p = F.modulus
+    a = Matrix._trusted(F, n, k, [x % p for x in out] if p else out)
     R, pivots = hstack([a, Matrix.identity(F, n)]).rref()
     rank = sum(pc < k for pc in pivots)
     E = R.take_cols(range(k, k + n))

@@ -232,19 +232,24 @@ def iter_subreps(rep: Rep, budget: Budget):
 
 
 def iter_matrices(field: FieldSpec, rows: int, cols: int):
-    """All rows x cols matrices over a prime field, lexicographic entries."""
+    """All rows x cols matrices over a prime field, lexicographic entries
+    (each in range(p), so already canonical)."""
     _require_prime(field, "matrix enumeration")
     for entries in itertools.product(range(field.modulus), repeat=rows * cols):
-        yield Matrix(field, rows, cols, entries)
+        yield Matrix._trusted(field, rows, cols, entries)
 
 
 def iter_all_reps(quiver: Quiver, field: FieldSpec, max_dims):
     """Every representation with dims[x] <= max_dims[x], by ascending total
     dimension then lexicographic dims and map entries."""
     _require_prime(field, "representation enumeration")
+    ids = [a.id for a in quiver.arrows]
     for dims in _dim_vectors(max_dims):
-        arrow_shapes = [(a.id, dims[a.target], dims[a.source]) for a in quiver.arrows]
-        pools = [list(iter_matrices(field, r, c)) for (_, r, c) in arrow_shapes]
-        for maps_combo in itertools.product(*pools):
-            maps = {aid: m for (aid, _, _), m in zip(arrow_shapes, maps_combo)}
-            yield Rep(quiver, field, dims, maps)
+        shapes = [(dims[a.target], dims[a.source]) for a in quiver.arrows]
+        # the first arrow varies slowest, so its matrices are made one at a
+        # time; only the later arrows, which product re-reads, keep a pool
+        heads = iter_matrices(field, *shapes[0]) if shapes else [None]
+        pools = [tuple(iter_matrices(field, r, c)) for r, c in shapes[1:]]
+        for head in heads:
+            for tail in itertools.product(*pools):
+                yield Rep(quiver, field, dims, dict(zip(ids, (head, *tail))))

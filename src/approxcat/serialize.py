@@ -10,7 +10,14 @@ tampering shows up as a False, not as a crash.
 The filtration and refutation forms import extfilt and counterex in the
 functions that build their objects, so reading or writing one kind of
 certificate loads no other kind's module.
+
+Equal reps are read once: rep_from_jsonable keeps what it built for
+(quiver, field, data) in a bounded lru_cache, so a certificate that repeats
+a rep (a witness names W and V in many morphisms) shares one object.
 """
+
+import marshal
+from functools import lru_cache
 
 from .approx import (
     AddCategory,
@@ -36,6 +43,26 @@ def rep_to_jsonable(rep: Rep) -> dict:
 
 
 def rep_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Rep:
+    """The rep data describes, read once per equal (quiver, field, data).
+
+    The key is data's marshal text, which writes only exact builtin types,
+    each under its own type code: true, 1.0, a tuple or an int subclass
+    never shares a key with the 1 or the list it resembles, so a cached
+    read answers exactly as the typed reader would. Data marshal refuses
+    is read uncached, and a refusal is never cached."""
+    try:
+        text = marshal.dumps(data, 2)
+    except ValueError:
+        return _parse_rep(quiver, field, data)
+    return _read_rep(quiver, field, text)
+
+
+@lru_cache(maxsize=256)
+def _read_rep(quiver: Quiver, field: FieldSpec, text: bytes) -> Rep:
+    return _parse_rep(quiver, field, marshal.loads(text))
+
+
+def _parse_rep(quiver: Quiver, field: FieldSpec, data) -> Rep:
     dims = [_typed(d, int, "dims") for d in _need(data, "dims", list)]
     if len(dims) != quiver.vertex_count:
         raise CertificateError("one dimension per vertex required")

@@ -1,13 +1,22 @@
 """Test-only oracles for the representation layer: extension classes,
 the Yoneda dimension identity and arrow stability of subspace families,
-each checked by a direct computation that the library does not use; and
-for the matrix layer, linear solving by reduction of [A | b] alone."""
+each checked by a direct computation that the library does not use; for
+the matrix layer, linear solving by reduction of [A | b] alone; and the
+factorization system built from block matrices."""
 
 from approxcat.errors import ApproxcatError
 from approxcat.fields import FieldSpec
-from approxcat.matrix import Matrix, hstack
+from approxcat.matrix import Matrix, block_diag, hstack
 from approxcat.quiver import Quiver
-from approxcat.rep import Rep, ShortExactSeq, _ext_row_layout, _hom_system, hom_dim, projective
+from approxcat.rep import (
+    Rep,
+    RepMorphism,
+    ShortExactSeq,
+    _ext_row_layout,
+    _hom_system,
+    hom_dim,
+    projective,
+)
 
 
 def ref_solve(a: Matrix, b: Matrix):
@@ -23,6 +32,34 @@ def ref_solve(a: Matrix, b: Matrix):
         base = r * (n + k) + n
         out[pc * k : (pc + 1) * k] = e[base : base + k]
     return Matrix._trusted(a.field, n, k, out)
+
+
+def ref_factor_system(z: RepMorphism, w: Rep, side: str):
+    """rep._factor_system as it was before A was read off the kernel's rows:
+    the kernel of the hom system computed afresh, and A = D K with D block
+    diagonal over the vertices. On the row-major vec of an r x c block b_x,
+    vec(b z)_x = diag(z_x^T, ..., z_x^T) vec b_x (r copies) and
+    vec(z b)_x = (z_x kron I_c) vec b_x."""
+    left = side == "left"
+    src, dst = (z.target, w) if left else (w, z.source)
+    F = w.field
+    ker = _hom_system(src, dst).kernel_basis()
+    k = ker.cols
+    ops = []
+    for zx, r, c in zip(z.components, dst.dims, src.dims):
+        if left:
+            ops.append(block_diag(F, [zx.transpose()] * r))
+        else:
+            ops.append(Matrix._trusted(F, zx.rows * c, r * c, [
+                zx._e[i * r + t] if l == u else F.zero
+                for i in range(zx.rows) for l in range(c) for t in range(r) for u in range(c)]))
+    a = block_diag(F, ops) @ ker
+    n = a.rows
+    R, pivots = hstack([a, Matrix.identity(F, n)]).rref()
+    rank = sum(pc < k for pc in pivots)
+    E = R.take_cols(range(k, k + n))
+    lift = ker.take_cols(pivots[:rank]) @ E.take_rows(range(rank))
+    return lift.to_lists(), E.take_rows(range(rank, n)).to_lists()
 
 
 def _vec_cocycle(v: Rep, w: Rep, blocks) -> Matrix:

@@ -10,6 +10,10 @@ the representations they count.
   (Birkhoff, Proc. London Math. Soc. 1935), where ' is the conjugate
   partition; its submodules of dimension k are those of the mu with
   |mu| = k.
+
+It also keeps the whole-representation enumeration as it was written
+first, one pool of matrices per arrow and itertools.product over them, as
+the reference for the order of iter_all_reps.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from math import prod
 from approxcat.matrix import Matrix, block_diag
 from approxcat.quiver import loop_quiver
 from approxcat.rep import Rep
-from approxcat.search import gaussian_binomial
+from approxcat.search import _dim_vectors, gaussian_binomial, iter_matrices
 
 LOOP = loop_quiver(1)
 
@@ -76,3 +80,14 @@ def jordan_rep(field, lam) -> Rep:
     blocks = [Matrix(field, n, n, [int(i == j + 1) for i in range(n) for j in range(n)])
               for n in lam]
     return Rep(LOOP, field, [sum(lam)], {"alpha1": block_diag(field, blocks)})
+
+
+def ref_iter_all_reps(quiver, field, max_dims):
+    """search.iter_all_reps before it stopped pooling the first arrow's
+    matrices: product over every arrow's full pool, per dimension vector."""
+    for dims in _dim_vectors(max_dims):
+        arrow_shapes = [(a.id, dims[a.target], dims[a.source]) for a in quiver.arrows]
+        pools = [list(iter_matrices(field, r, c)) for (_, r, c) in arrow_shapes]
+        for maps_combo in itertools.product(*pools):
+            maps = {aid: m for (aid, _, _), m in zip(arrow_shapes, maps_combo)}
+            yield Rep(quiver, field, dims, maps)

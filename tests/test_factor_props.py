@@ -8,6 +8,14 @@ Kronecker quiver, the two must return equal morphisms (or both None)
 while one z is reused for many f and several targets, among them targets
 of equal dimensions with different maps and structurally equal copies of
 one target.
+
+The system itself is checked too: rep._factor_system takes the kernel K of
+the hom system from the bounded rep._hom_kernel cache and builds
+A = [vec(b_j z)] (vec(z b_j) on the right) row by row from K's rows and z's
+entries; ref_factor_system in rep_oracles computes K afresh and A as a
+block-diagonal product. With z drawn from hom_basis, on these quivers and
+the loop-and-exit quiver, both sides must give the same (lift, obstruction)
+row lists, exactly.
 """
 
 from fractions import Fraction
@@ -27,7 +35,8 @@ from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix, hstack
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, RepMorphism, compose, hom_basis
+from approxcat.rep import Rep, RepMorphism, _factor_system, _hom_kernel, compose, hom_basis
+from rep_oracles import ref_factor_system
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.rationals()]
 # the Kronecker quiver has two parallel arrows 0 -> 1
@@ -197,3 +206,30 @@ def test_ends_must_match():
         factor_through(RepMorphism.zero(s1, s2), RepMorphism.zero(s2, s2))
     with pytest.raises(ShapeError):
         factor_through_right(RepMorphism.zero(s1, s2), RepMorphism.zero(s1, s1))
+
+
+@st.composite
+def systems(draw):
+    """(z, w, side): z a hom basis element or a drawn combination of the
+    basis, and w a drawn far end."""
+    F = draw(st.sampled_from(FIELDS))
+    q = draw(st.sampled_from(QUIVERS + [Quiver(2, [("alpha1", 0, 0), ("beta", 0, 1)])]))
+    v, t, w = draw(reps(q, F)), draw(reps(q, F)), draw(reps(q, F))
+    basis = hom_basis(v, t)
+    if basis and draw(st.booleans()):
+        z = basis[draw(st.integers(0, len(basis) - 1))]
+    else:
+        z = draw(combination(basis, v, t))
+    return z, w, draw(st.sampled_from(["left", "right"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_factor_system_equals_the_block_matrix_reference(case):
+    z, w, side = case
+    want = ref_factor_system(z, w, side)
+    assert _factor_system(z, w, side) == want
+    # a second build reads K from the cache and gives the same rows
+    assert _factor_system(z, w, side) == want
+    info = _hom_kernel.cache_info()
+    assert info.hits and info.currsize <= info.maxsize

@@ -8,6 +8,10 @@ once per member.
 - refute records a successful verification on the evidence object, under
   the member's key. The record never vouches for another member, a forged
   copy, or evidence that failed.
+- RefutationWitness.verify checks W's evidence through the same record
+  when it equals the stage's own w_membership, so a sweep verifies that
+  shared object once; evidence of any other value, valid or forged, is
+  verified in full.
 - refute no longer re-verifies embedded evidence after an escalation. The
   property below is the theorem that stands in for that check: embedding
   verified evidence one level up yields verified evidence, because zero
@@ -43,7 +47,7 @@ from approxcat.counterex import (
 from approxcat.errors import CertificateError, NoFreeLoopError
 from approxcat.fields import FieldSpec
 from approxcat.rep import RepMorphism, ShortExactSeq, ext1_basis
-from approxcat.serialize import verify_certificate
+from approxcat.serialize import certificate_to_jsonable, verify_certificate
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -195,3 +199,64 @@ class TestStageMemo:
         # the last member uses both loops, so level 3's stage is covered too
         assert witness.escalated
         assert stage and all(f._memo is None for f in stage)
+
+
+class TestWEvidence:
+    def _witness(self):
+        cfg = LoopQuiverConfig(2, F3)
+        v, ev = assemble_member(cfg, 1, 1, [1, 0])
+        return refute(candidate_maps(v)[-1], ev)
+
+    def _counting(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify_evidence(*args)
+
+        monkeypatch.setattr(counterex, "verify_evidence", counted)
+        return calls
+
+    def test_the_stage_evidence_is_verified_once(self, monkeypatch):
+        counterex._w_stage.cache_clear()
+        witness = self._witness()
+        own = w_membership(witness.config, witness.i0)
+        calls = self._counting(monkeypatch)
+        data = json.loads(json.dumps(certificate_to_jsonable(witness)))
+        for _ in range(3):
+            assert witness.verify()
+            assert verify_certificate(data) is True
+        assert [c[0] for c in calls] == [own]
+        assert own._verified == {witness.w.key()}
+
+    def test_other_valid_evidence_is_verified_in_full(self, monkeypatch):
+        # over F3, 2i is another inclusion of S1 with the same cokernel p
+        witness = self._witness()
+        ses = witness.w_evidence.ses
+        other = dataclasses.replace(
+            witness.w_evidence, ses=ShortExactSeq(ses.i.scale(2), ses.p))
+        assert other != w_membership(witness.config, witness.i0)
+        scaled = dataclasses.replace(witness, w_evidence=other)
+        calls = self._counting(monkeypatch)
+        data = json.loads(json.dumps(certificate_to_jsonable(scaled)))
+        for _ in range(2):
+            assert scaled.verify()
+            assert verify_certificate(data) is True
+        assert len(calls) == 4 and all(c[0] == other for c in calls)
+        assert other._verified is None
+
+    @pytest.mark.parametrize("forge", ["zero-inclusion", "zero-projection"])
+    def test_forged_evidence_is_refused(self, forge):
+        witness = self._witness()
+        assert witness.verify()
+        ses = witness.w_evidence.ses
+        if forge == "zero-inclusion":
+            forged = ShortExactSeq(ses.i.scale(0), ses.p)
+        else:
+            forged = ShortExactSeq(ses.i, RepMorphism.zero(ses.mid, ses.quot))
+        bad = dataclasses.replace(
+            witness, w_evidence=dataclasses.replace(witness.w_evidence, ses=forged))
+        data = json.loads(json.dumps(certificate_to_jsonable(bad)))
+        for _ in range(2):
+            assert bad.verify() is False
+            assert verify_certificate(data) is False

@@ -1,9 +1,12 @@
+import copy
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 
+from approxcat import serialize
 from approxcat.approx import (
     AddCategory,
     ExtCategory,
@@ -28,6 +31,7 @@ from approxcat.serialize import (
     certificate_from_jsonable,
     certificate_to_jsonable,
     evidence_from_jsonable,
+    config_from_jsonable,
     evidence_to_jsonable,
     filtration_certificate_from_jsonable,
     handle_from_jsonable,
@@ -42,6 +46,7 @@ from approxcat.serialize import (
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
 A2 = a2_quiver()
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -328,3 +333,59 @@ class TestStrictReads:
             F2.coerce(True)
         with pytest.raises(ApproxcatError):
             Matrix.from_jsonable(F2, [[True]])
+
+
+class TestSharedReads:
+    """rep_from_jsonable reads equal data once, from a bounded cache keyed
+    on the data's marshal text; a copy that differs in one typed value
+    misses it and is read, and refused, afresh."""
+
+    def _warm_witness(self):
+        # W recurs in the witness: as w, in its evidence, in the nonzero map
+        # and as the target of every vanishing-proof morphism
+        data = json.loads((GOLDEN / "refutation-F3.json").read_text())
+        assert verify_certificate(data)
+        hits = serialize._read_rep.cache_info().hits
+        assert verify_certificate(data)
+        assert serialize._read_rep.cache_info().hits > hits
+        return data
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize("where", ["dims", "beta"])
+    def test_a_recurring_rep_with_a_non_integer_is_refused(self, where, value):
+        data = self._warm_witness()
+        quiver = config_from_jsonable(data["config"]).quiver()
+        tampered = copy.deepcopy(data)
+        w = tampered["vanishing_proof"][0][0]["target"]
+        assert w == data["w"]
+        if where == "dims":
+            assert w["dims"][1] == 1
+            w["dims"][1] = value
+        else:
+            assert w["maps"]["beta"][0][0] == 1
+            w["maps"]["beta"][0][0] = value
+        assert w == data["w"]  # equal as Python values, true == 1 == 1.0
+        for _ in range(2):  # a refusal is not cached, so it is raised again
+            assert verify_certificate(tampered) is False
+            with pytest.raises(ApproxcatError):
+                rep_from_jsonable(quiver, F3, w)
+        assert verify_certificate(data)
+
+    def test_a_tuple_is_not_read_as_the_cached_list(self):
+        data = {"dims": [1, 1], "maps": {"a": [[1]]}}
+        assert rep_from_jsonable(A2, F2, data) == p1(F2)
+        with pytest.raises(CertificateError):
+            rep_from_jsonable(A2, F2, {"dims": (1, 1), "maps": {"a": [[1]]}})
+
+    def test_data_marshal_refuses_is_read_uncached(self):
+        size = serialize._read_rep.cache_info().currsize
+        data = {"dims": [1, 1], "maps": {"a": [[Fraction(1, 2)]]}}
+        assert rep_from_jsonable(A2, Q, data).map("a") == Matrix(Q, 1, 1, ["1/2"])
+        assert serialize._read_rep.cache_info().currsize == size
+
+    def test_equal_data_shares_one_rep_and_the_cache_is_bounded(self):
+        data = through_json(rep_to_jsonable(p1(F2)))
+        assert rep_from_jsonable(A2, F2, data) is rep_from_jsonable(A2, F2, copy.deepcopy(data))
+        assert rep_from_jsonable(A2, F2, data) is not rep_from_jsonable(A2, Q, data)
+        info = serialize._read_rep.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
