@@ -15,7 +15,6 @@ acyclicity requirement) for the assumption that y is closed under
 subobjects, replacing the y-approximation by its image.
 """
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
 from .fields import PRIME
 from .matrix import Matrix, hstack, vstack
 from .rep import (
+    FrozenValue,
     Rep,
     RepMorphism,
     ShortExactSeq,
@@ -164,32 +164,39 @@ class ExtCategory:
 Handle = Union[AddCategory, ExtCategory]
 
 
-@dataclass(frozen=True)
-class AddEvidence:
+class AddEvidence(FrozenValue):
     """member is isomorphic to the canonical sum with these multiplicities;
-    iso maps the member onto that sum."""
+    iso maps the member onto that sum.
 
-    multiplicities: tuple
-    iso: RepMorphism
-    # the keys of the members this evidence has been verified for (see
-    # counterex._member_verified): set on first use and freed with the
-    # evidence, like RepMorphism._memo
-    _verified: set = field(default=None, init=False, compare=False, repr=False)
+    _verified holds the keys of the members this evidence has been verified
+    for (see counterex._member_verified): None until first use, freed with
+    the evidence like RepMorphism._memo, and no part of ==, hash or repr."""
+
+    _fields = ("multiplicities", "iso")
+    __slots__ = _fields + ("_verified",)
+
+    def __init__(self, multiplicities: tuple, iso: RepMorphism):
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "iso", iso)
+        object.__setattr__(self, "_verified", None)
 
     @property
     def member(self) -> Rep:
         return self.iso.source
 
 
-@dataclass(frozen=True)
-class ExtEvidence:
+class ExtEvidence(FrozenValue):
     """member == ses.mid sits in a verified short exact sequence whose ends
-    carry their own evidence."""
+    carry their own evidence; _verified as on AddEvidence."""
 
-    ses: ShortExactSeq
-    sub_evidence: "Evidence"
-    quot_evidence: "Evidence"
-    _verified: set = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("ses", "sub_evidence", "quot_evidence")
+    __slots__ = _fields + ("_verified",)
+
+    def __init__(self, ses: ShortExactSeq, sub_evidence: "Evidence", quot_evidence: "Evidence"):
+        object.__setattr__(self, "ses", ses)
+        object.__setattr__(self, "sub_evidence", sub_evidence)
+        object.__setattr__(self, "quot_evidence", quot_evidence)
+        object.__setattr__(self, "_verified", None)
 
     @property
     def member(self) -> Rep:
@@ -237,15 +244,17 @@ def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ApproxCertificate:
+class ApproxCertificate(FrozenValue):
     """A left approximation (morphism: m -> t, evidence about t) or a right
     approximation (morphism: t -> m, evidence about t = the source)."""
 
-    side: str
-    morphism: RepMorphism
-    handle: Handle
-    evidence: Evidence
+    __slots__ = _fields = ("side", "morphism", "handle", "evidence")
+
+    def __init__(self, side: str, morphism: RepMorphism, handle: Handle, evidence: Evidence):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "morphism", morphism)
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "evidence", evidence)
 
     @property
     def of(self) -> Rep:

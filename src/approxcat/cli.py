@@ -21,7 +21,6 @@ the one list of names.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .approx import (
     AddCategory,
@@ -140,8 +139,10 @@ def load_workspace(path) -> Workspace:
 
 
 def _budget_from_args(args) -> Budget:
-    limits = {"max_total_dim": args.max_total_dim, "max_subspaces": args.max_subspaces}
-    return replace(default_budget(), **{k: v for k, v in limits.items() if v is not None})
+    """The default budget with each limit given on the command line in its place."""
+    base = default_budget()
+    return Budget(base.max_total_dim if args.max_total_dim is None else args.max_total_dim,
+                  base.max_subspaces if args.max_subspaces is None else args.max_subspaces)
 
 
 def _add_handle_or_die(handle, flag):

@@ -23,7 +23,6 @@ refute escalates by one level, once, when every truncated loop is in use.
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .approx import (
@@ -45,6 +44,7 @@ from .fields import FieldSpec
 from .matrix import Matrix
 from .quiver import Quiver
 from .rep import (
+    FrozenValue,
     Rep,
     RepMorphism,
     ShortExactSeq,
@@ -59,16 +59,25 @@ from .rep import (
 from .search import _require_prime
 
 
-@dataclass(frozen=True)
-class LoopQuiverConfig:
-    """Truncation level and scalar field for the loop-and-exit quiver."""
+# the most loops a configuration may have: a stage holds one arrow and one
+# map per loop, so a level read from a certificate is refused before any is
+# built (the tests and scenarios use at most 50)
+MAX_LOOPS = 1024
 
-    n_loops: int
-    field: FieldSpec
 
-    def __post_init__(self):
-        if self.n_loops < 1:
+class LoopQuiverConfig(FrozenValue):
+    """Truncation level (1 to MAX_LOOPS loops) and scalar field for the
+    loop-and-exit quiver."""
+
+    __slots__ = _fields = ("n_loops", "field")
+
+    def __init__(self, n_loops: int, field: FieldSpec):
+        if n_loops < 1:
             raise ShapeError("at least one loop is required")
+        if n_loops > MAX_LOOPS:
+            raise ShapeError(f"at most {MAX_LOOPS} loops are supported, got {n_loops}")
+        object.__setattr__(self, "n_loops", n_loops)
+        object.__setattr__(self, "field", field)
 
     def quiver(self) -> Quiver:
         return _stage(self.n_loops, self.field)[0]
@@ -221,8 +230,7 @@ def embed_evidence(ev: Evidence, cfg: LoopQuiverConfig) -> Evidence:
     )
 
 
-@dataclass(frozen=True)
-class RefutationWitness:
+class RefutationWitness(FrozenValue):
     """Proof that a candidate S2 -> V is not a left approximation into
     add{S1} * add{M}: a certified member W = W(i0), the nonzero map
     S2 -> W spanning the one-dimensional hom space, and the vanishing of
@@ -235,14 +243,20 @@ class RefutationWitness:
     it is zero: the vanishing and a nonzero map are the whole proof, and
     no factorization system is solved."""
 
-    candidate: RepMorphism
-    i0: int
-    w: Rep
-    w_evidence: ExtEvidence
-    nonzero_target_map: RepMorphism
-    vanishing_proof: tuple
-    escalated: bool
-    config: LoopQuiverConfig
+    __slots__ = _fields = ("candidate", "i0", "w", "w_evidence", "nonzero_target_map",
+                           "vanishing_proof", "escalated", "config")
+
+    def __init__(self, candidate: RepMorphism, i0: int, w: Rep, w_evidence: ExtEvidence,
+                 nonzero_target_map: RepMorphism, vanishing_proof: tuple, escalated: bool,
+                 config: LoopQuiverConfig):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "i0", i0)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w_evidence", w_evidence)
+        object.__setattr__(self, "nonzero_target_map", nonzero_target_map)
+        object.__setattr__(self, "vanishing_proof", vanishing_proof)
+        object.__setattr__(self, "escalated", escalated)
+        object.__setattr__(self, "config", config)
 
     def verify(self) -> bool:
         cfg = self.config

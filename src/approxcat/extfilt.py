@@ -63,7 +63,6 @@ extension cocycles; it is an independent oracle for member_filt.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -86,6 +85,7 @@ from .errors import (
 from .matrix import Matrix, hstack, vstack
 from .rep import (
     Filtration,
+    FrozenValue,
     Rep,
     RepMorphism,
     ShortExactSeq,
@@ -124,17 +124,20 @@ def _as_family(s) -> AddCategory:
     return s if isinstance(s, AddCategory) else _interned(tuple(s))
 
 
-@dataclass(frozen=True)
-class FiltrationCertificate:
+class FiltrationCertificate(FrozenValue):
     """A filtration of member together with per-factor evidence that each
     cokernel of consecutive steps lies in add of the family. Steps read
     from JSON are built unchecked, so verify checks that every step is
     natural before it reads a factor."""
 
-    filtration: Filtration
-    member: Rep
-    family: AddCategory
-    factor_assignments: tuple
+    __slots__ = _fields = ("filtration", "member", "family", "factor_assignments")
+
+    def __init__(self, filtration: Filtration, member: Rep, family: AddCategory,
+                 factor_assignments: tuple):
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "factor_assignments", factor_assignments)
 
     @property
     def depth(self) -> int:

@@ -2,10 +2,14 @@
 
 Scalars are plain Python values (Fraction for Q, int in [0, p) for F_p);
 a FieldSpec bundles the arithmetic so matrix code stays field-generic.
+
+The module global Fraction is bound by _fraction, which imports fractions
+when the first rational field is made (every rational branch below runs on
+one) or when coerce reads "p/q" text; work over F_p never imports it, nor
+decimal and numbers behind it.
 """
 
 import re
-from fractions import Fraction
 
 from .errors import ApproxcatError
 
@@ -14,6 +18,13 @@ PRIME = "prime_field"
 # the string form of a scalar that entry_to_json writes; its value is
 # bounded by its length, unlike Fraction's exponent notation
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _fraction():
+    """fractions.Fraction, bound to this module's Fraction on first use."""
+    global Fraction
+    from fractions import Fraction
+    return Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -43,6 +54,7 @@ class FieldSpec:
         if kind == RATIONALS:
             if modulus is not None:
                 raise ApproxcatError("rationals take no modulus")
+            _fraction()
         elif kind == PRIME:
             if not isinstance(modulus, int) or not _is_prime(modulus):
                 raise ApproxcatError(f"modulus must be prime, got {modulus!r}")
@@ -138,7 +150,7 @@ class FieldSpec:
             return value % self.modulus
         if isinstance(value, str) and _ENTRY.fullmatch(value):
             try:
-                return self.coerce(Fraction(value) if "/" in value else int(value))
+                return self.coerce(_fraction()(value) if "/" in value else int(value))
             except (ValueError, ZeroDivisionError):
                 pass
         raise ApproxcatError(f"cannot coerce {value!r} into {self.label}")

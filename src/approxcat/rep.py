@@ -29,6 +29,30 @@ from .matrix import Matrix, block_diag, hstack, vstack
 from .quiver import Quiver
 
 
+class FrozenValue:
+    """Base of the immutable record classes: an instance equals another of
+    its own class with equal _fields, hashes over them and refuses
+    assignment. Each subclass sets its slots in its own __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
 class Rep:
     """A representation: a dimension per vertex and a matrix per arrow.
 
@@ -125,11 +149,12 @@ class RepMorphism:
     morphism, one per (side, far end) (see _factor); it is set on first use
     and freed with the morphism. The hom kernels those systems start from
     depend only on the ends, so they are not kept here but in the bounded
-    _hom_kernel cache, shared by every morphism. The loop-and-exit stage's
-    morphisms are shared through counterex's bounded memo, so a system
-    kept on one of them lives as long as its stage; refute and
-    RefutationWitness.verify keep none there. A certificate read shares
-    equal reps, never morphisms, so a read morphism's systems go with it."""
+    _hom_kernel cache, shared by every morphism and read by hom_basis and
+    hom_dim too. The loop-and-exit stage's morphisms are shared through
+    counterex's bounded memo, so a system kept on one of them lives as
+    long as its stage; refute and RefutationWitness.verify keep none there.
+    A certificate read shares equal reps, never morphisms, so a read
+    morphism's systems go with it."""
 
     __slots__ = ("source", "target", "components", "_memo")
 
@@ -373,15 +398,25 @@ def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
     return RepMorphism(v, w, comps, check=False)
 
 
+@lru_cache(maxsize=256)
+def _hom_kernel(v: Rep, w: Rep) -> Matrix:
+    """The kernel basis of the hom system of (v, w), whose columns are the
+    vectorized hom_basis(v, w). hom_basis, hom_dim and _factor_system all
+    read it here, since they meet the same few hom spaces many times (every
+    candidate of one member in refute and RefutationWitness.verify, every z
+    of a factorization); ext1_* build their own system, whose rref they
+    need and not its kernel."""
+    return _hom_system(v, w).kernel_basis()
+
+
 def hom_basis(v: Rep, w: Rep):
     """Deterministic basis of Hom(v, w) as a list of morphisms."""
-    ker = _hom_system(v, w).kernel_basis()
+    ker = _hom_kernel(v, w)
     return [_unpack_hom_vector(v, w, ker._e[j :: ker.cols]) for j in range(ker.cols)]
 
 
 def hom_dim(v: Rep, w: Rep) -> int:
-    a = _hom_system(v, w)
-    return a.cols - a.rank()
+    return _hom_kernel(v, w).cols
 
 
 def _ext_row_layout(v: Rep, w: Rep):
@@ -617,14 +652,6 @@ def _apply_rows(rows, vec, F: FieldSpec) -> list:
     p = F.modulus
     out = [sum(map(mul, row, vec), F.zero) for row in rows]
     return [x % p for x in out] if p else out
-
-
-@lru_cache(maxsize=256)
-def _hom_kernel(v: Rep, w: Rep) -> Matrix:
-    """The kernel basis of the hom system of (v, w), whose columns are the
-    vectorized hom_basis(v, w): kept for _factor_system, which meets the
-    same few hom spaces for many z."""
-    return _hom_system(v, w).kernel_basis()
 
 
 def _factor_system(z: RepMorphism, w: Rep, side: str):

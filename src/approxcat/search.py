@@ -13,20 +13,21 @@ shared by every search over the same field and dimension.
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ApproxcatError, BudgetExceededError, RationalFieldUnsupportedError
 from .fields import PRIME, FieldSpec
 from .matrix import Matrix
 from .quiver import Quiver
-from .rep import Rep, RepMorphism
+from .rep import FrozenValue, Rep, RepMorphism
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_total_dim: int = 8
-    max_subspaces: int = 1_000_000
+class Budget(FrozenValue):
+    __slots__ = _fields = ("max_total_dim", "max_subspaces")
+
+    def __init__(self, max_total_dim: int = 8, max_subspaces: int = 1_000_000):
+        object.__setattr__(self, "max_total_dim", max_total_dim)
+        object.__setattr__(self, "max_subspaces", max_subspaces)
 
 
 def budget_limit(text: str) -> int:

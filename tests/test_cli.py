@@ -10,7 +10,7 @@ import pytest
 
 from approxcat.approx import AddCategory, left_approx_add, member_add
 from approxcat.cli import main
-from approxcat.counterex import LoopQuiverConfig, assemble_member
+from approxcat.counterex import MAX_LOOPS, LoopQuiverConfig, assemble_member
 from approxcat.errors import ShapeError
 from approxcat.extfilt import FiltrationCertificate, OrderedFamily, member_filt
 from approxcat.fields import FieldSpec
@@ -549,6 +549,18 @@ class TestVerify:
         assert code == 1
         assert out == {"verified": False}
 
+    @pytest.mark.parametrize("n_loops", [MAX_LOOPS + 1, 10**9])
+    def test_verify_refuses_an_oversize_loop_count(self, capsys, tmp_path, n_loops):
+        # the level is refused before any stage is built; at 10**9 loops
+        # the stage used to exhaust memory (exit 4)
+        data = json.loads((GOLDEN / "refutation-F3.json").read_text())
+        data["config"]["n_loops"] = n_loops
+        p = tmp_path / "loops.json"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["verify", "--certificate", str(p)])
+        assert code == 1
+        assert out == {"verified": False}
+
     @pytest.mark.parametrize("label", [2, [1]])
     def test_verify_non_string_field_label(self, capsys, tmp_path, label):
         # content that fails to rebuild is a negative, never a crash (exit 4)
@@ -676,16 +688,24 @@ class TestScenario:
 
 
 def test_cli_import_loads_no_command_module():
-    # a fresh interpreter: this process has imported everything already
+    # fresh interpreters: this process has imported everything already
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, approxcat.cli; print(sorted(sys.modules))"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    loaded = done.stdout.split("'")
+
+    def modules(imports):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys{imports}; print(sorted(sys.modules))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split("'"))
+
+    loaded = modules(", approxcat.cli")
     assert "approxcat.cli" in loaded and "approxcat.serialize" in loaded
-    assert not {"approxcat.counterex", "approxcat.extfilt", "approxcat.scenarios"} & set(loaded)
+    assert not {"approxcat.counterex", "approxcat.extfilt", "approxcat.scenarios"} & loaded
+    # nor the standard modules that only dataclasses and the rationals need
+    added = loaded - modules("")
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & added
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from approxcat import counterex
 from approxcat.approx import (
     AddCategory,
     ExtEvidence,
@@ -10,7 +11,9 @@ from approxcat.approx import (
     verify_evidence,
 )
 from approxcat.counterex import (
+    MAX_LOOPS,
     LoopQuiverConfig,
+    RefutationWitness,
     assemble_member,
     beta_surjectivity_check,
     build_W,
@@ -67,6 +70,24 @@ class TestConfig:
     def test_positive_loop_count_required(self):
         with pytest.raises(ShapeError):
             LoopQuiverConfig(0, F2)
+
+    def test_loop_count_is_capped(self):
+        assert LoopQuiverConfig(MAX_LOOPS, F2).n_loops == MAX_LOOPS
+        for n in (MAX_LOOPS + 1, 10**9):
+            with pytest.raises(ShapeError):
+                LoopQuiverConfig(n, F2)
+        # a level that is no integer passes the bounds and fails where the
+        # stage is built
+        with pytest.raises(TypeError):
+            LoopQuiverConfig(2.0, F2).quiver()
+
+    def test_escalation_past_the_cap_is_refused(self, monkeypatch):
+        # both loops act nonzero, so refute escalates to a third loop
+        v, ev = assemble_member(CFG2, 1, 1, [1, 1])
+        assert refute(_unit_candidate(v), ev).config == LoopQuiverConfig(3, F2)
+        monkeypatch.setattr(counterex, "MAX_LOOPS", 2)
+        with pytest.raises(ShapeError):
+            refute(_unit_candidate(v), ev)
 
     def test_of_rep(self):
         _, s2, _ = build_standard(CFG2)
@@ -142,7 +163,7 @@ class TestAssembleMember:
             assemble_member(CFG2, 1, 1, [1])
 
     def test_evidence_hashes_like_it_compares(self):
-        # a frozen evidence dataclass hashes its short exact sequence
+        # frozen evidence hashes over its fields, its short exact sequence too
         _, ev = assemble_member(CFG2, 1, 1, [1, 0])
         _, again = assemble_member(CFG2, 1, 1, [1, 0])
         assert ev is not again and ev == again
@@ -273,20 +294,19 @@ class TestRefute:
             refute(wrong, ev)
 
     def test_witness_tampering_detected(self):
-        import dataclasses
-
         member, ev = assemble_member(CFG2, 0, 1, [])
-        witness = refute(_unit_candidate(member), ev)
-        zeroed = dataclasses.replace(
-            witness,
-            nonzero_target_map=RepMorphism.zero(
-                witness.nonzero_target_map.source, witness.w
-            ),
+        w = refute(_unit_candidate(member), ev)
+        zeroed = RefutationWitness(
+            w.candidate, w.i0, w.w, w.w_evidence,
+            RepMorphism.zero(w.nonzero_target_map.source, w.w),
+            w.vanishing_proof, w.escalated, w.config,
         )
         assert not zeroed.verify()
-        moved = dataclasses.replace(witness, i0=2)
+        moved = RefutationWitness(w.candidate, 2, w.w, w.w_evidence, w.nonzero_target_map,
+                                  w.vanishing_proof, w.escalated, w.config)
         assert not moved.verify()
-        trimmed = dataclasses.replace(witness, vanishing_proof=())
+        trimmed = RefutationWitness(w.candidate, w.i0, w.w, w.w_evidence, w.nonzero_target_map,
+                                    (), w.escalated, w.config)
         assert not trimmed.verify()
 
     def test_every_family_of_maps_out_of_s2_is_natural(self):
@@ -300,8 +320,6 @@ class TestRefute:
             assert f.is_natural()
 
     def test_non_natural_vanishing_proof_fails(self):
-        import dataclasses
-
         member, ev = assemble_member(CFG2, 0, 1, [])
         witness = refute(_unit_candidate(member), ev)
         (f, c), = witness.vanishing_proof
@@ -310,7 +328,9 @@ class TestRefute:
         forged = RepMorphism(f.source, f.target,
                              [Matrix(F2, 2, 1, [1, 1]), f.component(1)], check=False)
         assert not forged.is_natural()
-        bad = dataclasses.replace(witness, vanishing_proof=((forged, c),))
+        w = witness
+        bad = RefutationWitness(w.candidate, w.i0, w.w, w.w_evidence, w.nonzero_target_map,
+                                ((forged, c),), w.escalated, w.config)
         assert witness.verify()
         assert not bad.verify()
 

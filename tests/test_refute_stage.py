@@ -20,7 +20,6 @@ once per member.
 """
 
 import copy
-import dataclasses
 import json
 from pathlib import Path
 
@@ -28,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxcat import counterex
-from approxcat.approx import verify_evidence
+from approxcat import counterex, rep
+from approxcat.approx import ExtEvidence, verify_evidence
 from approxcat.counterex import (
     LoopQuiverConfig,
+    RefutationWitness,
     assemble_member,
     beta_surjectivity_check,
     build_W,
@@ -118,8 +118,8 @@ class TestEvidenceMemo:
         cfg = LoopQuiverConfig(2, F3)
         v, ev = assemble_member(cfg, 1, 1, [1, 2])
         ses = ev.ses
-        forged = dataclasses.replace(
-            ev, ses=ShortExactSeq(ses.i, RepMorphism.zero(ses.mid, ses.quot)))
+        forged = ExtEvidence(ShortExactSeq(ses.i, RepMorphism.zero(ses.mid, ses.quot)),
+                             ev.sub_evidence, ev.quot_evidence)
         with pytest.raises(CertificateError):
             refute(candidate_maps(v)[0], forged)
         # a failure is not recorded, so the next use raises as well
@@ -132,7 +132,7 @@ class TestEvidenceMemo:
         v, ev = assemble_member(cfg, 0, 1, [])
         refute(candidate_maps(v)[0], ev)
         assert ev._verified == {v.key()}
-        copied = dataclasses.replace(ev)
+        copied = ExtEvidence(ev.ses, ev.sub_evidence, ev.quot_evidence)
         assert copied == ev and copied._verified is None
 
     def test_the_record_is_not_part_of_the_evidence_value(self):
@@ -201,6 +201,11 @@ class TestStageMemo:
         assert stage and all(f._memo is None for f in stage)
 
 
+def _with_w_evidence(w, w_evidence):
+    return RefutationWitness(w.candidate, w.i0, w.w, w_evidence, w.nonzero_target_map,
+                             w.vanishing_proof, w.escalated, w.config)
+
+
 class TestWEvidence:
     def _witness(self):
         cfg = LoopQuiverConfig(2, F3)
@@ -233,10 +238,11 @@ class TestWEvidence:
         # over F3, 2i is another inclusion of S1 with the same cokernel p
         witness = self._witness()
         ses = witness.w_evidence.ses
-        other = dataclasses.replace(
-            witness.w_evidence, ses=ShortExactSeq(ses.i.scale(2), ses.p))
+        w_ev = witness.w_evidence
+        other = ExtEvidence(ShortExactSeq(ses.i.scale(2), ses.p),
+                            w_ev.sub_evidence, w_ev.quot_evidence)
         assert other != w_membership(witness.config, witness.i0)
-        scaled = dataclasses.replace(witness, w_evidence=other)
+        scaled = _with_w_evidence(witness, other)
         calls = self._counting(monkeypatch)
         data = json.loads(json.dumps(certificate_to_jsonable(scaled)))
         for _ in range(2):
@@ -254,9 +260,30 @@ class TestWEvidence:
             forged = ShortExactSeq(ses.i.scale(0), ses.p)
         else:
             forged = ShortExactSeq(ses.i, RepMorphism.zero(ses.mid, ses.quot))
-        bad = dataclasses.replace(
-            witness, w_evidence=dataclasses.replace(witness.w_evidence, ses=forged))
+        w_ev = witness.w_evidence
+        bad = _with_w_evidence(
+            witness, ExtEvidence(forged, w_ev.sub_evidence, w_ev.quot_evidence))
         data = json.loads(json.dumps(certificate_to_jsonable(bad)))
         for _ in range(2):
             assert bad.verify() is False
             assert verify_certificate(data) is False
+
+
+def test_each_hom_system_is_built_once(monkeypatch):
+    # every candidate of one member shares V and W, so refuting them all and
+    # verifying each witness meet a few hom spaces, each read through the
+    # bounded rep._hom_kernel cache
+    v, ev = assemble_member(LoopQuiverConfig(2, F3), 1, 1, [1, 0])
+    candidates = candidate_maps(v)
+    assert len(candidates) > 1
+    built, system = [], rep._hom_system
+
+    def counted(a, b):
+        built.append((a.key(), b.key()))
+        return system(a, b)
+
+    monkeypatch.setattr(rep, "_hom_system", counted)
+    rep._hom_kernel.cache_clear()
+    witnesses = [refute(phi, ev) for phi in candidates]
+    assert all(w.verify() for w in witnesses)
+    assert built and len(built) == len(set(built))

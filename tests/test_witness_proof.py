@@ -12,14 +12,15 @@ carries, gets one forged witness that must verify as False in process and
 from its JSON form.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from approxcat.cli import main
+from approxcat.approx import ExtEvidence
 from approxcat.counterex import (
     LoopQuiverConfig,
+    RefutationWitness,
     assemble_member,
     build_W,
     build_standard,
@@ -34,6 +35,16 @@ def _witness(cfg, s1_mult, m_mult, coefficients):
     member, ev = assemble_member(cfg, s1_mult, m_mult, coefficients)
     phi = hom_basis(build_standard(cfg)[1], member)[0]
     return refute(phi, ev)
+
+
+def _rebuilt(witness, **changes):
+    """witness with the given fields changed, built again through the constructor."""
+    t = witness
+    fields = dict(candidate=t.candidate, i0=t.i0, w=t.w, w_evidence=t.w_evidence,
+                  nonzero_target_map=t.nonzero_target_map, vanishing_proof=t.vanishing_proof,
+                  escalated=t.escalated, config=t.config)
+    fields.update(changes)
+    return RefutationWitness(**fields)
 
 
 def _sum_of_two(proof):
@@ -63,7 +74,7 @@ def test_natural_non_basis_proof_is_refused(case, capsys, tmp_path):
     assert forged.is_natural()
     assert forged not in hom_basis(v, witness.w)
     assert compose(forged, witness.candidate).is_zero()
-    bad = dataclasses.replace(witness, vanishing_proof=((forged, proof[0][1]),) + proof[1:])
+    bad = _rebuilt(witness, vanishing_proof=((forged, proof[0][1]),) + proof[1:])
 
     assert witness.verify()
     assert not bad.verify()
@@ -83,35 +94,34 @@ def _other_loop_witness(witness):
     v = witness.candidate.target
     i0 = next(i for i in range(1, witness.config.n_loops + 1)
               if not v.map(f"alpha{i}").is_zero())
-    return dataclasses.replace(witness, i0=i0, w=build_W(witness.config, i0))
+    return _rebuilt(witness, i0=i0, w=build_W(witness.config, i0))
 
 
 def _zero_projection(witness):
     ses = witness.w_evidence.ses
     forged = ShortExactSeq(ses.i, RepMorphism.zero(ses.mid, ses.quot))
     assert not ses_verify(forged)
-    return dataclasses.replace(
-        witness, w_evidence=dataclasses.replace(witness.w_evidence, ses=forged)
-    )
+    ev = witness.w_evidence
+    return _rebuilt(witness, w_evidence=ExtEvidence(forged, ev.sub_evidence, ev.quot_evidence))
 
 
 # each forgery reaches one refusal of RefutationWitness.verify or of the
 # verify_evidence call it makes on the member W
 FORGERIES = {
-    "i0-below-range": lambda w: dataclasses.replace(w, i0=0),
-    "i0-above-range": lambda w: dataclasses.replace(w, i0=w.config.n_loops + 1),
-    "candidate-not-from-s2": lambda w: dataclasses.replace(
+    "i0-below-range": lambda w: _rebuilt(w, i0=0),
+    "i0-above-range": lambda w: _rebuilt(w, i0=w.config.n_loops + 1),
+    "candidate-not-from-s2": lambda w: _rebuilt(
         w, candidate=RepMorphism.identity(w.candidate.target)
     ),
     "loop-i0-nonzero-on-v": _other_loop_witness,
-    "stored-composite-nonzero": lambda w: dataclasses.replace(
+    "stored-composite-nonzero": lambda w: _rebuilt(
         w, vanishing_proof=((w.vanishing_proof[0][0], w.nonzero_target_map),)
         + w.vanishing_proof[1:]
     ),
-    "ext-evidence-for-add-handle": lambda w: dataclasses.replace(
-        w, w_evidence=dataclasses.replace(w.w_evidence, sub_evidence=w.w_evidence)
+    "ext-evidence-for-add-handle": lambda w: _rebuilt(
+        w, w_evidence=ExtEvidence(w.w_evidence.ses, w.w_evidence, w.w_evidence.quot_evidence)
     ),
-    "add-evidence-for-ext-handle": lambda w: dataclasses.replace(
+    "add-evidence-for-ext-handle": lambda w: _rebuilt(
         w, w_evidence=w.w_evidence.sub_evidence
     ),
     "sequence-not-exact": _zero_projection,

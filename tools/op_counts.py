@@ -11,12 +11,13 @@ Matrix.rref, Matrix.__matmul__, Matrix.solve, rep.cokernel and
 approx.member_add it counts the member_add calls made from extfilt, the
 solves that reduce [A | b] (rref_solves): every solve where Matrix has no
 _unit_rows, else those where _unit_rows returned None; the factorization
-systems built (rep._factor_system) and the hom kernels computed for them
-(factor_kernels: kernel_basis called from _factor_system or from the
-rep._hom_kernel cache that serves it); the rep JSON bodies actually parsed
-(rep_parses: serialize._parse_rep where it exists, else every
-rep_from_jsonable); and every approx.verify_evidence call, the recursive
-ones for the ends of an extension included.
+systems built (rep._factor_system); every hom system built (hom_systems:
+rep._hom_system, whoever calls it) and the kernels computed from them
+(hom_kernels: kernel_basis called from hom_basis, _factor_system or the
+rep._hom_kernel cache, whichever of them computes it in checkout); the
+rep JSON bodies actually parsed (rep_parses: serialize._parse_rep where it
+exists, else every rep_from_jsonable); and every approx.verify_evidence
+call, the recursive ones for the ends of an extension included.
 """
 
 import collections
@@ -38,13 +39,14 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         rep.cokernel.__code__: "cokernel",
         approx.member_add.__code__: "member_add",
         rep._factor_system.__code__: "factor_systems",
+        rep._hom_system.__code__: "hom_systems",
         getattr(serialize, "_parse_rep", serialize.rep_from_jsonable).__code__: "rep_parses",
         approx.verify_evidence.__code__: "verify_evidence",
     }
     kernel = matrix.Matrix.kernel_basis.__code__
-    factor_callers = {rep._factor_system.__code__}
+    kernel_callers = {rep.hom_basis.__code__, rep._factor_system.__code__}
     if hasattr(rep, "_hom_kernel"):
-        factor_callers.add(rep._hom_kernel.__wrapped__.__code__)
+        kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
     unit = getattr(matrix.Matrix, "_unit_rows", None)
     counts = collections.Counter()
 
@@ -55,8 +57,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 counts[name] += 1
                 if name == "member_add" and frame.f_back.f_code.co_filename == extfilt.__file__:
                     counts["member_add_from_extfilt"] += 1
-            elif frame.f_code is kernel and frame.f_back.f_code in factor_callers:
-                counts["factor_kernels"] += 1
+            elif frame.f_code is kernel and frame.f_back.f_code in kernel_callers:
+                counts["hom_kernels"] += 1
         elif event == "return" and unit is not None and frame.f_code is unit.__code__:
             counts["selection_solves"] += arg is not None
 
