@@ -13,19 +13,44 @@ no elimination.
 
 Every entry is canonical: an int in [0, p) over F_p, a Fraction over Q.
 The public constructors (Matrix(...), from_rows, column, from_jsonable)
-coerce and validate what they are given. Results computed from canonical
-matrices go through the private Matrix._trusted, which keeps the shape
-check and skips coercion, so the kernel never re-coerces its own output.
+coerce and validate what they are given. Flat entries computed from
+canonical matrices go through the private Matrix._trusted, which keeps the
+shape check and skips coercion; this module's own operations build their
+results already in stored form through Matrix._make, which checks
+nothing, so the kernel never re-coerces or re-packs its own output.
 Over F_p the inner loops are plain int arithmetic with one `% p` per entry
 or row operation; over Q the same loops run on Fractions with no reduction.
+
+Storage. Over Q and F_p for p > 2 the slot _e holds the entries row-major
+as one flat tuple. Over F2 it holds one int per row, column 0 as the most
+significant of cols bits (the M4RI layout: Albrecht, Bard & Hart, ACM TOMS
+37, 2010): a product row is the XOR of the rows of B its bits pick,
+elimination swaps and XORs whole rows, and is_zero, equality and hashing
+compare ints. Every F2 matrix is stored that way however it was built, so
+equal matrices compare and hash equal; the pivot scan is the same, so the
+RREF, kernel and image bases are the ones the flat loops give. Code outside
+this module reads entries through flat(), which unpacks F2 rows on demand,
+or key(), the stored tuple. With column 0 on top, comparing two rows of
+one width as ints orders them as comparing their entries does, so key()
+sorts matrices of one field and shape exactly as their flat entries sort.
 """
 
-from operator import mul
+from operator import mul, xor
 
 from .errors import FieldMismatchError, ShapeError
 from .fields import FieldSpec
 
 _set = object.__setattr__
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(entries, rows, cols) -> tuple:
+    """The F2 bit rows of rows x cols flat entries in {0, 1}: each row read
+    as a binary numeral, column 0 first."""
+    if not any(entries):  # all zero, or no entries at all
+        return (0,) * rows
+    digits = bytes(entries).translate(_DIGITS)
+    return tuple([int(digits[i : i + cols], 2) for i in range(0, rows * cols, cols)])
 
 
 class Matrix:
@@ -38,8 +63,8 @@ class Matrix:
 
     @staticmethod
     def _trusted(field: FieldSpec, rows: int, cols: int, entries) -> "Matrix":
-        """A matrix from entries already canonical for field (computed from
-        canonical matrices); checks the shape, coerces nothing."""
+        """A matrix from flat entries already canonical for field (computed
+        from canonical matrices); checks the shape, coerces nothing."""
         m = object.__new__(Matrix)
         m._fill(field, rows, cols, entries)
         return m
@@ -54,8 +79,20 @@ class Matrix:
         _set(self, "field", field)
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "_e", tuple(entries))
+        _set(self, "_e", _pack(entries, rows, cols) if field.modulus == 2 else tuple(entries))
         _set(self, "_rref", None)
+
+    @staticmethod
+    def _make(field: FieldSpec, rows: int, cols: int, e) -> "Matrix":
+        """A matrix from its stored form, as this module's operations
+        compute it; checks nothing."""
+        m = object.__new__(Matrix)
+        _set(m, "field", field)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "_e", tuple(e))
+        _set(m, "_rref", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -78,6 +115,8 @@ class Matrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
+        if field.modulus == 2 and n >= 0:
+            return Matrix._make(field, n, n, [1 << s for s in range(n - 1, -1, -1)])
         e = [field.zero] * (n * n)
         for i in range(n):
             e[i * n + i] = field.one
@@ -90,25 +129,35 @@ class Matrix:
 
     # accessors
 
+    def flat(self) -> tuple:
+        """The entries, row-major, as one tuple; over F2 unpacked from the
+        stored bit rows on each call."""
+        if self.field.modulus != 2:
+            return self._e
+        return tuple([r >> s & 1 for r in self._e for s in range(self.cols - 1, -1, -1)])
+
+    def key(self) -> tuple:
+        """The stored entries: hashable, and with the field and shape they
+        determine the matrix. Among matrices of one field and shape they
+        order as the flat entries do."""
+        return self._e
+
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"index ({i},{j}) out of range for {self.rows}x{self.cols}")
-        return self._e[i * self.cols + j]
-
-    def row_list(self, i: int) -> list:
-        return list(self._e[i * self.cols : (i + 1) * self.cols])
+        return self.flat()[i * self.cols + j]
 
     def to_lists(self) -> list:
-        return [self.row_list(i) for i in range(self.rows)]
+        e, c = self.flat(), self.cols
+        return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self._e)
+        return not any(self._e)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.rows == other.rows
             and self.cols == other.cols
             and self._e == other._e
@@ -123,14 +172,14 @@ class Matrix:
     # arithmetic
 
     def _require_same_shape(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field.label} vs {other.field.label}")
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def _canonical(self, out) -> "Matrix":
         """A matrix of this shape from plain sums and products of canonical
-        entries: one `% p` per entry over F_p, nothing over Q."""
+        flat entries: one `% p` per entry over F_p, nothing over Q."""
         p = self.field.modulus
         return Matrix._trusted(
             self.field, self.rows, self.cols, [x % p for x in out] if p else out
@@ -138,59 +187,83 @@ class Matrix:
 
     def __add__(self, other):
         self._require_same_shape(other)
+        if self.field.modulus == 2:
+            return Matrix._make(self.field, self.rows, self.cols, map(xor, self._e, other._e))
         return self._canonical([a + b for a, b in zip(self._e, other._e)])
 
     def __sub__(self, other):
         self._require_same_shape(other)
-        return self._canonical([a - b for a, b in zip(self._e, other._e)])
+        return self._canonical([a - b for a, b in zip(self.flat(), other.flat())])
 
     def __neg__(self):
-        return self._canonical([-a for a in self._e])
+        return self._canonical([-a for a in self.flat()])
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        return self._canonical([c * a for a in self._e])
+        return self._canonical([c * a for a in self.flat()])
 
     def __matmul__(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field.label} vs {other.field.label}")
+        F = self.field
+        if F is not other.field and F != other.field:
+            raise FieldMismatchError(f"{F.label} vs {other.field.label}")
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        F = self.field
         n, k, m = self.rows, self.cols, other.cols
-        a, b, zero, p = self._e, other._e, F.zero, F.modulus
+        a, b, p = self._e, other._e, F.modulus
         if not (any(a) and any(b)):  # an empty operand has no entries
-            return Matrix._trusted(F, n, m, (zero,) * (n * m))
+            return Matrix._make(F, n, m, (0,) * n if p == 2 else (F.zero,) * (n * m))
+        if p == 2:  # row i of the product: the XOR of B's rows at row i's bits
+            rb, out = b[::-1], []
+            for r in a:
+                acc = 0
+                while r:  # r & -r is r's lowest set bit
+                    acc ^= rb[(r & -r).bit_length() - 1]
+                    r &= r - 1
+                out.append(acc)
+            return Matrix._make(F, n, m, out)
         arows = [a[i * k : (i + 1) * k] for i in range(n)]
         bcols = [b[j::m] for j in range(m)]
-        out = [sum(map(mul, row, col), zero) for row in arows for col in bcols]
-        return Matrix._trusted(F, n, m, [x % p for x in out] if p else out)
+        # k > 0 here, so each sum has a term and is a Fraction over Q
+        out = [sum(map(mul, row, col)) for row in arows for col in bcols]
+        return Matrix._make(F, n, m, [x % p for x in out] if p else out)
 
     def trace(self):
         """The sum of the diagonal entries of a square matrix."""
         if self.rows != self.cols:
             raise ShapeError(f"trace of a non-square {self.rows}x{self.cols} matrix")
         p = self.field.modulus
-        t = sum(self._e[:: self.cols + 1], self.field.zero)
+        t = sum(self.flat()[:: self.cols + 1], self.field.zero)
         return t % p if p else t
 
     def transpose(self) -> "Matrix":
-        e = self._e
-        c = self.cols
-        out = [e[i * c + j] for j in range(c) for i in range(self.rows)]
-        return Matrix._trusted(self.field, c, self.rows, out)
+        e, r, c = self._e, self.rows, self.cols
+        if self.field.modulus == 2:  # row j of the result: column j's bit of every row
+            out = []
+            for s in range(c - 1, -1, -1):
+                v = 0
+                for x in e:
+                    v = v << 1 | x >> s & 1
+                out.append(v)
+            return Matrix._make(self.field, c, r, out)
+        return Matrix._make(self.field, c, r, [e[i * c + j] for j in range(c) for i in range(r)])
 
     def take_rows(self, indices) -> "Matrix":
-        rows = [self.row_list(i) for i in indices]
-        flat = [x for r in rows for x in r]
-        return Matrix._trusted(self.field, len(rows), self.cols, flat)
+        w = 1 if self.field.modulus == 2 else self.cols  # stored items per row
+        rows = [self._e[i * w : (i + 1) * w] for i in indices]
+        return Matrix._make(self.field, len(rows), self.cols, [x for r in rows for x in r])
 
     def take_cols(self, indices) -> "Matrix":
         indices = list(indices)
-        out = [self._e[i * self.cols + j] for i in range(self.rows) for j in indices]
-        return Matrix._trusted(self.field, self.rows, len(indices), out)
+        e, c = self._e, self.cols
+        if self.field.modulus == 2:  # append column j's bit to every row, j by j
+            out = [0] * self.rows
+            for j in indices:
+                out = [v << 1 | x >> (c - 1 - j) & 1 for v, x in zip(out, e)]
+            return Matrix._make(self.field, self.rows, len(indices), out)
+        out = [e[i * c + j] for i in range(self.rows) for j in indices]
+        return Matrix._make(self.field, self.rows, len(indices), out)
 
     # elimination
 
@@ -206,40 +279,53 @@ class Matrix:
             return self._rref
         F = self.field
         p = F.modulus
-        rows, cols = self.rows, self.cols
-        if not any(self._e):
+        rows, cols, e = self.rows, self.cols, self._e
+        if not any(e):
             # a copy, not self: a matrix holding itself would wait for the cyclic GC
-            _set(self, "_rref", (Matrix._trusted(F, rows, cols, self._e), ()))
+            _set(self, "_rref", (Matrix._make(F, rows, cols, e), ()))
             return self._rref
-        m = [self.row_list(i) for i in range(rows)]
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pr = None
-            for i in range(r, rows):
-                if m[i][c] != 0:
-                    pr = i
+        pivots, r = [], 0
+        if p == 2:  # the same scan on bit rows: swap, then XOR the pivot row away
+            m = list(e)
+            for c in range(cols):
+                bit = 1 << (cols - 1 - c)
+                for i in range(r, rows):
+                    if m[i] & bit:
+                        break
+                else:
+                    continue
+                m[i], m[r] = m[r], m[i]
+                for i in range(rows):
+                    if i != r and m[i] & bit:
+                        m[i] ^= m[r]
+                pivots.append(c)
+                r += 1
+        else:
+            m = [list(e[i * cols : (i + 1) * cols]) for i in range(rows)]
+            for c in range(cols):
+                if r == rows:
                     break
-            if pr is None:
-                continue
-            if pr != r:
+                for pr in range(r, rows):
+                    if m[pr][c] != 0:
+                        break
+                else:
+                    continue
                 m[r], m[pr] = m[pr], m[r]
-            pe = m[r][c]
-            if pe != 1:
-                inv = pow(pe, -1, p) if p else 1 / pe
-                row = [inv * x for x in m[r]]
-                m[r] = [x % p for x in row] if p else row
-            mr = m[r]
-            for i in range(rows):
-                f = m[i][c]
-                if i != r and f != 0:
-                    row = [x - f * y for x, y in zip(m[i], mr)]
-                    m[i] = [x % p for x in row] if p else row
-            pivots.append(c)
-            r += 1
-        result = (Matrix._trusted(F, rows, cols, [x for row in m for x in row]), tuple(pivots))
+                pe = m[r][c]
+                if pe != 1:
+                    inv = pow(pe, -1, p) if p else 1 / pe
+                    row = [inv * x for x in m[r]]
+                    m[r] = [x % p for x in row] if p else row
+                mr = m[r]
+                for i in range(rows):
+                    f = m[i][c]
+                    if i != r and f != 0:
+                        row = [x - f * y for x, y in zip(m[i], mr)]
+                        m[i] = [x % p for x in row] if p else row
+                pivots.append(c)
+                r += 1
+            m = [x for row in m for x in row]
+        result = (Matrix._make(F, rows, cols, m), tuple(pivots))
         _set(self, "_rref", result)
         return result
 
@@ -263,6 +349,14 @@ class Matrix:
         pivot_set = set(pivots)
         free = [c for c in range(n) if c not in pivot_set]
         k = len(free)
+        if p == 2:  # the same columns as bits: -v = v, and column idx is bit k-1-idx
+            out = [0] * n
+            for idx, fc in enumerate(free):
+                out[fc] = bit = 1 << (k - 1 - idx)
+                for r, pc in enumerate(pivots):
+                    if e[r] >> (n - 1 - fc) & 1:
+                        out[pc] |= bit
+            return Matrix._make(F, n, k, out)
         out = [F.zero] * (n * k)
         for idx, fc in enumerate(free):
             out[fc * k + idx] = F.one
@@ -270,7 +364,7 @@ class Matrix:
                 v = e[r * n + fc]
                 if v != 0:
                     out[pc * k + idx] = p - v if p else -v
-        return Matrix._trusted(F, n, k, out)
+        return Matrix._make(F, n, k, out)
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the original columns at the RREF
@@ -283,6 +377,13 @@ class Matrix:
         every row u_j is the j-th unit vector; else None."""
         e, c = self._e, self.cols
         units = []
+        if self.field.modulus == 2:
+            for s in range(c - 1, -1, -1):
+                u = next((i for i in range(self.rows - 1, -1, -1) if e[i] >> s & 1), None)
+                if u is None or e[u] != 1 << s:
+                    return None
+                units.append(u)
+            return units
         for j in range(c):
             u = next((i for i in range(self.rows - 1, -1, -1) if e[i * c + j]), None)
             if u is None or e[u * c + j] != 1 or any(e[u * c : u * c + j]) or any(
@@ -314,7 +415,7 @@ class Matrix:
         R, pivots = aug.rref()
         if pivots and pivots[-1] >= self.cols:
             return None
-        n, k, e = self.cols, b.cols, R._e
+        n, k, e = self.cols, b.cols, R.flat()
         out = [self.field.zero] * (n * k)
         for r, pc in enumerate(pivots):
             base = r * (n + k) + n
@@ -324,8 +425,7 @@ class Matrix:
     # serialization
 
     def to_jsonable(self) -> list:
-        f = self.field
-        return [[f.entry_to_json(x) for x in self.row_list(i)] for i in range(self.rows)]
+        return [list(map(self.field.entry_to_json, row)) for row in self.to_lists()]
 
     @staticmethod
     def from_jsonable(field: FieldSpec, data, rows: int | None = None, cols: int | None = None) -> "Matrix":
@@ -356,15 +456,21 @@ def hstack(mats) -> Matrix:
             raise FieldMismatchError("mixed fields in hstack")
         if m.rows != rows:
             raise ShapeError("row count mismatch in hstack")
-    out = []
-    for i in range(rows):
+    if field.modulus == 2:  # a row is its pieces' bits, each shifted past the ones to its right
+        out = [0] * rows
         for m in mats:
-            out.extend(m._e[i * m.cols : (i + 1) * m.cols])
-    return Matrix._trusted(field, rows, sum(m.cols for m in mats), out)
+            out = [v << m.cols | x for v, x in zip(out, m._e)]
+    else:
+        out = []
+        for i in range(rows):
+            for m in mats:
+                out.extend(m._e[i * m.cols : (i + 1) * m.cols])
+    return Matrix._make(field, rows, sum(m.cols for m in mats), out)
 
 
 def vstack(mats) -> Matrix:
-    """Concatenate matrices top to bottom (equal column counts)."""
+    """Concatenate matrices top to bottom (equal column counts); the stored
+    forms concatenate, bit rows and flat entries alike."""
     mats = list(mats)
     if not mats:
         raise ShapeError("vstack of nothing")
@@ -377,7 +483,7 @@ def vstack(mats) -> Matrix:
         if m.cols != cols:
             raise ShapeError("column count mismatch in vstack")
         out.extend(m._e)
-    return Matrix._trusted(field, sum(m.rows for m in mats), cols, out)
+    return Matrix._make(field, sum(m.rows for m in mats), cols, out)
 
 
 def block_diag(field: FieldSpec, mats) -> Matrix:
@@ -385,14 +491,18 @@ def block_diag(field: FieldSpec, mats) -> Matrix:
     mats = list(mats)
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [field.zero] * (rows * cols)
+    f2 = field.modulus == 2
+    out = [] if f2 else [field.zero] * (rows * cols)
     r0 = c0 = 0
     for m in mats:
         if m.field != field:
             raise FieldMismatchError("mixed fields in block_diag")
+        c0 += m.cols
+        if f2:  # a block's rows, shifted past the columns to its right
+            out += [x << (cols - c0) for x in m._e]
+            continue
         for i in range(m.rows):
-            base = (r0 + i) * cols + c0
+            base = (r0 + i) * cols + c0 - m.cols
             out[base : base + m.cols] = m._e[i * m.cols : (i + 1) * m.cols]
         r0 += m.rows
-        c0 += m.cols
-    return Matrix._trusted(field, rows, cols, out)
+    return Matrix._make(field, rows, cols, out)

@@ -131,7 +131,7 @@ class Rep:
                 self.quiver.key(),
                 self.field.label,
                 self.dims,
-                tuple(self.maps[a.id]._e for a in self.quiver.arrows),
+                tuple(self.maps[a.id].key() for a in self.quiver.arrows),
             )
             object.__setattr__(self, "_key", k)
         return self._key
@@ -373,7 +373,7 @@ def _hom_system(v: Rep, w: Rep) -> Matrix:
     out = []
     for a in v.quiver.arrows:
         s, t = a.source, a.target
-        va, wa = v.map(a.id)._e, w.map(a.id)._e
+        va, wa = v.map(a.id).flat(), w.map(a.id).flat()
         vs, vt, ws = v.dims[s], v.dims[t], w.dims[s]
         for i in range(w.dims[t]):
             for j in range(vs):
@@ -412,7 +412,8 @@ def _hom_kernel(v: Rep, w: Rep) -> Matrix:
 def hom_basis(v: Rep, w: Rep):
     """Deterministic basis of Hom(v, w) as a list of morphisms."""
     ker = _hom_kernel(v, w)
-    return [_unpack_hom_vector(v, w, ker._e[j :: ker.cols]) for j in range(ker.cols)]
+    e = ker.flat()
+    return [_unpack_hom_vector(v, w, e[j :: ker.cols]) for j in range(ker.cols)]
 
 
 def hom_dim(v: Rep, w: Rep) -> int:
@@ -639,7 +640,7 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     if system is None:
         system = memo[key] = _factor_system(z, w, side)
     lift, obstruction = system
-    vec = [x for c in f.components for x in c._e]
+    vec = [x for c in f.components for x in c.flat()]
     if any(_apply_rows(obstruction, vec, w.field)):
         return None
     src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
@@ -669,12 +670,12 @@ def _factor_system(z: RepMorphism, w: Rep, side: str):
     src, dst = (z.target, w) if left else (w, z.source)
     F = w.field
     ker = _hom_kernel(src, dst)
-    ke, k = ker._e, ker.cols
+    ke, k = ker.flat(), ker.cols
     n, out = 0, []
     for zx, r, c, o in zip(z.components, dst.dims, src.dims, _hom_offsets(src, dst)[0]):
         # each cell lists (z entry, row of K) over t, for the row-major
         # r x c block b_x at offset o
-        ze, zc = zx._e, zx.cols
+        ze, zc = zx.flat(), zx.cols
         if left:  # entry (i, l) of b_x z_x is sum_t b_x[i, t] z_x[t, l]
             cells = ([(ze[t * zc + l], o + i * c + t) for t in range(c)]
                      for i in range(r) for l in range(zc))

@@ -183,7 +183,7 @@ class SubrepSearch:
             m = rep.map(a.id)
             if m.is_zero():
                 continue
-            cols = [tuple(m.entry(i, j) for i in range(dt)) for j in range(ds)]
+            cols = list(zip(*m.to_lists()))  # column j of the dt x ds map
             table = {}
             for vec in itertools.product(range(p), repeat=ds):
                 table[vec] = tuple(

@@ -26,7 +26,7 @@ def ref_solve(a: Matrix, b: Matrix):
     R, pivots = hstack([a, b]).rref()
     if pivots and pivots[-1] >= a.cols:
         return None
-    n, k, e = a.cols, b.cols, R._e
+    n, k, e = a.cols, b.cols, R.flat()
     out = [a.field.zero] * (n * k)
     for r, pc in enumerate(pivots):
         base = r * (n + k) + n
@@ -51,7 +51,7 @@ def ref_factor_system(z: RepMorphism, w: Rep, side: str):
             ops.append(block_diag(F, [zx.transpose()] * r))
         else:
             ops.append(Matrix._trusted(F, zx.rows * c, r * c, [
-                zx._e[i * r + t] if l == u else F.zero
+                zx.flat()[i * r + t] if l == u else F.zero
                 for i in range(zx.rows) for l in range(c) for t in range(r) for u in range(c)]))
     a = block_diag(F, ops) @ ker
     n = a.rows
@@ -71,7 +71,7 @@ def _vec_cocycle(v: Rep, w: Rep, blocks) -> Matrix:
         if m is None:
             continue
         base = offs[a.id]
-        entries[base : base + len(m._e)] = m._e
+        entries[base : base + len(m.flat())] = m.flat()
     return Matrix._trusted(F, total, 1, entries)
 
 

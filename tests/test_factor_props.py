@@ -49,7 +49,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 def _vec_morphism(f):
     # the components' entries, row-major, stacked into one column
-    return Matrix.column(f.source.field, [x for c in f.components for x in c._e])
+    return Matrix.column(f.source.field, [x for c in f.components for x in c.flat()])
 
 
 def ref_factor_through(f, z):
@@ -149,7 +149,7 @@ def cases(draw):
 def assert_canonical(h):
     F = h.source.field
     for c in h.components:
-        for x in c._e:
+        for x in c.flat():
             if F.kind == "rationals":
                 assert type(x) is Fraction
             else:

@@ -5,6 +5,11 @@ prime-field fast path: every scalar operation goes through a FieldSpec
 method. The kernel must agree with them entry for entry, pivot for pivot,
 over F2, F3, F5 and Q, on every shape from 0 to 6 (zero rows and zero
 columns included), and every entry it returns must be canonical.
+
+F2 matrices are stored as bit rows, so every F2 operation is also checked
+against the flat-tuple loops of tests/matrix_oracles.py, on every shape
+from 0 to 8; a matrix built by the public constructor, by _trusted or as
+an operation's result is one value, with one hash and one key.
 """
 
 from fractions import Fraction
@@ -15,7 +20,8 @@ from hypothesis import strategies as st
 
 from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
-from approxcat.matrix import Matrix
+from approxcat.matrix import Matrix, block_diag, hstack, vstack
+import matrix_oracles as oracle
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.rationals()]
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -118,8 +124,8 @@ def ref_solve(F, a, b, n, k):
 
 def assert_canonical(m: Matrix):
     F = m.field
-    assert len(m._e) == m.rows * m.cols
-    for x in m._e:
+    assert len(m.flat()) == m.rows * m.cols
+    for x in m.flat():
         if F.kind == "rationals":
             assert type(x) is Fraction
         else:
@@ -169,7 +175,7 @@ def test_matmul_matches_reference(case):
 @given(pairs())
 def test_entrywise_arithmetic_matches_reference(case):
     F, a, b, c = case
-    ea, eb = a._e, b._e
+    ea, eb = a.flat(), b.flat()
     cc = F.coerce(c)
     expected = {
         "add": (a + b, [F.add(x, y) for x, y in zip(ea, eb)]),
@@ -179,7 +185,7 @@ def test_entrywise_arithmetic_matches_reference(case):
     }
     for got, ref in expected.values():
         assert (got.rows, got.cols) == (a.rows, a.cols)
-        assert list(got._e) == ref
+        assert list(got.flat()) == ref
         assert_canonical(got)
 
 
@@ -318,3 +324,152 @@ def test_degenerate_solve_matches_reference(case):
     assert x.to_lists() == ref
     assert a @ x == b
     assert_canonical(x)
+
+
+# F2 bit rows against the flat-tuple loops of tests/matrix_oracles.py, on
+# every shape from 0 to 8
+
+F2 = FieldSpec.prime(2)
+F2_SETTINGS = settings(max_examples=200, deadline=None)
+f2_dims = st.integers(min_value=0, max_value=8)
+
+
+@st.composite
+def f2_matrices(draw, rows=None, cols=None):
+    """An F2 matrix built by the public constructor from any ints, all zero
+    about a quarter of the time."""
+    rows = draw(f2_dims) if rows is None else rows
+    cols = draw(f2_dims) if cols is None else cols
+    entries = st.sampled_from([0, 2, -2]) if draw(st.integers(0, 3)) == 0 else scalars(F2)
+    return Matrix(F2, rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                                max_size=rows * cols)))
+
+
+def f2_flat(m: Matrix) -> list:
+    """The entries of an F2 matrix, each checked to be 0 or 1."""
+    e = list(m.flat())
+    assert len(e) == m.rows * m.cols and all(type(x) is int and x in (0, 1) for x in e)
+    return e
+
+
+@F2_SETTINGS
+@given(st.data())
+def test_f2_entrywise_and_products_match_the_flat_loops(data):
+    n, k, m = data.draw(f2_dims), data.draw(f2_dims), data.draw(f2_dims)
+    a, b = data.draw(f2_matrices(n, k)), data.draw(f2_matrices(n, k))
+    c = data.draw(f2_matrices(k, m))
+    ea, eb, ec = f2_flat(a), f2_flat(b), f2_flat(c)
+    assert f2_flat(a + b) == oracle.add(F2, ea, eb)
+    assert f2_flat(a - b) == oracle.sub(F2, ea, eb)
+    assert f2_flat(-a) == ea and f2_flat(a.scale(3)) == ea and f2_flat(a.scale(2)) == [0] * len(ea)
+    assert f2_flat(a @ c) == oracle.matmul(F2, n, k, m, ea, ec)
+    assert ((a @ c).rows, (a @ c).cols) == (n, m)
+    assert a.is_zero() == (not any(ea))
+    assert a.to_lists() == [ea[i * k : (i + 1) * k] for i in range(n)]
+    assert [a.entry(i, j) for i in range(n) for j in range(k)] == ea
+    if n == k:
+        assert a.trace() == oracle.trace(F2, n, ea)
+
+
+@F2_SETTINGS
+@given(st.data())
+def test_f2_reshaping_matches_the_flat_loops(data):
+    a = data.draw(f2_matrices())
+    r, c, e = a.rows, a.cols, f2_flat(a)
+    t = a.transpose()
+    assert (t.rows, t.cols) == (c, r) and f2_flat(t) == oracle.transpose(r, c, e)
+    rows = data.draw(st.lists(st.integers(0, r - 1), max_size=8)) if r else []
+    cols = data.draw(st.lists(st.integers(0, c - 1), max_size=8)) if c else []
+    assert f2_flat(a.take_rows(rows)) == oracle.take_rows(c, e, rows)
+    assert a.take_rows(rows).rows == len(rows)
+    assert f2_flat(a.take_cols(cols)) == oracle.take_cols(r, c, e, cols)
+    assert a.take_cols(cols).cols == len(cols)
+    assert f2_flat(Matrix.identity(F2, c)) == oracle.identity(F2, c)
+    assert f2_flat(Matrix.zeros(F2, r, c)) == oracle.zeros(F2, r, c)
+
+
+@F2_SETTINGS
+@given(st.data())
+def test_f2_stacking_matches_the_flat_loops(data):
+    r, c = data.draw(f2_dims), data.draw(f2_dims)
+    count = data.draw(st.integers(1, 3))
+    side = [data.draw(f2_matrices(r, data.draw(f2_dims))) for _ in range(count)]
+    top = [data.draw(f2_matrices(data.draw(f2_dims), c)) for _ in range(count)]
+    blocks = [data.draw(f2_matrices()) for _ in range(count - 1)]
+    def triples(ms):
+        return [(m.rows, m.cols, f2_flat(m)) for m in ms]
+
+    h, v, d = hstack(side), vstack(top), block_diag(F2, blocks)
+    assert (h.rows, h.cols) == (r, sum(m.cols for m in side))
+    assert f2_flat(h) == oracle.hstack(triples(side))
+    assert (v.rows, v.cols) == (sum(m.rows for m in top), c)
+    assert f2_flat(v) == oracle.vstack(triples(top))
+    assert (d.rows, d.cols) == (sum(m.rows for m in blocks), sum(m.cols for m in blocks))
+    assert f2_flat(d) == oracle.block_diag(F2, triples(blocks))
+
+
+@F2_SETTINGS
+@given(f2_matrices())
+def test_f2_elimination_matches_the_flat_loops(a):
+    r, c, e = a.rows, a.cols, f2_flat(a)
+    R, pivots = a.rref()
+    ref, ref_pivots = oracle.rref(F2, r, c, e)
+    assert pivots == ref_pivots and (R.rows, R.cols) == (r, c) and f2_flat(R) == ref
+    assert R.rref() == (R, pivots) and R is not a
+    K = a.kernel_basis()
+    assert (K.rows, K.cols) == (c, c - len(pivots))
+    assert f2_flat(K) == oracle.kernel_basis(F2, r, c, e)
+    assert f2_flat(a.image_basis()) == oracle.take_cols(r, c, e, ref_pivots)
+    assert a.rank() == len(ref_pivots)
+
+
+@st.composite
+def f2_systems(draw):
+    """(A, b) with A drawn freely, or in unit form (a kernel basis or an
+    identity) so that solve selects; b is A times a drawn matrix, or free."""
+    kind = draw(st.sampled_from(["free", "kernel", "identity"]))
+    if kind == "free":
+        a = draw(f2_matrices())
+    elif kind == "kernel":
+        a = draw(f2_matrices()).kernel_basis()
+    else:
+        a = Matrix.identity(F2, draw(f2_dims))
+    k = draw(f2_dims)
+    b = a @ draw(f2_matrices(a.cols, k)) if draw(st.booleans()) else draw(f2_matrices(a.rows, k))
+    return a, b
+
+
+@F2_SETTINGS
+@given(f2_systems())
+def test_f2_solve_matches_the_flat_loops(case):
+    a, b = case
+    x = a.solve(b)
+    ref = oracle.solve(F2, a.rows, a.cols, f2_flat(a), b.cols, f2_flat(b))
+    if ref is None:
+        assert x is None
+        return
+    assert x is not None and (x.rows, x.cols) == (a.cols, b.cols)
+    assert f2_flat(x) == ref
+    assert a @ x == b
+
+
+@F2_SETTINGS
+@given(f2_matrices(), f2_matrices())
+def test_f2_matrices_built_three_ways_are_one_value(a, other):
+    r, c, e = a.rows, a.cols, f2_flat(a)
+    built = [
+        Matrix(F2, r, c, e),
+        Matrix.from_rows(F2, a.to_lists()) if r else Matrix(F2, 0, c),
+        Matrix._trusted(F2, r, c, e),
+        a @ Matrix.identity(F2, c),
+        a.transpose().transpose(),
+        a + Matrix.zeros(F2, r, c),
+        Matrix.from_jsonable(F2, a.to_jsonable(), r, c),
+    ]
+    for m in built:
+        assert m == a and hash(m) == hash(a) and m.key() == a.key()
+    assert (a == other) == ((r, c, e) == (other.rows, other.cols, f2_flat(other)))
+    if (other.rows, other.cols) == (r, c):
+        # key() orders matrices of one shape as their flat entries, which
+        # keeps the sort of fr_enumerate's (total_dim, Rep.key()) unchanged
+        assert (a.key() < other.key()) == (e < f2_flat(other))

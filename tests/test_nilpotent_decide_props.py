@@ -76,7 +76,7 @@ def reps(draw):
             a = draw(st.sampled_from(arrows))
             mat = maps[a.id]
             k = draw(st.integers(0, mat.rows * mat.cols - 1))
-            e = list(mat._e)
+            e = list(mat.flat())
             e[k] = draw(st.sampled_from(pool))
             maps[a.id] = Matrix(field, mat.rows, mat.cols, e)
     support = frozenset(draw(st.sampled_from(

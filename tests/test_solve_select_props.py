@@ -71,7 +71,7 @@ def test_solve_equals_the_reduction(case):
     if got is not None:
         assert a @ got == b
         canonical = Fraction if a.field.modulus is None else int
-        assert all(type(x) is canonical for x in got._e)
+        assert all(type(x) is canonical for x in got.flat())
 
 
 def test_unit_forms_are_recognized():

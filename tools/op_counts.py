@@ -16,8 +16,12 @@ rep._hom_system, whoever calls it) and the kernels computed from them
 (hom_kernels: kernel_basis called from hom_basis, _factor_system or the
 rep._hom_kernel cache, whichever of them computes it in checkout); the
 rep JSON bodies actually parsed (rep_parses: serialize._parse_rep where it
-exists, else every rep_from_jsonable); and every approx.verify_evidence
-call, the recursive ones for the ends of an extension included.
+exists, else every rep_from_jsonable); every approx.verify_evidence
+call, the recursive ones for the ends of an extension included; and the
+calls of Matrix.flat on F2 matrices, each of which unpacks the stored bit
+rows (f2_flat; f2_flat_outside_matrix counts those made from another
+module than matrix.py, such as rep's reads of hom systems and kernels).
+A checkout whose Matrix has no flat counts none.
 """
 
 import collections
@@ -48,6 +52,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     if hasattr(rep, "_hom_kernel"):
         kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
     unit = getattr(matrix.Matrix, "_unit_rows", None)
+    flat = getattr(getattr(matrix.Matrix, "flat", None), "__code__", None)
     counts = collections.Counter()
 
     def hook(frame, event, arg):
@@ -59,6 +64,10 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                     counts["member_add_from_extfilt"] += 1
             elif frame.f_code is kernel and frame.f_back.f_code in kernel_callers:
                 counts["hom_kernels"] += 1
+            elif frame.f_code is flat and frame.f_locals["self"].field.modulus == 2:
+                counts["f2_flat"] += 1
+                if frame.f_back.f_code.co_filename != matrix.__file__:
+                    counts["f2_flat_outside_matrix"] += 1
         elif event == "return" and unit is not None and frame.f_code is unit.__code__:
             counts["selection_solves"] += arg is not None
 
