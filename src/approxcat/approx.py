@@ -285,7 +285,7 @@ def left_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
     for x in range(m.quiver.vertex_count):
         blocks = [f.component(x) for f in flat]
         comps.append(vstack(blocks) if blocks else Matrix(m.field, 0, m.dims[x]))
-    morphism = RepMorphism(m, target, comps)
+    morphism = RepMorphism._make(m, target, comps)
     evidence = AddEvidence(mults, RepMorphism.identity(target))
     return ApproxCertificate("left", morphism, handle, evidence)
 
@@ -301,7 +301,7 @@ def right_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
     for x in range(m.quiver.vertex_count):
         blocks = [f.component(x) for f in flat]
         comps.append(hstack(blocks) if blocks else Matrix(m.field, m.dims[x], 0))
-    morphism = RepMorphism(source, m, comps)
+    morphism = RepMorphism._make(source, m, comps)
     evidence = AddEvidence(mults, RepMorphism.identity(source))
     return ApproxCertificate("right", morphism, handle, evidence)
 
@@ -410,7 +410,7 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
             rows = [r for p in positions for r in per_summand[p]]
             comps.append(c.take_rows(rows) if left else c.take_cols(rows))
         src, dst = (m, total) if left else (total, m)
-        return RepMorphism(src, dst, comps, check=False)
+        return RepMorphism._make(src, dst, comps)
 
     kept = list(range(len(layout)))
     for pos in range(len(layout)):
@@ -435,16 +435,14 @@ def _pushout_extension(e: RepMorphism, x: AddCategory):
     z, a, b = pushout(incl, x_k)
     big_x, y = x_k.target, e.target
     vertices = range(y.quiver.vertex_count)
-    coker_proj = RepMorphism(
+    coker_proj = RepMorphism._make(
         direct_sum_rep([e.source, big_x]), z,
         [hstack([a.component(v), b.component(v)]) for v in vertices],
-        check=False,
     )
-    onto_y = RepMorphism(
+    onto_y = RepMorphism._make(
         coker_proj.source, y,
         [hstack([e.component(v), Matrix.zeros(y.field, y.dims[v], big_x.dims[v])])
          for v in vertices],
-        check=False,
     )
     ses = ShortExactSeq(b, factor_through_cokernel(coker_proj, onto_y))
     if not ses_verify(ses):
@@ -469,7 +467,7 @@ def left_approx_ext(m: Rep, x: AddCategory, y: AddCategory) -> ApproxCertificate
     big_y = y_m.target
     p, pi = projective_epi(big_y)
     s, injs, _ = direct_sum([m, p])
-    comb = RepMorphism(
+    comb = RepMorphism._make(
         s, big_y,
         [hstack([y_m.component(v), pi.component(v)]) for v in range(m.quiver.vertex_count)],
     )

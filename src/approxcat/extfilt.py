@@ -283,8 +283,8 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
         if not ok:
             continue
         if kernels is not None:
-            yield RepMorphism(Rep(m.quiver, m.field, dims), m,
-                              [kern @ e.basis for kern, e in zip(kernels, combo)], check=False)
+            yield RepMorphism._make(Rep(m.quiver, m.field, dims), m,
+                                    [kern @ e.basis for kern, e in zip(kernels, combo)])
             continue
         sub, incl = search.build(combo)
         if member_add(sub, handle) is not None:
@@ -374,7 +374,7 @@ def _first_peel(m: Rep, support) -> RepMorphism:
     bases = [Matrix.zeros(m.field, d, 0) for d in m.dims]
     bases[x] = kern.take_cols([0])
     sub = Rep(m.quiver, m.field, [b.cols for b in bases])
-    return cokernel(RepMorphism(sub, m, bases, check=False))[1]
+    return cokernel(RepMorphism._make(sub, m, bases))[1]
 
 
 def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
@@ -391,7 +391,7 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
         ]
         if any(c is None for c in comps):
             raise ApproxcatError("filtration terms do not chain")
-        steps.append(RepMorphism(prev_rep, t_rep, comps, check=False))
+        steps.append(RepMorphism._make(prev_rep, t_rep, comps))
         prev_rep, prev_incl = t_rep, t_incl
     return steps
 

@@ -2,6 +2,10 @@
 
 Scalars are plain Python values (Fraction for Q, int in [0, p) for F_p);
 a FieldSpec bundles the arithmetic so matrix code stays field-generic.
+FieldSpecs are interned: FieldSpec(...) checks its arguments and returns
+the one live field of that kind and modulus, so equality and hashing are
+identity. A prime modulus is at most MAX_MODULUS, which bounds the trial
+division that checks it.
 
 The module global Fraction is bound by _fraction, which imports fractions
 when the first rational field is made (every rational branch below runs on
@@ -10,11 +14,14 @@ decimal and numbers behind it.
 """
 
 import re
+import weakref
 
 from .errors import ApproxcatError
 
 RATIONALS = "rationals"
 PRIME = "prime_field"
+# the largest modulus accepted: checking it takes about 23,000 trial divisions
+MAX_MODULUS = 2**31 - 1
 # the string form of a scalar that entry_to_json writes; its value is
 # bounded by its length, unlike Fraction's exponent notation
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -44,27 +51,35 @@ class FieldSpec:
     """An exact field of scalars.
 
     kind is "rationals" or "prime_field"; modulus is the prime p for the
-    latter and None for Q. Instances are value objects (equality and hash
-    by kind and modulus).
+    latter and None for Q; zero and one are the field's scalars 0 and 1.
+    Instances are interned, one live object per (kind, modulus), so ==,
+    != and hash are identity.
     """
 
-    __slots__ = ("kind", "modulus")
+    __slots__ = ("kind", "modulus", "zero", "one", "__weakref__")
 
-    def __init__(self, kind: str, modulus: int | None = None):
+    def __new__(cls, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
             if modulus is not None:
                 raise ApproxcatError("rationals take no modulus")
-            _fraction()
-        elif kind == PRIME:
-            if not isinstance(modulus, int) or not _is_prime(modulus):
-                raise ApproxcatError(f"modulus must be prime, got {modulus!r}")
-        else:
+        elif kind != PRIME:
             raise ApproxcatError(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
+        elif type(modulus) is not int or modulus > MAX_MODULUS or not (
+                (PRIME, modulus) in _FIELDS or _is_prime(modulus)):
+            raise ApproxcatError(f"modulus must be a prime at most {MAX_MODULUS}, got {modulus!r}")
+        self = _FIELDS.get((kind, modulus))
+        if self is None:
+            zero, one = (_fraction()(0), Fraction(1)) if modulus is None else (0, 1)
+            self = _FIELDS[kind, modulus] = object.__new__(cls)
+            for slot, value in zip(cls.__slots__, (kind, modulus, zero, one)):
+                object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
+
+    def __reduce__(self):
+        return FieldSpec, (self.kind, self.modulus)
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -80,39 +95,20 @@ class FieldSpec:
 
     @staticmethod
     def from_label(s: str) -> "FieldSpec":
-        if not isinstance(s, str):
-            raise ApproxcatError(f"field label must be a string, got {s!r}")
+        """The field whose label is s: "Q", or "F" and a prime in ASCII
+        digits with no leading zero, so from_label(s).label == s. Ten
+        digits reach MAX_MODULUS, so int() never reads a long string."""
         if s == "Q":
             return FieldSpec.rationals()
-        if s.startswith("F"):
-            try:
-                return FieldSpec.prime(int(s[1:]))
-            except ValueError:
-                pass
-        raise ApproxcatError(f"unknown field label {s!r}")
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
+        p = s[1:] if isinstance(s, str) and s[:1] == "F" else ""
+        if not (p.isascii() and p.isdigit() and p[0] != "0" and len(p) <= 10):
+            raise ApproxcatError(f"unknown field label {s!r}")
+        return FieldSpec.prime(int(p))
 
     def __repr__(self):
         return f"FieldSpec({self.label})"
 
     # arithmetic
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == RATIONALS else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == RATIONALS else 1
 
     def add(self, a, b):
         return a + b if self.kind == RATIONALS else (a + b) % self.modulus
@@ -169,3 +165,8 @@ class FieldSpec:
         if self.kind != PRIME:
             raise ApproxcatError("cannot enumerate an infinite field")
         return range(self.modulus)
+
+
+# the live fields by (kind, modulus): identity, not a memo, so it keeps
+# none alive and needs no bound
+_FIELDS = weakref.WeakValueDictionary()

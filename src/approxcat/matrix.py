@@ -40,7 +40,6 @@ from operator import mul, xor
 from .errors import FieldMismatchError, ShapeError
 from .fields import FieldSpec
 
-_set = object.__setattr__
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -76,22 +75,22 @@ class Matrix:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        _set(self, "field", field)
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "_e", _pack(entries, rows, cols) if field.modulus == 2 else tuple(entries))
-        _set(self, "_rref", None)
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_e(self, _pack(entries, rows, cols) if field.modulus == 2 else tuple(entries))
+        _set_rref(self, None)
 
     @staticmethod
     def _make(field: FieldSpec, rows: int, cols: int, e) -> "Matrix":
         """A matrix from its stored form, as this module's operations
         compute it; checks nothing."""
         m = object.__new__(Matrix)
-        _set(m, "field", field)
-        _set(m, "rows", rows)
-        _set(m, "cols", cols)
-        _set(m, "_e", tuple(e))
-        _set(m, "_rref", None)
+        _set_field(m, field)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_e(m, tuple(e))
+        _set_rref(m, None)
         return m
 
     def __setattr__(self, name, value):
@@ -157,7 +156,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and (self.field is other.field or self.field == other.field)
+            and self.field is other.field
             and self.rows == other.rows
             and self.cols == other.cols
             and self._e == other._e
@@ -172,7 +171,7 @@ class Matrix:
     # arithmetic
 
     def _require_same_shape(self, other):
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError(f"{self.field.label} vs {other.field.label}")
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -204,7 +203,7 @@ class Matrix:
 
     def __matmul__(self, other):
         F = self.field
-        if F is not other.field and F != other.field:
+        if F is not other.field:
             raise FieldMismatchError(f"{F.label} vs {other.field.label}")
         if self.cols != other.rows:
             raise ShapeError(
@@ -282,7 +281,7 @@ class Matrix:
         rows, cols, e = self.rows, self.cols, self._e
         if not any(e):
             # a copy, not self: a matrix holding itself would wait for the cyclic GC
-            _set(self, "_rref", (Matrix._make(F, rows, cols, e), ()))
+            _set_rref(self, (Matrix._make(F, rows, cols, e), ()))
             return self._rref
         pivots, r = [], 0
         if p == 2:  # the same scan on bit rows: swap, then XOR the pivot row away
@@ -326,7 +325,7 @@ class Matrix:
                 r += 1
             m = [x for row in m for x in row]
         result = (Matrix._make(F, rows, cols, m), tuple(pivots))
-        _set(self, "_rref", result)
+        _set_rref(self, result)
         return result
 
     def rank(self) -> int:
@@ -403,7 +402,7 @@ class Matrix:
         x_j off row u_j, so the only candidate is b's rows at the unit rows,
         kept when its product gives b back. Other matrices reduce [A | b].
         """
-        if self.field != b.field:
+        if self.field is not b.field:
             raise FieldMismatchError(f"{self.field.label} vs {b.field.label}")
         if self.rows != b.rows:
             raise ShapeError(f"solve: {self.rows} rows vs rhs {b.rows}")
@@ -425,6 +424,8 @@ class Matrix:
     # serialization
 
     def to_jsonable(self) -> list:
+        if self.field.modulus:  # entry_to_json is the identity on F_p
+            return self.to_lists()
         return [list(map(self.field.entry_to_json, row)) for row in self.to_lists()]
 
     @staticmethod
@@ -444,6 +445,12 @@ class Matrix:
         return Matrix(field, rows, cols, [x for r in data for x in r])
 
 
+# the slots' own setters: __setattr__ refuses assignment, and these cost
+# less per call than object.__setattr__ by name
+_set_field, _set_rows, _set_cols, _set_e, _set_rref = (
+    getattr(Matrix, slot).__set__ for slot in Matrix.__slots__)
+
+
 def hstack(mats) -> Matrix:
     """Concatenate matrices left to right (equal row counts)."""
     mats = list(mats)
@@ -452,7 +459,7 @@ def hstack(mats) -> Matrix:
     field = mats[0].field
     rows = mats[0].rows
     for m in mats[1:]:
-        if m.field != field:
+        if m.field is not field:
             raise FieldMismatchError("mixed fields in hstack")
         if m.rows != rows:
             raise ShapeError("row count mismatch in hstack")
@@ -478,7 +485,7 @@ def vstack(mats) -> Matrix:
     cols = mats[0].cols
     out = []
     for m in mats:
-        if m.field != field:
+        if m.field is not field:
             raise FieldMismatchError("mixed fields in vstack")
         if m.cols != cols:
             raise ShapeError("column count mismatch in vstack")
@@ -495,7 +502,7 @@ def block_diag(field: FieldSpec, mats) -> Matrix:
     out = [] if f2 else [field.zero] * (rows * cols)
     r0 = c0 = 0
     for m in mats:
-        if m.field != field:
+        if m.field is not field:
             raise FieldMismatchError("mixed fields in block_diag")
         c0 += m.cols
         if f2:  # a block's rows, shifted past the columns to its right

@@ -1,7 +1,10 @@
 """Finite quivers: vertices 0..n-1 and labelled arrows, possibly with loops
 and parallel arrows. Acyclicity (loops count as cycles) gates the projective
-constructions elsewhere."""
+constructions elsewhere. Quivers are interned: Quiver(...) checks its
+arguments and returns the one live quiver with that key(), so equality and
+hashing are identity."""
 
+import weakref
 from typing import NamedTuple
 
 from .errors import ApproxcatError, ShapeError, _need
@@ -14,32 +17,31 @@ class Arrow(NamedTuple):
 
 
 class Quiver:
-    __slots__ = ("vertex_count", "arrows", "_by_id", "_acyclic")
+    __slots__ = ("vertex_count", "arrows", "_by_id", "_acyclic", "__weakref__")
 
-    def __init__(self, vertex_count: int, arrows):
-        if vertex_count < 0:
-            raise ShapeError("negative vertex count")
-        arrs = []
-        for a in arrows:
-            if isinstance(a, Arrow):
-                arrs.append(a)
-            else:
-                aid, s, t = a
-                arrs.append(Arrow(str(aid), int(s), int(t)))
-        by_id = {}
-        for a in arrs:
-            if not (0 <= a.source < vertex_count and 0 <= a.target < vertex_count):
-                raise ShapeError(f"arrow {a.id} endpoints out of range")
-            if a.id in by_id:
-                raise ApproxcatError(f"duplicate arrow id {a.id!r}")
-            by_id[a.id] = a
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "arrows", tuple(arrs))
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_acyclic", None)
+    def __new__(cls, vertex_count: int, arrows):
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise ShapeError(f"vertex count must be a non-negative int, got {vertex_count!r}")
+        arrs = tuple([Arrow(str(aid), int(s), int(t)) for aid, s, t in arrows])
+        self = _QUIVERS.get((vertex_count, arrs))
+        if self is None:
+            by_id = {}
+            for a in arrs:
+                if not (0 <= a.source < vertex_count and 0 <= a.target < vertex_count):
+                    raise ShapeError(f"arrow {a.id} endpoints out of range")
+                if a.id in by_id:
+                    raise ApproxcatError(f"duplicate arrow id {a.id!r}")
+                by_id[a.id] = a
+            self = _QUIVERS[vertex_count, arrs] = object.__new__(cls)
+            for slot, value in zip(cls.__slots__, (vertex_count, arrs, by_id, None)):
+                object.__setattr__(self, slot, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")
+
+    def __reduce__(self):
+        return Quiver, self.key()
 
     def arrow(self, aid: str) -> Arrow:
         try:
@@ -87,16 +89,6 @@ class Quiver:
             frontier = nxt
         return paths
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Quiver)
-            and self.vertex_count == other.vertex_count
-            and self.arrows == other.arrows
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.arrows))
-
     def __repr__(self):
         arrs = ", ".join(f"{a.id}:{a.source}->{a.target}" for a in self.arrows)
         return f"Quiver({self.vertex_count}; {arrs})"
@@ -119,6 +111,11 @@ class Quiver:
             for a in _need(data, "arrows", list)
         ]
         return Quiver(_need(data, "vertices", int), arrows)
+
+
+# the live quivers by key(): identity, not a memo, so it keeps none alive
+# and needs no bound
+_QUIVERS = weakref.WeakValueDictionary()
 
 
 def a2_quiver() -> Quiver:

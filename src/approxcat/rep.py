@@ -58,6 +58,8 @@ class Rep:
 
     The matrix for arrow a: s -> t has shape dims[t] x dims[s] and acts on
     column vectors. Missing arrows in the maps argument default to zero.
+    The constructor checks its arguments; a rep the library computes from
+    validated ones is built by Rep._make, which checks nothing.
     """
 
     __slots__ = ("quiver", "field", "dims", "maps", "_key")
@@ -83,11 +85,23 @@ class Rep:
             full[a.id] = m
         if maps:
             raise ApproxcatError(f"maps for unknown arrows: {sorted(maps)}")
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "maps", full)
-        object.__setattr__(self, "_key", None)
+        _set_quiver(self, quiver)
+        _set_field(self, field)
+        _set_dims(self, dims)
+        _set_maps(self, full)
+        _set_key(self, None)
+
+    @staticmethod
+    def _make(quiver: Quiver, field: FieldSpec, dims, maps: dict) -> "Rep":
+        """A rep from parts computed from validated values: maps holds a
+        matrix over field for every arrow, of the shape dims gives it."""
+        r = object.__new__(Rep)
+        _set_quiver(r, quiver)
+        _set_field(r, field)
+        _set_dims(r, tuple(dims))
+        _set_maps(r, maps)
+        _set_key(r, None)
+        return r
 
     def __setattr__(self, name, value):
         raise AttributeError("Rep is immutable")
@@ -113,10 +127,10 @@ class Rep:
         return self.total_dim == 0
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Rep)
-            and self.quiver == other.quiver
-            and self.field == other.field
+            and self.quiver is other.quiver
+            and self.field is other.field
             and self.dims == other.dims
             and self.maps == other.maps
         )
@@ -133,7 +147,7 @@ class Rep:
                 self.dims,
                 tuple(self.maps[a.id].key() for a in self.quiver.arrows),
             )
-            object.__setattr__(self, "_key", k)
+            _set_key(self, k)
         return self._key
 
     def __repr__(self):
@@ -154,14 +168,18 @@ class RepMorphism:
     counterex's bounded memo, so a system kept on one of them lives as
     long as its stage; refute and RefutationWitness.verify keep none there.
     A certificate read shares equal reps, never morphisms, so a read
-    morphism's systems go with it."""
+    morphism's systems go with it.
+
+    The constructor checks shapes and fields, and naturality unless
+    check=False; a morphism the library computes from validated values is
+    built by RepMorphism._make, which checks nothing."""
 
     __slots__ = ("source", "target", "components", "_memo")
 
     def __init__(self, source: Rep, target: Rep, components, check: bool = True):
-        if source.quiver != target.quiver:
+        if source.quiver is not target.quiver:
             raise ShapeError("morphism between representations of different quivers")
-        if source.field != target.field:
+        if source.field is not target.field:
             raise FieldMismatchError("morphism between different fields")
         components = tuple(components)
         if len(components) != source.quiver.vertex_count:
@@ -172,14 +190,25 @@ class RepMorphism:
                     f"component {x} is {c.rows}x{c.cols}, "
                     f"expected {target.dims[x]}x{source.dims[x]}"
                 )
-            if c.field != source.field:
+            if c.field is not source.field:
                 raise FieldMismatchError("component over wrong field")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_memo", None)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_components(self, components)
+        _set_memo(self, None)
         if check and not self.is_natural():
             raise ShapeError("components are not natural (do not commute with arrow maps)")
+
+    @staticmethod
+    def _make(source: Rep, target: Rep, components) -> "RepMorphism":
+        """A morphism from natural components of the right shapes over the
+        ends' field, computed from validated values."""
+        f = object.__new__(RepMorphism)
+        _set_source(f, source)
+        _set_target(f, target)
+        _set_components(f, tuple(components))
+        _set_memo(f, None)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("RepMorphism is immutable")
@@ -200,16 +229,12 @@ class RepMorphism:
 
     @staticmethod
     def identity(rep: Rep) -> "RepMorphism":
-        comps = [Matrix.identity(rep.field, d) for d in rep.dims]
-        return RepMorphism(rep, rep, comps, check=False)
+        return RepMorphism._make(rep, rep, [Matrix.identity(rep.field, d) for d in rep.dims])
 
     @staticmethod
     def zero(source: Rep, target: Rep) -> "RepMorphism":
-        comps = [
-            Matrix.zeros(source.field, target.dims[x], source.dims[x])
-            for x in range(source.quiver.vertex_count)
-        ]
-        return RepMorphism(source, target, comps, check=False)
+        comps = [Matrix.zeros(source.field, t, s) for t, s in zip(target.dims, source.dims)]
+        return RepMorphism._make(source, target, comps)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -247,12 +272,10 @@ class RepMorphism:
         if self.source != other.source or self.target != other.target:
             raise ShapeError("morphism sum needs equal ends")
         comps = [a + b for a, b in zip(self.components, other.components)]
-        return RepMorphism(self.source, self.target, comps, check=False)
+        return RepMorphism._make(self.source, self.target, comps)
 
     def scale(self, c) -> "RepMorphism":
-        return RepMorphism(
-            self.source, self.target, [m.scale(c) for m in self.components], check=False
-        )
+        return RepMorphism._make(self.source, self.target, [m.scale(c) for m in self.components])
 
 
 def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
@@ -260,7 +283,13 @@ def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
     if f.target != g.source:
         raise ShapeError("composition mismatch")
     comps = [gc @ fc for gc, fc in zip(g.components, f.components)]
-    return RepMorphism(f.source, g.target, comps, check=False)
+    return RepMorphism._make(f.source, g.target, comps)
+
+
+_set_quiver, _set_field, _set_dims, _set_maps, _set_key = (
+    getattr(Rep, slot).__set__ for slot in Rep.__slots__)
+_set_source, _set_target, _set_components, _set_memo = (
+    getattr(RepMorphism, slot).__set__ for slot in RepMorphism.__slots__)
 
 
 class ShortExactSeq:
@@ -395,7 +424,7 @@ def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
     for x in range(v.quiver.vertex_count):
         r, c = w.dims[x], v.dims[x]
         comps.append(Matrix._trusted(v.field, r, c, col[offs[x] : offs[x] + r * c]))
-    return RepMorphism(v, w, comps, check=False)
+    return RepMorphism._make(v, w, comps)
 
 
 @lru_cache(maxsize=256)
@@ -514,7 +543,7 @@ def extension_from_cocycle(v: Rep, w: Rep, cocycle) -> ShortExactSeq:
         top = hstack([w.map(a.id), g])
         bot = hstack([Matrix.zeros(F, v.dims[t], w.dims[s]), v.map(a.id)])
         maps[a.id] = vstack([top, bot])
-    mid = Rep(q, F, dims, maps)
+    mid = Rep._make(q, F, dims, maps)
     i_comps = [
         vstack([Matrix.identity(F, w.dims[x]), Matrix.zeros(F, v.dims[x], w.dims[x])])
         for x in range(q.vertex_count)
@@ -523,9 +552,7 @@ def extension_from_cocycle(v: Rep, w: Rep, cocycle) -> ShortExactSeq:
         hstack([Matrix.zeros(F, v.dims[x], w.dims[x]), Matrix.identity(F, v.dims[x])])
         for x in range(q.vertex_count)
     ]
-    i = RepMorphism(w, mid, i_comps)
-    p = RepMorphism(mid, v, p_comps)
-    return ShortExactSeq(i, p)
+    return ShortExactSeq(RepMorphism._make(w, mid, i_comps), RepMorphism._make(mid, v, p_comps))
 
 
 # kernels, cokernels, images, sums
@@ -548,8 +575,8 @@ def cokernel(f: RepMorphism):
     projs = [t.kernel_basis().transpose() for t in comps_t]
     free = [sorted(set(range(t.cols)).difference(t.rref()[1])) for t in comps_t]
     maps = {a.id: (projs[a.target] @ w.map(a.id)).take_cols(free[a.source]) for a in q.arrows}
-    c = Rep(q, F, [p.rows for p in projs], maps)
-    proj = RepMorphism(w, c, projs, check=False)
+    c = Rep._make(q, F, [p.rows for p in projs], maps)
+    proj = RepMorphism._make(w, c, projs)
     if not proj.is_natural():
         raise ApproxcatError("cokernel maps are not induced; naturality broken")
     return c, proj
@@ -560,7 +587,7 @@ def image(f: RepMorphism):
     proj: source -> I surjective, f == incl after proj."""
     im, incl = subrep_from_bases(f.target, [c.image_basis() for c in f.components])
     projs = [b.solve(c) for b, c in zip(incl.components, f.components)]
-    return im, incl, RepMorphism(f.source, im, projs)
+    return im, incl, RepMorphism._make(f.source, im, projs)
 
 
 def direct_sum_rep(reps, quiver: Quiver | None = None, field: FieldSpec | None = None) -> Rep:
@@ -578,7 +605,7 @@ def direct_sum_rep(reps, quiver: Quiver | None = None, field: FieldSpec | None =
             raise FieldMismatchError("direct sum needs a common quiver and field")
     dims = [sum(r.dims[x] for r in reps) for x in range(q.vertex_count)]
     maps = {a.id: block_diag(F, [r.map(a.id) for r in reps]) for a in q.arrows}
-    return Rep(q, F, dims, maps)
+    return Rep._make(q, F, dims, maps)
 
 
 def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = None):
@@ -600,8 +627,8 @@ def direct_sum(reps, quiver: Quiver | None = None, field: FieldSpec | None = Non
             inj_comps.append(Matrix._trusted(F, n, d, inj))
             proj_comps.append(Matrix._trusted(F, d, n, proj))
         offsets = [off + d for off, d in zip(offsets, r.dims)]
-        injections.append(RepMorphism(r, s, inj_comps, check=False))
-        projections.append(RepMorphism(s, r, proj_comps, check=False))
+        injections.append(RepMorphism._make(r, s, inj_comps))
+        projections.append(RepMorphism._make(s, r, proj_comps))
     return s, injections, projections
 
 
@@ -634,7 +661,7 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     memo = z._memo
     if memo is None:
         memo = {}
-        object.__setattr__(z, "_memo", memo)
+        _set_memo(z, memo)
     key = (side, w.key())
     system = memo.get(key)
     if system is None:
@@ -716,7 +743,7 @@ def pushout(f: RepMorphism, g: RepMorphism):
         vstack([f.component(x), g.component(x).scale(-1)])
         for x in range(A.quiver.vertex_count)
     ]
-    h = RepMorphism(f.source, s, comps, check=False)
+    h = RepMorphism._make(f.source, s, comps)
     z, proj = cokernel(h)
     a = compose(proj, injs[0])
     b = compose(proj, injs[1])
@@ -802,7 +829,8 @@ def projective_epi(m: Rep):
 
 
 def subrep_from_bases(rep: Rep, bases):
-    """(U, incl) for an arrow-stable family of full-column-rank bases; each
+    """(U, incl) for an arrow-stable family of full-column-rank bases over
+    rep's field, one per vertex with rep's dimension as its row count; each
     arrow map of U solves incl's naturality equation, so it is not rechecked."""
     q, F = rep.quiver, rep.field
     dims = [b.cols for b in bases]
@@ -812,8 +840,8 @@ def subrep_from_bases(rep: Rep, bases):
         if ua is None:
             raise ShapeError("bases are not arrow-stable")
         maps[a.id] = ua
-    u = Rep(q, F, dims, maps)
-    return u, RepMorphism(u, rep, bases, check=False)
+    u = Rep._make(q, F, dims, maps)
+    return u, RepMorphism._make(u, rep, bases)
 
 
 def preimage_subrep(f: RepMorphism, incl: RepMorphism):

@@ -222,7 +222,7 @@ class SubrepSearch:
             entries = [cols[j][i] for i in range(tgt.k) for j in range(src.k)]
             maps[a.id] = Matrix(F, tgt.k, src.k, entries)
         sub = Rep(rep.quiver, F, dims, maps)
-        incl = RepMorphism(sub, rep, [e.basis for e in combo], check=False)
+        incl = RepMorphism._make(sub, rep, [e.basis for e in combo])
         return sub, incl
 
 

@@ -21,7 +21,12 @@ call, the recursive ones for the ends of an extension included; and the
 calls of Matrix.flat on F2 matrices, each of which unpacks the stored bit
 rows (f2_flat; f2_flat_outside_matrix counts those made from another
 module than matrix.py, such as rep's reads of hom systems and kernels).
-A checkout whose Matrix has no flat counts none.
+A checkout whose Matrix has no flat counts none. Value construction and
+comparison: the calls of Rep.__init__ and RepMorphism.__init__ (the
+validating constructors), of Matrix._fill (the shape check behind
+Matrix(...) and Matrix._trusted) and of FieldSpec.__eq__ and
+Quiver.__eq__; a checkout that lacks one of these (interned fields and
+quivers compare by identity, with no __eq__ of their own) counts 0.
 """
 
 import collections
@@ -33,7 +38,7 @@ import tempfile
 
 def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     sys.path[:0] = [str(root / "src"), str(root)]
-    from approxcat import approx, extfilt, matrix, rep, serialize
+    from approxcat import approx, extfilt, fields, matrix, quiver, rep, serialize
     from perfbench import workloads
 
     targets = {
@@ -47,6 +52,14 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         getattr(serialize, "_parse_rep", serialize.rep_from_jsonable).__code__: "rep_parses",
         approx.verify_evidence.__code__: "verify_evidence",
     }
+    values = {"Rep.__init__": (rep.Rep, "__init__"),
+              "RepMorphism.__init__": (rep.RepMorphism, "__init__"),
+              "Matrix._fill": (matrix.Matrix, "_fill"),
+              "FieldSpec.__eq__": (fields.FieldSpec, "__eq__"),
+              "Quiver.__eq__": (quiver.Quiver, "__eq__")}
+    for name, (cls, attr) in values.items():
+        if attr in vars(cls):
+            targets[vars(cls)[attr].__code__] = name
     kernel = matrix.Matrix.kernel_basis.__code__
     kernel_callers = {rep.hom_basis.__code__, rep._factor_system.__code__}
     if hasattr(rep, "_hom_kernel"):
@@ -82,6 +95,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
             sys.setprofile(None)
     counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
     counts["items"] = len(items)
+    for name in values:
+        counts[name] += 0
     return dict(sorted(counts.items()))
 
 
