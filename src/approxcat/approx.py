@@ -6,13 +6,19 @@ with sub in the left handle and quotient in the right one). Approximation
 certificates bundle the approximation morphism with re-checkable membership
 evidence for its target (left) or source (right).
 
-The central construction is left_approx_ext: given a representation m and
-add-handles x and y, it produces a left approximation of m into the
-extension category x*y from a left y-approximation, a projective surjection
-onto its target, a left x-approximation of the kernel, and one pushout.
-left_approx_ext_subclosed trades the projective surjection (and with it the
-acyclicity requirement) for the assumption that y is closed under
-subobjects, replacing the y-approximation by its image.
+The central construction is Gentle-Todorov's, by recursion over the
+handle tree: left_approx(m, handle) takes the stacked basis at an add
+leaf, and at an ext node x*y calls left_approx_ext, which builds a left
+approximation of m into x*y from a left y-approximation, a projective
+surjection onto its target, a left x-approximation of the kernel (both by
+left_approx, so x and y may be any handle trees), and one pushout. For an
+ordered family with Ext1(X_i, X_j) = 0 for i <= j, the filtration category
+F(S) is add X_1 * (add X_2 * (... * add X_n)), so this recursion gives its
+left approximations. left_approx_ext_subclosed trades the projective
+surjection (and with it the acyclicity requirement) for the assumption
+that the add handle y is closed under subobjects, replacing the
+y-approximation by its image; its x is any handle tree, through the same
+recursion, which needs projectives again below an ext x.
 """
 
 from typing import Optional, Union
@@ -425,24 +431,27 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
     return ApproxCertificate(cert.side, z, handle, evidence)
 
 
-def _pushout_extension(e: RepMorphism, x: AddCategory):
+def left_approx(m: Rep, handle: Handle) -> ApproxCertificate:
+    """Left approximation of m into any handle tree: the stacked basis at
+    an add leaf, left_approx_ext at an ext node."""
+    if isinstance(handle, AddCategory):
+        return left_approx_add(m, handle)
+    return left_approx_ext(m, handle.left, handle.right)
+
+
+def _pushout_extension(e: RepMorphism, x: Handle):
     """For a surjection e: S -> Y, push a left x-approximation x_k: K -> X
     of K = ker e out along K -> S to Z. Returns (a: S -> Z, the verified
     sequence 0 -> X -> Z -> Y -> 0, the x-evidence for X)."""
     k, incl = kernel(e)
-    cx = left_approx_add(k, x)
+    cx = left_approx(k, x)
     x_k = cx.morphism
-    z, a, b = pushout(incl, x_k)
+    z, a, b, coker_proj = pushout(incl, x_k)
     big_x, y = x_k.target, e.target
-    vertices = range(y.quiver.vertex_count)
-    coker_proj = RepMorphism._make(
-        direct_sum_rep([e.source, big_x]), z,
-        [hstack([a.component(v), b.component(v)]) for v in vertices],
-    )
     onto_y = RepMorphism._make(
         coker_proj.source, y,
         [hstack([e.component(v), Matrix.zeros(y.field, y.dims[v], big_x.dims[v])])
-         for v in vertices],
+         for v in range(y.quiver.vertex_count)],
     )
     ses = ShortExactSeq(b, factor_through_cokernel(coker_proj, onto_y))
     if not ses_verify(ses):
@@ -450,19 +459,19 @@ def _pushout_extension(e: RepMorphism, x: AddCategory):
     return a, ses, cx.evidence
 
 
-def left_approx_ext(m: Rep, x: AddCategory, y: AddCategory) -> ApproxCertificate:
+def left_approx_ext(m: Rep, x: Handle, y: Handle) -> ApproxCertificate:
     """Left approximation of m into the extension category x*y, for
-    representations of an acyclic quiver.
+    representations of an acyclic quiver; x and y are any handle trees.
 
-    Construction: take the stacked left y-approximation y_m: m -> Y, a
-    projective surjection pi: P -> Y, and the kernel K of the combined
+    Construction: take the left y-approximation y_m: m -> Y (left_approx),
+    a projective surjection pi: P -> Y, and the kernel K of the combined
     surjection (y_m, pi): m + P -> Y. A left x-approximation x_k: K -> X
     pushed out along K -> m + P yields Z with an induced exact sequence
     0 -> X -> Z -> Y -> 0, and the composite z_m: m -> Z is the left
-    approximation. The certificate records that sequence with add-evidence
-    on both ends.
+    approximation. The certificate records that sequence with the evidence
+    of both approximations on its ends.
     """
-    cy = left_approx_add(m, y)
+    cy = left_approx(m, y)
     y_m = cy.morphism
     big_y = y_m.target
     p, pi = projective_epi(big_y)
@@ -478,22 +487,25 @@ def left_approx_ext(m: Rep, x: AddCategory, y: AddCategory) -> ApproxCertificate
 
 def left_approx_ext_subclosed(
     m: Rep,
-    x: AddCategory,
+    x: Handle,
     y: AddCategory,
-    spot_check: bool = True,
     budget: Budget | None = None,
 ) -> ApproxCertificate:
-    """Variant of left_approx_ext for y closed under subobjects: the
-    y-approximation can be replaced by its image (an epimorphism onto a
-    member of y), so no projectives are needed and cyclic quivers work.
+    """Variant of left_approx_ext for an add handle y closed under
+    subobjects: the y-approximation can be replaced by its image (an
+    epimorphism onto a member of y), so no projectives are needed at this
+    level and cyclic quivers work; x is any handle tree.
 
-    Over a prime field, spot_check exhaustively confirms closure of each
-    generator's subrepresentations (budget bounded) before constructing;
-    over the rationals closure is the caller's assertion. Either way the
-    image itself is certified by member_add, so a violation surfacing there
-    raises SubobjectClosureError.
+    A vertex-simple y (y.kind()[1], support T) is closed by theorem: a
+    subrepresentation of a zero-map representation supported on T is a sum
+    of simples on T, each a generator. Otherwise, over a prime field,
+    closure of each generator's subrepresentations is confirmed
+    exhaustively (budget bounded) before constructing; over the rationals
+    it is the caller's assertion. Either way the image itself is certified
+    by member_add, so a violation surfacing there raises
+    SubobjectClosureError.
     """
-    if spot_check and m.field.kind == PRIME:
+    if m.field.kind == PRIME and y.kind()[1] is None:
         budget = budget or default_budget()
         for g in y.generators:
             for sub, _ in iter_subreps(g, budget):

@@ -148,8 +148,8 @@ def _budget_from_args(args) -> Budget:
 def _add_handle_or_die(handle, flag):
     if not isinstance(handle, AddCategory):
         raise ShapeError(
-            f"{flag} must name an add handle; extension handles are built "
-            "with approx-ext or member-ext"
+            f"{flag} must name an add handle; extension handles are taken by "
+            "member-ext, and by approx-ext except as --y under --assume-subobject-closed"
         )
     return handle
 
@@ -191,10 +191,9 @@ def cmd_approx_add(args, ws):
 
 
 def cmd_approx_ext(args, ws):
-    m = ws.rep(args.of)
-    x = _add_handle_or_die(ws.handle(args.x), "--x")
-    y = _add_handle_or_die(ws.handle(args.y), "--y")
+    m, x, y = ws.rep(args.of), ws.handle(args.x), ws.handle(args.y)
     if args.assume_subobject_closed:
+        y = _add_handle_or_die(y, "--y")
         cert = left_approx_ext_subclosed(m, x, y, budget=_budget_from_args(args))
     else:
         cert = left_approx_ext(m, x, y)
@@ -410,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument(
         "--assume-subobject-closed", action="store_true",
-        help="use the image-based construction (no projectives needed); "
-        "y must be closed under subobjects",
+        help="use the image-based construction (no projectives needed at the top "
+        "level); y must be an add handle closed under subobjects",
     )
 
     for kind, fn in (("add", cmd_member_add), ("ext", cmd_member_ext)):

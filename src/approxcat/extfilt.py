@@ -90,6 +90,7 @@ from .rep import (
     RepMorphism,
     ShortExactSeq,
     _cocycle_combination,
+    _zero_map_rep,
     cokernel,
     compose,
     direct_sum_rep,
@@ -271,7 +272,7 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
     space, kernels = m, None
     if handle.kind()[0]:
         kernels = [_outgoing_kernel(m, x) for x in range(m.quiver.vertex_count)]
-        space = Rep(m.quiver, m.field, [k.cols for k in kernels])
+        space = _zero_map_rep(m.quiver, m.field, [k.cols for k in kernels])
     search = SubrepSearch(space, budget)
     total = m.total_dim
     feasible = {}
@@ -283,7 +284,7 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
         if not ok:
             continue
         if kernels is not None:
-            yield RepMorphism._make(Rep(m.quiver, m.field, dims), m,
+            yield RepMorphism._make(_zero_map_rep(m.quiver, m.field, dims), m,
                                     [kern @ e.basis for kern, e in zip(kernels, combo)])
             continue
         sub, incl = search.build(combo)
@@ -373,7 +374,7 @@ def _first_peel(m: Rep, support) -> RepMorphism:
             break
     bases = [Matrix.zeros(m.field, d, 0) for d in m.dims]
     bases[x] = kern.take_cols([0])
-    sub = Rep(m.quiver, m.field, [b.cols for b in bases])
+    sub = _zero_map_rep(m.quiver, m.field, [b.cols for b in bases])
     return cokernel(RepMorphism._make(sub, m, bases))[1]
 
 
@@ -457,7 +458,7 @@ def _certify(filt: Filtration, member: Rep, family: AddCategory) -> FiltrationCe
     read filt.factor(j)."""
     evidence = []
     for j, step in enumerate(filt.steps):
-        factor = filt.factor(j) if not family.kind()[0] else Rep(
+        factor = filt.factor(j) if not family.kind()[0] else _zero_map_rep(
             member.quiver, member.field, [t - s for s, t in zip(step.source.dims, step.target.dims)])
         ev = member_add(factor, family)
         if ev is None:

@@ -108,7 +108,7 @@ class Rep:
 
     @staticmethod
     def zero(quiver: Quiver, field: FieldSpec) -> "Rep":
-        return Rep(quiver, field, [0] * quiver.vertex_count)
+        return _zero_map_rep(quiver, field, [0] * quiver.vertex_count)
 
     @staticmethod
     def simple(quiver: Quiver, field: FieldSpec, vertex: int) -> "Rep":
@@ -152,6 +152,13 @@ class Rep:
 
     def __repr__(self):
         return f"Rep(dims={self.dims})"
+
+
+def _zero_map_rep(quiver: Quiver, field: FieldSpec, dims) -> Rep:
+    """The rep on dims, non-negative ints one per vertex, with every arrow
+    map zero, built by Rep._make."""
+    maps = {a.id: Matrix.zeros(field, dims[a.target], dims[a.source]) for a in quiver.arrows}
+    return Rep._make(quiver, field, dims, maps)
 
 
 class RepMorphism:
@@ -733,8 +740,9 @@ def is_split(s: ShortExactSeq):
 
 
 def pushout(f: RepMorphism, g: RepMorphism):
-    """Pushout of A <-f- K -g-> B: returns (Z, a, b) with a: A -> Z,
-    b: B -> Z, a f = b g, computed as the cokernel of (f, -g): K -> A + B."""
+    """Pushout of A <-f- K -g-> B: returns (Z, a, b, proj) with a: A -> Z,
+    b: B -> Z, a f = b g, computed as the cokernel proj: A + B -> Z of
+    (f, -g): K -> A + B, so a and b are proj after the injections."""
     if f.source != g.source:
         raise ShapeError("pushout legs need a common source")
     A, B = f.target, g.target
@@ -745,9 +753,7 @@ def pushout(f: RepMorphism, g: RepMorphism):
     ]
     h = RepMorphism._make(f.source, s, comps)
     z, proj = cokernel(h)
-    a = compose(proj, injs[0])
-    b = compose(proj, injs[1])
-    return z, a, b
+    return z, compose(proj, injs[0]), compose(proj, injs[1]), proj
 
 
 def factor_through_cokernel(proj: RepMorphism, u: RepMorphism) -> RepMorphism:

@@ -10,6 +10,7 @@ from approxcat.approx import (
     ExtEvidence,
     factor_through,
     factor_through_right,
+    left_approx,
     left_approx_add,
     left_approx_ext,
     left_approx_ext_subclosed,
@@ -19,10 +20,12 @@ from approxcat.approx import (
     verify_evidence,
 )
 from approxcat.errors import (
+    BudgetExceededError,
     FieldMismatchError,
     ShapeError,
     SubobjectClosureError,
 )
+from approxcat.extfilt import fr_enumerate
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
@@ -37,11 +40,15 @@ from approxcat.rep import (
     projective,
     ses_verify,
 )
+from approxcat.scenarios import _check_factoring
+from approxcat.search import Budget, iter_all_reps
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
 
 A2 = a2_quiver()
+A3 = Quiver(3, [("a", 0, 1), ("b", 1, 2)])
 LOOP = loop_quiver(1)
 
 
@@ -432,19 +439,42 @@ class TestLeftApproxExtSubclosed:
             left_approx_ext_subclosed(m, AddCategory([s1]), AddCategory([m]))
 
     def test_closure_violation_detected_without_spot_check(self):
-        # With the exhaustive check skipped the violation still surfaces,
+        # Over Q no exhaustive check runs, and the violation still surfaces,
         # because the image of the approximation fails membership.
         q = Quiver(2, [("alpha1", 0, 0), ("beta", 0, 1)])
         m = Rep(
-            q, F2, [1, 1],
-            {"alpha1": Matrix(F2, 1, 1, [0]), "beta": Matrix(F2, 1, 1, [1])},
+            q, Q, [1, 1],
+            {"alpha1": Matrix(Q, 1, 1, [0]), "beta": Matrix(Q, 1, 1, [1])},
         )
-        s1 = Rep.simple(q, F2, 0)
-        s2 = Rep.simple(q, F2, 1)
+        s1 = Rep.simple(q, Q, 0)
+        s2 = Rep.simple(q, Q, 1)
         # the stacked approximation of S2 into add(m) lands in the socle
         with pytest.raises(SubobjectClosureError):
-            left_approx_ext_subclosed(s2, AddCategory([s1]), AddCategory([m]),
-                                      spot_check=False)
+            left_approx_ext_subclosed(s2, AddCategory([s1]), AddCategory([m]))
+
+    def test_vertex_simple_y_is_closed_by_theorem(self):
+        # add{S, S + S} is vertex-simple, so no subrepresentation of S + S
+        # is enumerated and a budget below its dimension does not apply
+        s = Rep.simple(LOOP, F2, 0)
+        j2 = Rep(LOOP, F2, [2], {"alpha1": Matrix(F2, 2, 2, [0, 0, 1, 0])})
+        y = AddCategory([s, direct_sum([s, s])[0]])
+        cert = left_approx_ext_subclosed(j2, AddCategory([s]), y, budget=Budget(1, 10**6))
+        assert cert.verify()
+
+    def test_other_y_is_searched_within_the_budget(self):
+        j2 = Rep(LOOP, F2, [2], {"alpha1": Matrix(F2, 2, 2, [0, 0, 1, 0])})
+        with pytest.raises(BudgetExceededError):
+            left_approx_ext_subclosed(j2, AddCategory([j2]), AddCategory([j2]),
+                                      budget=Budget(1, 10**6))
+
+    def test_nested_x(self):
+        # x = add{S2} * add{S1} on A2 needs projectives below the top level
+        s1, s2 = simples(F2)
+        x = ExtCategory(AddCategory([s2]), AddCategory([s1]))
+        for m in all_a2_reps(F2, 2, 1):
+            cert = left_approx_ext_subclosed(m, x, AddCategory([s2]))
+            assert cert.verify()
+            assert cert.handle == ExtCategory(x, AddCategory([s2]))
 
     def test_agrees_with_projective_route_on_a2(self):
         # On an acyclic quiver with a subobject closed y both constructions
@@ -493,3 +523,46 @@ class TestCertificateVerify:
         handle = cert.handle
         swapped = ExtEvidence(ev.ses, ev.quot_evidence, ev.sub_evidence)
         assert not verify_evidence(swapped, cert.approximating, handle)
+
+
+def ordered_tree(family):
+    """add X_1 * (add X_2 * (... * add X_n)) for the family X_1, ..., X_n."""
+    tree = AddCategory([family[-1]])
+    for g in reversed(family[:-1]):
+        tree = ExtCategory(AddCategory([g]), tree)
+    return tree
+
+
+def ext_ordered_families(field):
+    """Families with Ext1(X_i, X_j) = 0 for i <= j, each with its quiver
+    and a dims bound: (S3, S2, S1) on linear A3 and three on A2."""
+    s1, s2 = simples(field)
+    p = a2_rep(field, 1, 1, [1])
+    t1, t2, t3 = (Rep.simple(A3, field, v) for v in range(3))
+    return {
+        "a3_s3_s2_s1": (A3, [t3, t2, t1], (1, 1, 1)),
+        "a2_s2_p1_s1": (A2, [s2, p, s1], (2, 2)),
+        "a2_s2_s1": (A2, [s2, s1], (2, 2)),
+        "a2_p1_s1": (A2, [p, s1], (2, 2)),
+    }
+
+
+class TestLeftApproxTrees:
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("case", sorted(ext_ordered_families(F2)))
+    def test_filtration_category_gate(self, field, case):
+        """For an Ext-ordered family S, F(S) is the handle tree
+        add X_1 * (add X_2 * (... * add X_n)): every left approximation into
+        it verifies, and every morphism from m into every member of F(S)
+        within the bound, listed by fr_enumerate, factors through it."""
+        quiver, family, bound = ext_ordered_families(field)[case]
+        tree = ordered_tree(family)
+        members = fr_enumerate(family, len(family), bound)
+        checks, failures = 0, []
+        for m in iter_all_reps(quiver, field, bound):
+            cert = left_approx(m, tree)
+            assert cert.verify()
+            assert cert.handle == tree
+            checks += _check_factoring(m, cert.morphism, members, failures)
+        assert checks > 100
+        assert failures == []

@@ -219,6 +219,44 @@ class TestApprox:
         assert code == 0
         assert verify_certificate(out["certificate"])
 
+    @pytest.mark.parametrize("x, y", [("semis", "projs"), ("simples1", "inline"),
+                                      ("inline", "semis")])
+    def test_left_ext_of_handle_trees(self, capsys, a2_ws, x, y):
+        code, out, _ = run(
+            capsys, ["approx-ext", "--workspace", a2_ws, "--of", "P1", "--x", x, "--y", y]
+        )
+        assert code == 0
+        assert out["certificate"]["handle"]["kind"] == "ext"
+        assert verify_certificate(out["certificate"])
+
+    def test_subclosed_needs_an_add_y(self, capsys, a2_ws):
+        code, out, _ = run(
+            capsys,
+            [
+                "approx-ext", "--workspace", a2_ws, "--of", "P1",
+                "--x", "simples1", "--y", "semis", "--assume-subobject-closed",
+            ],
+        )
+        assert code == 2
+        assert "--y must name an add handle" in out["error"]["message"]
+
+    def test_subclosed_nested_x_needs_projectives(self, capsys, tmp_path):
+        # the image replaces the projectives at the top level only; the
+        # approximation into the nested x needs them again
+        ws = json.loads(json.dumps(ONE_LOOP_WORKSPACE))
+        ws["handles"]["nested"] = {"ext": ["adds", "adds"]}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(ws))
+        code, out, _ = run(
+            capsys,
+            [
+                "approx-ext", "--workspace", str(path), "--of", "J2",
+                "--x", "nested", "--y", "adds", "--assume-subobject-closed",
+            ],
+        )
+        assert code == 3
+        assert out["error"]["code"] == "NonAcyclicQuiver"
+
     def test_deterministic_output(self, capsys, a2_ws):
         argv = ["approx-left", "--workspace", a2_ws, "--of", "P1", "--into", "projs"]
         main(argv)

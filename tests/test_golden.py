@@ -18,8 +18,10 @@ import pytest
 
 from approxcat.approx import (
     AddCategory,
+    ExtCategory,
     factor_through,
     factor_through_right,
+    left_approx,
     left_approx_add,
     left_approx_ext,
     left_approx_ext_subclosed,
@@ -35,7 +37,7 @@ from approxcat.counterex import (
 from approxcat.extfilt import filt_normalize, fr_enumerate, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
-from approxcat.quiver import a2_quiver, loop_quiver
+from approxcat.quiver import Quiver, a2_quiver, loop_quiver
 from approxcat.rep import Rep, direct_sum, ext1_basis, hom_basis
 from approxcat.serialize import (
     certificate_from_jsonable,
@@ -46,6 +48,7 @@ from approxcat.serialize import (
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 A2 = a2_quiver()
+A3 = Quiver(3, [("a", 0, 1), ("b", 1, 2)])
 FIELDS = {"F2": FieldSpec.prime(2), "F3": FieldSpec.prime(3), "Q": FieldSpec.rationals()}
 # one non-trivial scalar per field, so Q entries are not all integers
 C = {"F2": 1, "F3": 2, "Q": Fraction(-1, 2)}
@@ -85,6 +88,24 @@ def approximation_subclosed(label):
         "loop_j3": certificate_to_jsonable(left_approx_ext_subclosed(j3, add_s, add_s)),
         "a2_m": certificate_to_jsonable(
             left_approx_ext_subclosed(m, AddCategory([s2]), AddCategory([s1, s2]))),
+    }
+
+
+def approximation_nested(label):
+    """left_approx into three-level handle trees add X_1 * (add X_2 *
+    add X_3), by recursion: (S3, S2, S1) on linear A3 and (S2, P1, S1) on
+    A2, so the certificates carry nested extension evidence."""
+    F, c = FIELDS[label], C[label]
+    s1, s2, p1, m = _a2_reps(F, c)
+    t1, t2, t3 = (Rep.simple(A3, F, v) for v in range(3))
+    n = Rep(A3, F, [2, 2, 1], {"a": Matrix(F, 2, 2, [1, 0, 0, c]), "b": Matrix(F, 1, 2, [1, 1])})
+
+    def tree(x1, x2, x3):
+        return ExtCategory(AddCategory([x1]), ExtCategory(AddCategory([x2]), AddCategory([x3])))
+
+    return {
+        "a3_s3_s2_s1": certificate_to_jsonable(left_approx(n, tree(t3, t2, t1))),
+        "a2_s2_p1_s1": certificate_to_jsonable(left_approx(m, tree(s2, p1, s1))),
     }
 
 
@@ -257,7 +278,8 @@ def bases_q():
 
 CASES = {
     f"{kind.__name__}-{label}": (lambda kind=kind, label=label: kind(label))
-    for kind in (approximation, approximation_subclosed, filtration, refutation)
+    for kind in (approximation, approximation_subclosed, approximation_nested, filtration,
+                 refutation)
     for label in FIELDS
 }
 CASES.update({

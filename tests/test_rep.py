@@ -310,7 +310,7 @@ class TestPushout:
         s1, s2 = simples(F2)
         p = p1(F2)
         socle = RepMorphism(s2, p, [Matrix(F2, 1, 0), Matrix(F2, 1, 1, [1])])
-        z, a, b = pushout(socle, RepMorphism.identity(s2))
+        z, a, b, _ = pushout(socle, RepMorphism.identity(s2))
         assert z.dims == (1, 1)
         assert compose(a, socle) == compose(b, RepMorphism.identity(s2))
         assert iso_test(z, p) is not None
@@ -330,16 +330,14 @@ class TestPushout:
             if not homs_f or not homs_g:
                 continue
             f, g = homs_f[0], homs_g[0]
-            z, a, b = pushout(f, g)
+            z, a, b, proj = pushout(f, g)
             assert compose(a, f) == compose(b, g)
             # a cone on the same span: u f = v g with u = id wants v = f g^-1,
             # so use the cone (a f = b g legs) itself and check mediation is id
             s_total, injs, _ = direct_sum([a_rep, k])
-            proj = RepMorphism(
-                s_total, z,
-                [hstack([a.component(x), b.component(x)]) for x in range(2)],
-                check=False,
-            )
+            # the returned projection is [a | b] on the sum
+            assert proj.source == s_total and proj.target == z
+            assert compose(proj, injs[0]) == a and compose(proj, injs[1]) == b
             cone = RepMorphism(
                 s_total, z,
                 [hstack([a.component(x), b.component(x)]) for x in range(2)],
