@@ -205,14 +205,17 @@ def embed_rep(rep: Rep, cfg: LoopQuiverConfig) -> Rep:
         raise FieldMismatchError(f"{rep.field.label} vs {cfg.field.label}")
     if src.n_loops > cfg.n_loops:
         raise ShapeError("cannot embed into a smaller truncation")
-    # Rep makes the new loops, which rep's maps omit, act by zero
-    return Rep(cfg.quiver(), cfg.field, rep.dims, rep.maps)
+    # the new loops, which rep's maps omit, act by zero
+    d = rep.dims[0]
+    maps = {a.id: rep.maps[a.id] if a.id in rep.maps else Matrix.zeros(cfg.field, d, d)
+            for a in cfg.quiver().arrows}
+    return Rep._make(cfg.quiver(), cfg.field, rep.dims, maps)
 
 
 def embed_morphism(f: RepMorphism, cfg: LoopQuiverConfig) -> RepMorphism:
-    return RepMorphism(
-        embed_rep(f.source, cfg), embed_rep(f.target, cfg), f.components
-    )
+    """f between the embedded ends: the new loops act by zero on both, so
+    f stays natural exactly when it was."""
+    return RepMorphism._make(embed_rep(f.source, cfg), embed_rep(f.target, cfg), f.components)
 
 
 def embed_evidence(ev: Evidence, cfg: LoopQuiverConfig) -> Evidence:

@@ -14,6 +14,7 @@ from one elimination.
 
 import itertools
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from operator import mul
 
@@ -166,16 +167,18 @@ class RepMorphism:
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
-    _memo holds the factorization systems (lists of rows) built for this
-    morphism, one per (side, far end) (see _factor); it is set on first use
-    and freed with the morphism. The hom kernels those systems start from
-    depend only on the ends, so they are not kept here but in the bounded
-    _hom_kernel cache, shared by every morphism and read by hom_basis and
-    hom_dim too. The loop-and-exit stage's morphisms are shared through
-    counterex's bounded memo, so a system kept on one of them lives as
-    long as its stage; refute and RefutationWitness.verify keep none there.
-    A certificate read shares equal reps, never morphisms, so a read
-    morphism's systems go with it.
+    _memo holds the factorization systems built for this morphism, one
+    per (side, far end) (see _factor): lists of rows in the coordinates of
+    the hom space of the factored morphism's ends, and the unit rows that
+    read those coordinates. It is set on first use and freed with the
+    morphism. The hom kernels those systems start from depend only on the
+    ends, so they are not kept here but in the bounded _hom_kernel cache,
+    shared by every morphism and read by hom_basis and hom_dim too. The
+    loop-and-exit stage's morphisms are shared through counterex's bounded
+    memo, so a system kept on one of them lives as long as its stage;
+    refute and RefutationWitness.verify keep none there. A certificate
+    read shares equal reps, never morphisms, so a read morphism's systems
+    go with it.
 
     The constructor checks shapes and fields, and naturality unless
     check=False; a morphism the library computes from validated values is
@@ -426,11 +429,10 @@ def _hom_system(v: Rep, w: Rep) -> Matrix:
 
 def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
     """The morphism whose vectorized components are the sequence col."""
-    offs, _ = _hom_offsets(v, w)
-    comps = []
-    for x in range(v.quiver.vertex_count):
-        r, c = w.dims[x], v.dims[x]
-        comps.append(Matrix._trusted(v.field, r, c, col[offs[x] : offs[x] + r * c]))
+    F, comps, o = v.field, [], 0
+    for r, c in zip(w.dims, v.dims):
+        comps.append(Matrix._trusted(F, r, c, col[o : o + r * c]))
+        o += r * c
     return RepMorphism._make(v, w, comps)
 
 
@@ -662,8 +664,10 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is eliminated once per (side, w) and memoized on z; each call then
-    applies its two lists of rows to the flat entries of f."""
+    it is eliminated once per (side, w) and memoized on z. Each call reads
+    f's coordinates f' in the hom basis of its ends off the flat entries of
+    f, checks that they give f back, then applies the system's obstruction
+    rows and lift rows to f'."""
     w = f.target if side == "left" else f.source
     memo = z._memo
     if memo is None:
@@ -673,12 +677,18 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     system = memo.get(key)
     if system is None:
         system = memo[key] = _factor_system(z, w, side)
-    lift, obstruction = system
+    units, others, residual, obstruction, lift = system
+    F = w.field
     vec = [x for c in f.components for x in c.flat()]
-    if any(_apply_rows(obstruction, vec, w.field)):
+    coords = [vec[u] for u in units]
+    # a morphism built with check=False need not be natural: then
+    # vec f != K' f' and it has no factorization
+    if _apply_rows(residual, coords, F) != [vec[i] for i in others]:
+        return None
+    if any(_apply_rows(obstruction, coords, F)):
         return None
     src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
-    return _unpack_hom_vector(src, dst, _apply_rows(lift, vec, w.field))
+    return _unpack_hom_vector(src, dst, _apply_rows(lift, coords, F))
 
 
 def _apply_rows(rows, vec, F: FieldSpec) -> list:
@@ -690,46 +700,65 @@ def _apply_rows(rows, vec, F: FieldSpec) -> list:
 
 
 def _factor_system(z: RepMorphism, w: Rep, side: str):
-    """(lift, obstruction) for h z = f on the left (z h = f on the right),
-    each a list of rows. The columns b_j of K = _hom_kernel(...) are the
-    hom basis of Hom(z.target, w) (of Hom(w, z.source)) and column j of A
-    is vec(b_j z) (vec(z b_j)); each row of A is a combination of rows of
-    K with z's entries as coefficients. One rref of [A | I] gives E = its
-    right part and the pivots among A's columns, rank of them: f factors
-    exactly when the rows of obstruction = E[rank:] all kill vec f, and
-    then the rows of lift = K[:, pivots] E[:rank] map vec f to vec h,
-    h = K s for the solution s of A s = vec f with free variables zero.
-    Rows the elimination of I mixes into E[:rank] vanish on such vec f."""
+    """The system for h z = f on the left (z h = f on the right), in the
+    coordinates of Hom(m, w) (of Hom(w, m)), where f lives:
+    (units, others, residual, obstruction, lift).
+
+    The columns b_j of K, the kernel of h's ends, are the hom basis of
+    Hom(z.target, w) (of Hom(w, z.source)), and column j of A is vec(b_j z)
+    (vec(z b_j)), each row a combination of rows of K with z's entries as
+    coefficients. Every column is natural, so A = K' A' for K' the kernel
+    of f's ends and A' the rows of A at K''s unit rows (units), one per
+    basis element. K' is injective, so A and A' have the same pivot
+    columns and the same solution with free variables zero, and only A' is
+    built. One rref of [A' | I] gives E = its right part and the pivots
+    among A''s columns, rank of them. For f with f' = vec f at the units,
+    f factors exactly when residual (K''s rows at the other rows) maps f'
+    to vec f there and the rows of obstruction = E[rank:] kill f'; then
+    the rows of lift = K[:, pivots] E[:rank] map f' to vec h, h = K s for
+    the solution s of A' s = f'."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
+    f_src, f_dst = (z.source, w) if left else (w, z.target)
     F = w.field
-    ker = _hom_kernel(src, dst)
-    ke, k = ker.flat(), ker.cols
-    n, out = 0, []
-    for zx, r, c, o in zip(z.components, dst.dims, src.dims, _hom_offsets(src, dst)[0]):
-        # each cell lists (z entry, row of K) over t, for the row-major
-        # r x c block b_x at offset o
-        ze, zc = zx.flat(), zx.cols
+    ker, f_ker = _hom_kernel(src, dst), _hom_kernel(f_src, f_dst)
+    ke, k, kk = ker.flat(), ker.cols, f_ker.cols
+    units = f_ker._unit_rows()  # a kernel basis is in unit form
+    offs, f_offs = _hom_offsets(src, dst)[0], _hom_offsets(f_src, f_dst)[0]
+    zflat = [zx.flat() for zx in z.components]
+    out = []
+    for u in units:
+        # the unit row's cell (i, l) of the row-major block of f's vertex x
+        x = bisect_right(f_offs, u) - 1
+        i, l = divmod(u - f_offs[x], f_src.dims[x])
+        ze, zc, c, o = zflat[x], z.components[x].cols, src.dims[x], offs[x]
         if left:  # entry (i, l) of b_x z_x is sum_t b_x[i, t] z_x[t, l]
-            cells = ([(ze[t * zc + l], o + i * c + t) for t in range(c)]
-                     for i in range(r) for l in range(zc))
+            cell = [(ze[t * zc + l], o + i * c + t) for t in range(c)]
         else:  # entry (i, l) of z_x b_x is sum_t z_x[i, t] b_x[t, l]
-            cells = ([(ze[i * zc + t], o + t * c + l) for t in range(zc)]
-                     for i in range(zx.rows) for l in range(c))
-        for cell in cells:
-            row = [F.zero] * k
-            for coef, m in cell:
-                if coef:
-                    row = [u + coef * v for u, v in zip(row, ke[m * k : m * k + k])]
-            out += row
-            n += 1
+            cell = [(ze[i * zc + t], o + t * c + l) for t in range(zc)]
+        row = [F.zero] * k
+        for coef, m in cell:
+            if coef:
+                row = [s + coef * t for s, t in zip(row, ke[m * k : m * k + k])]
+        out += row
     p = F.modulus
-    a = Matrix._trusted(F, n, k, [x % p for x in out] if p else out)
-    R, pivots = hstack([a, Matrix.identity(F, n)]).rref()
+    a = Matrix._trusted(F, kk, k, [x % p for x in out] if p else out)
+    R, pivots = hstack([a, Matrix.identity(F, kk)]).rref()
     rank = sum(pc < k for pc in pivots)
-    E = R.take_cols(range(k, k + n))
-    lift = ker.take_cols(pivots[:rank]) @ E.take_rows(range(rank))
-    return lift.to_lists(), E.take_rows(range(rank, n)).to_lists()
+    re, width = R.flat(), k + kk
+    E = [re[r * width + k : (r + 1) * width] for r in range(kk)]
+    lift = []
+    for i in range(ker.rows):
+        row = [F.zero] * kk
+        for r in range(rank):
+            coef = ke[i * k + pivots[r]]
+            if coef:
+                row = [s + coef * t for s, t in zip(row, E[r])]
+        lift.append([x % p for x in row] if p else row)
+    fe, unit_set = f_ker.flat(), set(units)
+    others = [i for i in range(f_ker.rows) if i not in unit_set]
+    residual = [fe[i * kk : (i + 1) * kk] for i in others]
+    return units, others, residual, E[rank:], lift
 
 
 def is_split(s: ShortExactSeq):
@@ -765,7 +794,10 @@ def factor_through_cokernel(proj: RepMorphism, u: RepMorphism) -> RepMorphism:
         if sol_t is None:
             raise ApproxcatError("morphism does not kill the kernel of the projection")
         comps.append(sol_t.transpose())
-    return RepMorphism(proj.target, u.target, comps)
+    # w is natural: w_t Z_a proj_s = w_t proj_t S_a = u_t S_a = T_a u_s =
+    # T_a w_s proj_s for every arrow a: s -> t, as proj and u are natural,
+    # and proj_s is surjective, so w_t Z_a = T_a w_s
+    return RepMorphism._make(proj.target, u.target, comps)
 
 
 # projectives (acyclic quivers only)
@@ -796,7 +828,7 @@ def projective(quiver: Quiver, field: FieldSpec, vertex: int) -> Rep:
         for p in basis[a.source]:
             e[index[a.target][p + (a.id,)] * cols + index[a.source][p]] = field.one
         maps[a.id] = Matrix._trusted(field, rows, cols, e)
-    return Rep(quiver, field, dims, maps)
+    return Rep._make(quiver, field, dims, maps)
 
 
 def _path_eval(m: Rep, start: int, path) -> Matrix:
@@ -827,8 +859,9 @@ def projective_epi(m: Rep):
     for j in range(q.vertex_count):
         cols = [e.take_cols([b]) for i, b in summands for e in evals[i][j]]
         comps.append(hstack(cols) if cols else Matrix(F, m.dims[j], 0))
-    pi = RepMorphism(p, m, comps)
-    return p, pi
+    # pi is natural: on the summand of a path basis vector it is the path's
+    # evaluation, and an arrow appends itself to the path on both sides
+    return p, RepMorphism._make(p, m, comps)
 
 
 # subrepresentations

@@ -35,11 +35,13 @@ def ref_solve(a: Matrix, b: Matrix):
 
 
 def ref_factor_system(z: RepMorphism, w: Rep, side: str):
-    """rep._factor_system as it was before A was read off the kernel's rows:
-    the kernel of the hom system computed afresh, and A = D K with D block
+    """The factorization system as rep._factor_system built it in the
+    ambient coordinates of f, with no hom basis of f's ends: the kernel of
+    the hom system of h's ends computed afresh, and A = D K with D block
     diagonal over the vertices. On the row-major vec of an r x c block b_x,
     vec(b z)_x = diag(z_x^T, ..., z_x^T) vec b_x (r copies) and
-    vec(z b)_x = (z_x kron I_c) vec b_x."""
+    vec(z b)_x = (z_x kron I_c) vec b_x. One rref of [A | I_n] gives
+    (lift, obstruction) as row lists over vec f, n = len(vec f)."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
     F = w.field
@@ -60,6 +62,26 @@ def ref_factor_system(z: RepMorphism, w: Rep, side: str):
     E = R.take_cols(range(k, k + n))
     lift = ker.take_cols(pivots[:rank]) @ E.take_rows(range(rank))
     return lift.to_lists(), E.take_rows(range(rank, n)).to_lists()
+
+
+def ref_factor(f: RepMorphism, z: RepMorphism, side: str):
+    """factor_through (side "left") or factor_through_right ("right") read
+    off ref_factor_system: None when an obstruction row does not kill
+    vec f, else the morphism whose vec is lift times vec f."""
+    left = side == "left"
+    w = f.target if left else f.source
+    src, dst = (z.target, f.target) if left else (f.source, z.source)
+    F = w.field
+    lift, obstruction = ref_factor_system(z, w, side)
+    vec = Matrix.column(F, [x for c in f.components for x in c.flat()])
+    if obstruction and not (Matrix.from_rows(F, obstruction) @ vec).is_zero():
+        return None
+    h = (Matrix.from_rows(F, lift) @ vec).flat() if lift else ()
+    comps, o = [], 0
+    for r, c in zip(dst.dims, src.dims):
+        comps.append(Matrix(F, r, c, h[o : o + r * c]))
+        o += r * c
+    return RepMorphism(src, dst, comps)
 
 
 def _vec_cocycle(v: Rep, w: Rep, blocks) -> Matrix:

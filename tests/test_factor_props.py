@@ -9,19 +9,23 @@ while one z is reused for many f and several targets, among them targets
 of equal dimensions with different maps and structurally equal copies of
 one target.
 
-The system itself is checked too: rep._factor_system takes the kernel K of
-the hom system from the bounded rep._hom_kernel cache and builds
-A = [vec(b_j z)] (vec(z b_j) on the right) row by row from K's rows and z's
-entries; ref_factor_system in rep_oracles computes K afresh and A as a
-block-diagonal product. With z drawn from hom_basis, on these quivers and
-the loop-and-exit quiver, both sides must give the same (lift, obstruction)
-row lists, exactly.
+The system itself is checked too: rep._factor_system builds it in the
+coordinates of Hom(m, w) (of Hom(w, m)), where f lives, from the rows of A
+at the unit rows of that hom space's kernel basis; ref_factor_system in
+rep_oracles builds it in the ambient coordinates, all rows of A as a
+block-diagonal product, and ref_factor applies its (lift, obstruction) to
+vec f. With z drawn from hom_basis, on these quivers and the loop-and-exit
+quiver, and f drawn from the hom basis and its combinations on both sides,
+the two must give the same factor or both None. A map built with
+check=False that is not natural has coordinates in the hom basis all the
+same; it must never factor, whatever z is.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from approxcat.approx import (
@@ -35,8 +39,8 @@ from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix, hstack
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, RepMorphism, _factor_system, _hom_kernel, compose, hom_basis
-from rep_oracles import ref_factor_system
+from approxcat.rep import Rep, RepMorphism, _factor, _hom_kernel, compose, hom_basis
+from rep_oracles import ref_factor
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.rationals()]
 # the Kronecker quiver has two parallel arrows 0 -> 1
@@ -224,12 +228,74 @@ def systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(systems())
-def test_factor_system_equals_the_block_matrix_reference(case):
+@given(systems(), st.data())
+def test_factor_system_answers_as_the_block_matrix_reference(case, data):
     z, w, side = case
-    want = ref_factor_system(z, w, side)
-    assert _factor_system(z, w, side) == want
-    # a second build reads K from the cache and gives the same rows
-    assert _factor_system(z, w, side) == want
+    ends = (z.source, w) if side == "left" else (w, z.target)
+    basis = hom_basis(*ends)
+    fs = [data.draw(combination(basis, *ends)), data.draw(combination(basis, *ends))]
+    if basis:
+        fs.append(basis[data.draw(st.integers(0, len(basis) - 1))])
+    for f in fs:
+        assert _factor(f, z, side) == ref_factor(f, z, side)
     info = _hom_kernel.cache_info()
     assert info.hits and info.currsize <= info.maxsize
+
+
+@st.composite
+def unnatural(draw):
+    """(f, z, side): f built with check=False from drawn components that
+    do not commute with the arrow maps, z out of (into) f's source (target):
+    the identity, an add-approximation or a drawn combination of the hom
+    basis."""
+    F = draw(st.sampled_from(FIELDS))
+    q = draw(st.sampled_from(QUIVERS))
+    side = draw(st.sampled_from(["left", "right"]))
+    m = draw(reps(q, F, [draw(st.integers(1, 2)) for _ in range(q.vertex_count)]))
+    w = draw(reps(q, F, [draw(st.integers(1, 2)) for _ in range(q.vertex_count)]))
+    src, dst = (m, w) if side == "left" else (w, m)
+    comps = [Matrix(F, dst.dims[x], src.dims[x],
+                    draw(st.lists(scalars(F), min_size=dst.dims[x] * src.dims[x],
+                                  max_size=dst.dims[x] * src.dims[x])))
+             for x in range(q.vertex_count)]
+    f = RepMorphism(src, dst, comps, check=False)
+    assume(not f.is_natural())
+    kind = draw(st.sampled_from(["identity", "approximation", "combination"]))
+    if kind == "identity":
+        z = RepMorphism.identity(m)
+    elif kind == "approximation":
+        gens = AddCategory([draw(reps(q, F))])
+        z = (left_approx_add(m, gens) if side == "left" else right_approx_add(m, gens)).morphism
+    else:
+        t = draw(reps(q, F))
+        z_ends = (m, t) if side == "left" else (t, m)
+        z = draw(combination(hom_basis(*z_ends), *z_ends))
+    return f, z, side
+
+
+@settings(max_examples=150, deadline=None)
+@given(unnatural())
+def test_an_unnatural_map_has_no_factorization(case):
+    # a factor h makes h z (z h) a morphism, so an f that is not natural
+    # never factors, even where its coordinates in the hom basis do
+    f, z, side = case
+    assert _factor(f, z, side) is None
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda f: f.label)
+def test_every_unnatural_map_into_p1_has_no_factorization(F):
+    # on A2, every map (2, 1) -> P1 with entries in {0, 1}, through the
+    # identity of (2, 1) and on the right through the identity of P1
+    q = a2_quiver()
+    m = Rep(q, F, [2, 1], {"a": Matrix(F, 1, 2, [1, 0])})
+    p1 = Rep(q, F, [1, 1], {"a": Matrix(F, 1, 1, [1])})
+    unnatural = 0
+    for e in itertools.product([0, 1], repeat=3):
+        f = RepMorphism(m, p1, [Matrix(F, 1, 2, e[:2]), Matrix(F, 1, 1, e[2:])], check=False)
+        if f.is_natural():
+            assert factor_through(f, RepMorphism.identity(m)) == f
+            continue
+        unnatural += 1
+        assert factor_through(f, RepMorphism.identity(m)) is None
+        assert factor_through_right(f, RepMorphism.identity(p1)) is None
+    assert unnatural == 6

@@ -10,7 +10,9 @@ imported under another name is still counted. Besides the calls of
 Matrix.rref, Matrix.__matmul__, Matrix.solve, rep.cokernel and
 approx.member_add it counts the member_add calls made from extfilt, the
 solves that reduce [A | b] (rref_solves): every solve where Matrix has no
-_unit_rows, else those where _unit_rows returned None; the factorization
+_unit_rows, else those where _unit_rows, called from solve, returned None
+(rep._factor_system reads a kernel's unit rows through _unit_rows too,
+which is no solve); the factorization
 systems built (rep._factor_system); every hom system built (hom_systems:
 rep._hom_system, whoever calls it) and the kernels computed from them
 (hom_kernels: kernel_basis called from hom_basis, _factor_system or the
@@ -65,6 +67,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     if hasattr(rep, "_hom_kernel"):
         kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
     unit = getattr(matrix.Matrix, "_unit_rows", None)
+    solve = matrix.Matrix.solve.__code__
     flat = getattr(getattr(matrix.Matrix, "flat", None), "__code__", None)
     counts = collections.Counter()
 
@@ -81,7 +84,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 counts["f2_flat"] += 1
                 if frame.f_back.f_code.co_filename != matrix.__file__:
                     counts["f2_flat_outside_matrix"] += 1
-        elif event == "return" and unit is not None and frame.f_code is unit.__code__:
+        elif (event == "return" and unit is not None and frame.f_code is unit.__code__
+              and frame.f_back.f_code is solve):
             counts["selection_solves"] += arg is not None
 
     with tempfile.TemporaryDirectory() as workdir:
