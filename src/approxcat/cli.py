@@ -25,7 +25,7 @@ import sys
 from .approx import (
     AddCategory,
     ExtCategory,
-    left_approx_add,
+    left_approx,
     left_approx_ext,
     left_approx_ext_subclosed,
     member_add,
@@ -149,7 +149,8 @@ def _add_handle_or_die(handle, flag):
     if not isinstance(handle, AddCategory):
         raise ShapeError(
             f"{flag} must name an add handle; extension handles are taken by "
-            "member-ext, and by approx-ext except as --y under --assume-subobject-closed"
+            "member-ext, approx-left, and approx-ext except as --y under "
+            "--assume-subobject-closed"
         )
     return handle
 
@@ -181,10 +182,10 @@ def cmd_ext1(args, ws):
     )
 
 
-def cmd_approx_add(args, ws):
-    m = ws.rep(args.of)
-    handle = _add_handle_or_die(ws.handle(args.into), "--into")
-    cert = left_approx_add(m, handle) if args.side == "left" else right_approx_add(m, handle)
+def cmd_approx_side(args, ws):
+    m, handle = ws.rep(args.of), ws.handle(args.into)
+    cert = (left_approx(m, handle) if args.side == "left"
+            else right_approx_add(m, _add_handle_or_die(handle, "--into")))
     if args.minimize:
         cert = minimize_approx(cert)
     return _approximation_report(cert, f"{args.side} approximation of {args.of}: target dims")
@@ -393,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="source", required=True)
         p.add_argument("--to", dest="target", required=True)
 
-    for side in ("left", "right"):
-        p = ws_cmd(f"approx-{side}", cmd_approx_add, f"{side} approximation by an add handle")
+    for side, into in (("left", "a handle"), ("right", "an add handle")):
+        p = ws_cmd(f"approx-{side}", cmd_approx_side, f"{side} approximation into {into}")
         p.set_defaults(side=side)
         p.add_argument("--of", required=True)
         p.add_argument("--into", required=True)

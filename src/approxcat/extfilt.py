@@ -22,15 +22,19 @@ Other families peel an add(S) bottom layer from m and search the
 quotients within the budget, over a prime field only. The
 layers come from SubrepSearch: over m, or, for a family with zero arrow
 maps, over the joint kernels of m's outgoing maps, which contain every
-such layer. The radical series of (m, T) is kept in a bounded lru_cache
-(_loewy_series), so the decisions over one m at r = 4, 3, 2, 1 and their
-certificates build it once; it reads rad_T(m) off copies of the arrow
-maps, so no elimination is cached on m. The peel search's minimal depths
-are kept in a dict made per decision and dropped with it, keyed by
-representation alone, as the family and budget are fixed within one
-decision; a repeated decision searches again. The certificate is lifted
-to m in one pass: term k is the kernel of the composite projection of m
-onto the k-th peeled quotient. A vertex-simple certificate reads the
+such layer. One walk (_peels) decides and builds: it takes the first
+candidate whose quotient peels down to add(S) in the remaining depth,
+and returns the projections it peeled, which the certificate lifts with
+no second search. The radical series of (m, T) is kept in a bounded
+lru_cache (_loewy_series), so the decisions over one m at
+r = 4, 3, 2, 1 and their certificates build it once; it reads rad_T(m)
+off copies of the arrow maps, so no elimination is cached on m. The peel
+search's answers are kept in a dict made per decision and dropped with
+it, keyed by (representation, depth), as the family and budget are fixed
+within one decision; a repeated decision searches again. The certificate
+is lifted to m in one pass: term k is the kernel of the composite
+projection of m onto the k-th peeled quotient. A vertex-simple
+certificate reads the
 radical series of m that decided membership, since rad_T(m/U) =
 (rad_T(m) + U)/U: the peel stops when the quotient's Loewy length is at
 most 1, and once that length reaches the remaining depth, each further
@@ -292,32 +296,30 @@ def _peel_candidates(m: Rep, handle: AddCategory, budget: Budget):
             yield incl
 
 
-def _min_depth(m: Rep, handle: AddCategory, cap: int, budget: Budget,
-               memo: dict) -> Optional[int]:
-    """Minimal r <= cap with m in F_r(add handle), or None, by the peel
-    search within the budget; the search refuses every field but F_p. Since
-    the F_r form an increasing chain, m is a member of F_r exactly when the
-    minimum is at most r. memo belongs to one decision, whose family and
-    budget are fixed: per representation key, (deepest cap tried, minimal
-    depth or None within that cap)."""
-    if cap < 1:
-        return None
+def _peels(m: Rep, handle: AddCategory, r: int, budget: Budget,
+           memo: dict) -> Optional[tuple]:
+    """The projections that peel m down to a member of add(handle) in at
+    most r - 1 steps, by the peel search within the budget (which refuses
+    every field but F_p): () when m lies in add, else the projection onto
+    the quotient of the first peel candidate whose quotient has peels at
+    r - 1, followed by those peels; None when m is not in F_r(add handle).
+    memo belongs to one decision, whose family and budget are fixed, and
+    is keyed by (representation key, r)."""
     if member_add(m, handle) is not None:
-        return 1
-    if cap <= 1:
+        return ()
+    if r <= 1:
         return None
-    got = memo.get(m.key())
-    if got is None or (got[1] is None and got[0] < cap):
-        best = None
+    key = (m.key(), r)
+    if key not in memo:
+        found = None
         for incl in _peel_candidates(m, handle, budget):
-            quot, _ = cokernel(incl)
-            inner = _min_depth(quot, handle, cap - 1 if best is None else best - 2, budget, memo)
-            if inner is not None and (best is None or inner + 1 < best):
-                best = inner + 1
-                if best == 2:
-                    break
-        got = memo[m.key()] = (cap, best)
-    return got[1] if got[1] is not None and got[1] <= cap else None
+            quot, proj = cokernel(incl)
+            inner = _peels(quot, handle, r - 1, budget, memo)
+            if inner is not None:
+                found = (proj,) + inner
+                break
+        memo[key] = found
+    return memo[key]
 
 
 def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[FiltrationCertificate]:
@@ -331,34 +333,24 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     or a total arrow operator that is not nilpotent, is refused before the
     radical series is built (see _radical_series); the series is kept in a
     bounded lru_cache (_loewy_series). Any other family's peel search stays
-    within the budget and needs a prime field; its memo lives for this one
-    decision and its certificate, so no earlier call's budget can change it.
+    within the budget and needs a prime field; it returns the peels the
+    certificate is lifted from, and its memo lives for this one decision,
+    so no earlier call's budget can change it.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
     family = _as_family(s)
     support = family.kind()[1]
-    series, memo = None, {}
+    series = peels = None
     if support is not None:
         series = _loewy_series(m, support)
         if series is None or len(series) > r:
             return None
     else:
-        budget = budget or default_budget()
-        if _min_depth(m, family, r, budget, memo) is None:
+        peels = _peels(m, family, r, budget or default_budget(), {})
+        if peels is None:
             return None
-    return _build_filtration(m, family, support, series, r, budget, memo)
-
-
-def _peel(m: Rep, handle: AddCategory, r: int, budget: Budget, memo: dict) -> RepMorphism:
-    """The projection of m onto m/U for the first peel candidate U whose
-    quotient lies in F_(r-1), given that m lies in F_r; memo is the
-    decision's (_min_depth)."""
-    for incl in _peel_candidates(m, handle, budget):
-        quot, proj = cokernel(incl)
-        if _min_depth(quot, handle, r - 1, budget, memo) is not None:
-            return proj
-    raise CertificateError("membership decision and construction disagree")
+    return _build_filtration(m, family, support, series, r, peels)
 
 
 def _first_peel(m: Rep, support) -> RepMorphism:
@@ -398,17 +390,18 @@ def _chain_steps(prev_rep: Rep, prev_incl: RepMorphism, chain) -> list:
 
 
 def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
-                      budget: Budget, memo: dict) -> FiltrationCertificate:
-    """Certificate construction mirroring the decision order; the caller
-    guarantees membership. Peels until the quotient lies in add, then lifts
-    in one pass: term k is the kernel of the composite projection onto the
-    k-th quotient, the preimage of the quotient's own filtration. Other
-    families decide that stop by add membership; a vertex-simple family by
-    the Loewy length the loop computes anyway, as m/U lies in add(S)
-    exactly when that length is at most 1.
+                      peels) -> FiltrationCertificate:
+    """The certificate of a membership the caller has decided. Peels until
+    the quotient lies in add, then lifts in one pass: term k is the kernel
+    of the composite projection onto the k-th quotient, the preimage of the
+    quotient's own filtration.
 
-    A vertex-simple family passes the radical series R_k of m that decided
-    membership; other families pass None and peel by search. Since
+    Other families pass series None and the peels the decision found
+    (_peels), which end at a quotient in add, so no peel is searched again
+    and no quotient decided again. A vertex-simple family passes the
+    radical series R_k of m that decided membership and no peels, and stops
+    by the Loewy length the loop computes anyway, as m/U lies in add(S)
+    exactly when that length is at most 1. Since
     rad_T(m/U) = (rad_T(m) + U)/U, the Loewy length of the quotient m/U is
     the number of R_k not inside U. Below the remaining depth the first
     candidate is peeled from the quotient; once the length reaches it, each
@@ -420,9 +413,9 @@ def _build_filtration(m: Rep, family: AddCategory, support, series, r: int,
     terms, cur, top = [], m, 0
     while True:
         if series is None:
-            if member_add(cur, family) is not None:
+            if len(terms) == len(peels):
                 break
-            proj = _peel(cur, family, r, budget, memo)
+            proj = peels[len(terms)]
         else:
             # the Loewy length of m/U: R_0 is not inside U, and the R_k are nested
             length = next((k for k in range(1, len(series)) if all(

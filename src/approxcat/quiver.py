@@ -22,13 +22,14 @@ class Quiver:
     def __new__(cls, vertex_count: int, arrows):
         if type(vertex_count) is not int or vertex_count < 0:
             raise ShapeError(f"vertex count must be a non-negative int, got {vertex_count!r}")
-        arrs = tuple([Arrow(str(aid), int(s), int(t)) for aid, s, t in arrows])
+        arrs = tuple([Arrow(str(aid), s, t) for aid, s, t in arrows])
+        # checked before the lookup: True == 1 would find the quiver with end 1
+        if any(type(e) is not int or not 0 <= e < vertex_count for a in arrs for e in a[1:]):
+            raise ShapeError(f"arrow ends must be ints in range({vertex_count}), got {arrs!r}")
         self = _QUIVERS.get((vertex_count, arrs))
         if self is None:
             by_id = {}
             for a in arrs:
-                if not (0 <= a.source < vertex_count and 0 <= a.target < vertex_count):
-                    raise ShapeError(f"arrow {a.id} endpoints out of range")
                 if a.id in by_id:
                     raise ApproxcatError(f"duplicate arrow id {a.id!r}")
                 by_id[a.id] = a

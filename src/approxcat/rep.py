@@ -66,11 +66,11 @@ class Rep:
     __slots__ = ("quiver", "field", "dims", "maps", "_key")
 
     def __init__(self, quiver: Quiver, field: FieldSpec, dims, maps=None):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
         if len(dims) != quiver.vertex_count:
             raise ShapeError(f"need {quiver.vertex_count} dimensions, got {len(dims)}")
-        if any(d < 0 for d in dims):
-            raise ShapeError("negative dimension")
+        if any(type(d) is not int or d < 0 for d in dims):
+            raise ShapeError(f"dimensions must be non-negative ints, got {dims!r}")
         maps = dict(maps or {})
         full = {}
         for a in quiver.arrows:

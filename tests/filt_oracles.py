@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from approxcat.approx import member_add
 from approxcat.errors import CertificateError
-from approxcat.extfilt import FiltrationCertificate, _chain_steps
+from approxcat.extfilt import FiltrationCertificate, _certify, _chain_steps, _peel_candidates
 from approxcat.matrix import Matrix, hstack
 from approxcat.rep import (
     Filtration,
@@ -49,6 +49,57 @@ def ref_radical_series(m, support):
         series.append(term)
         term, size = nxt, nsize
     return tuple(series)
+
+
+def ref_peel_depth(m, handle, cap, budget, memo):
+    """Minimal r <= cap with m in F_r(add handle), or None, as the peel
+    search decided before one walk both decided and built: every candidate
+    is tried, for the least depth, and memo holds per representation key
+    (deepest cap tried, minimal depth or None within that cap)."""
+    if cap < 1:
+        return None
+    if member_add(m, handle) is not None:
+        return 1
+    if cap <= 1:
+        return None
+    got = memo.get(m.key())
+    if got is None or (got[1] is None and got[0] < cap):
+        best = None
+        for incl in _peel_candidates(m, handle, budget):
+            quot, _ = cokernel(incl)
+            inner = ref_peel_depth(quot, handle, cap - 1 if best is None else best - 2, budget, memo)
+            if inner is not None and (best is None or inner + 1 < best):
+                best = inner + 1
+                if best == 2:
+                    break
+        got = memo[m.key()] = (cap, best)
+    return got[1] if got[1] is not None and got[1] <= cap else None
+
+
+def ref_member_filt(m, family, r, budget):
+    """member_filt over a family that is not vertex-simple as it was built
+    by decide-then-peel: the minimal depth first (ref_peel_depth), then a
+    second walk that decides add membership of each quotient again and
+    peels the first candidate whose quotient has a depth within the layers
+    left, lifting the peels as the library does."""
+    memo = {}
+    if ref_peel_depth(m, family, r, budget, memo) is None:
+        return None
+    projs = [Matrix.identity(m.field, d) for d in m.dims]
+    terms, cur = [], m
+    while member_add(cur, family) is None:
+        for incl in _peel_candidates(cur, family, budget):
+            quot, proj = cokernel(incl)
+            if ref_peel_depth(quot, family, r - 1, budget, memo) is not None:
+                break
+        else:
+            raise CertificateError("membership decision and construction disagree")
+        projs = [p @ c for p, c in zip(proj.components, projs)]
+        terms.append(subrep_from_bases(m, [c.kernel_basis() for c in projs]))
+        cur, r = quot, r - 1
+    bottom = RepMorphism.zero(Rep.zero(m.quiver, m.field), m)
+    steps = _chain_steps(bottom.source, bottom, terms) + [terms[-1][1] if terms else bottom]
+    return _certify(Filtration(steps), m, family)
 
 
 def ref_certify(filt, member, family):

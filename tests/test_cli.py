@@ -182,6 +182,40 @@ class TestApprox:
         assert out["approximating_dims"] == [1, 1]
         assert verify_certificate(out["certificate"])
 
+    @pytest.mark.parametrize("x, y", [("simples1", "simples2"), ("inline", "semis")])
+    def test_left_into_an_ext_handle_is_approx_ext(self, capsys, tmp_path, x, y):
+        # approx-left takes any handle tree: its nested certificate
+        # verifies and is the one approx-ext gives for the same x * y
+        ws = json.loads(json.dumps(A2_WORKSPACE))
+        ws["handles"]["xy"] = {"ext": [x, y]}
+        path = tmp_path / "xy.json"
+        path.write_text(json.dumps(ws))
+        code, out, _ = run(
+            capsys, ["approx-left", "--workspace", str(path), "--of", "P1", "--into", "xy"]
+        )
+        assert code == 0
+        assert verify_certificate(out["certificate"])
+        code, ext, _ = run(
+            capsys, ["approx-ext", "--workspace", str(path), "--of", "P1", "--x", x, "--y", y]
+        )
+        assert code == 0
+        assert json.dumps(out, sort_keys=True) == json.dumps(ext, sort_keys=True)
+
+    def test_minimize_refuses_an_ext_approximation(self, capsys, a2_ws):
+        code, out, _ = run(
+            capsys,
+            ["approx-left", "--workspace", a2_ws, "--of", "P1", "--into", "semis", "--minimize"],
+        )
+        assert code == 2
+        assert "minimize_approx needs an add-approximation" in out["error"]["message"]
+
+    def test_right_into_an_ext_handle_refused(self, capsys, a2_ws):
+        code, out, _ = run(
+            capsys, ["approx-right", "--workspace", a2_ws, "--of", "S1", "--into", "semis"]
+        )
+        assert code == 2
+        assert "--into must name an add handle" in out["error"]["message"]
+
     def test_left_ext(self, capsys, a2_ws):
         code, out, _ = run(
             capsys,

@@ -5,9 +5,9 @@ is the search-based minimal depth the decision replaced: peel every proper
 nonzero add(S) subrepresentation, found by the generic subrepresentation
 search, and recurse on the quotient with the same depth memo; membership
 in add(S) is the dimension count that families with zero arrow maps allow.
-Over F2, F3 and F5, on the one- and two-loop quivers and A2, both must
-agree on membership and minimal depth at every r, and every certificate
-must verify.
+Over F2, F3 and F5, on the one- and two-loop quivers and A2, the reference,
+the library's peel search (_peels) and member_filt must agree on
+membership at every r, and every certificate must verify.
 """
 
 from hypothesis import given, settings
@@ -98,7 +98,7 @@ def test_member_filt_agrees_with_the_peel_search(case):
     memo, decision = {}, {}
     for r in range(1, 5):
         want = ref_min_depth(m, family, r, budget, memo)
-        assert extfilt._min_depth(m, family, r, budget, decision) == want
+        assert (extfilt._peels(m, family, r, budget, decision) is not None) == (want is not None)
         cert = member_filt(m, family, r)
         assert (cert is not None) == (want is not None)
         if cert is not None:

@@ -82,6 +82,13 @@ class TestQuiver:
         q = Quiver(3, [("x", 0, 1), ("y", 1, 2)])
         assert Quiver.from_jsonable(q.to_jsonable()) == q
 
+    @pytest.mark.parametrize("ends", [("1", True), (0, "1"), (0, True), ("0", 1), (0, 1.0)])
+    def test_arrow_ends_must_be_ints(self, ends):
+        # int() would read "1" or True as vertex 1, so ("1", True) would be a
+        # loop at vertex 1, and (0, True) would meet the interned A2, as True == 1
+        with pytest.raises(ShapeError):
+            Quiver(2, [("a", *ends)])
+
     @pytest.mark.parametrize("arrows", [{}, "", None, 3])
     def test_json_arrows_must_be_a_list(self, arrows):
         # an object or a string would otherwise iterate as no arrows at all
@@ -97,6 +104,14 @@ class TestRepBasics:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             Rep(A2, F2, [2, 1], {"a": Matrix.zeros(F2, 2, 1)})
+
+    @pytest.mark.parametrize("quiver, dims", [
+        (LOOP, [1.7]), (LOOP, ["2"]), (A2, [True, 0]), (A2, [1, 2.0]),
+    ])
+    def test_dimensions_must_be_ints(self, quiver, dims):
+        # int() would truncate 1.7 to the dims (1,) and read "2" as (2,)
+        with pytest.raises(ShapeError):
+            Rep(quiver, F2, dims)
 
     def test_morphism_naturality_enforced(self):
         s1, _ = simples(F2)
