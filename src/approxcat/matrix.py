@@ -2,9 +2,6 @@
 rest of the toolkit is built on: reduced row echelon form, kernel and image
 bases, and linear solving. All outputs are deterministic (first-nonzero pivot
 scan, fixed free-variable ordering) so downstream constructions are canonical.
-A coefficient matrix in unit form, as every kernel basis is, is solved by
-selection: b's rows at the unit rows, kept when the product gives b back,
-with no elimination.
 
 Zero-row and zero-column matrices are first class; they carry their shape.
 A product with an empty or all-zero operand is the zero matrix at once, and
@@ -13,11 +10,11 @@ no elimination.
 
 Every entry is canonical: an int in [0, p) over F_p, a Fraction over Q.
 The public constructors (Matrix(...), from_rows, column, from_jsonable)
-coerce and validate what they are given. Flat entries computed from
-canonical matrices go through the private Matrix._trusted, which keeps the
-shape check and skips coercion; this module's own operations build their
-results already in stored form through Matrix._make, which checks
-nothing, so the kernel never re-coerces or re-packs its own output.
+coerce and validate what they are given; Matrix._trusted keeps the shape
+check and skips coercion. This module's operations build their results in
+stored form through Matrix._make, which checks nothing, and Matrix._blocks
+cuts a computed flat sequence (a kernel column, a lift) into blocks the
+same way, so no output is re-coerced or re-packed.
 Over F_p the inner loops are plain int arithmetic with one `% p` per entry
 or row operation; over Q the same loops run on Fractions with no reduction.
 
@@ -29,10 +26,10 @@ elimination swaps and XORs whole rows, and is_zero, equality and hashing
 compare ints. Every F2 matrix is stored that way however it was built, so
 equal matrices compare and hash equal; the pivot scan is the same, so the
 RREF, kernel and image bases are the ones the flat loops give. Code outside
-this module reads entries through flat(), which unpacks F2 rows on demand,
-or key(), the stored tuple. With column 0 on top, comparing two rows of
-one width as ints orders them as comparing their entries does, so key()
-sorts matrices of one field and shape exactly as their flat entries sort.
+this module reads entries through flat() or key(), the stored tuple. With
+column 0 on top, comparing two rows of one width as ints orders them as
+comparing their entries does, so key() sorts matrices of one field and
+shape exactly as their flat entries sort.
 """
 
 from operator import mul, xor
@@ -80,6 +77,17 @@ class Matrix:
         _set_cols(self, cols)
         _set_e(self, _pack(entries, rows, cols) if field.modulus == 2 else tuple(entries))
         _set_rref(self, None)
+
+    @staticmethod
+    def _blocks(field: FieldSpec, seq, shapes) -> list:
+        """The matrices of the (rows, cols) shapes cut in turn from the flat
+        canonical sequence seq, each row-major; checks nothing."""
+        out, o = [], 0
+        for r, c in shapes:
+            e = seq[o : o + r * c]
+            o += r * c
+            out.append(Matrix._make(field, r, c, _pack(e, r, c) if field.modulus == 2 else e))
+        return out
 
     @staticmethod
     def _make(field: FieldSpec, rows: int, cols: int, e) -> "Matrix":
@@ -267,13 +275,9 @@ class Matrix:
     # elimination
 
     def rref(self):
-        """Reduced row echelon form.
-
-        Returns (R, pivots) where pivots is the tuple of pivot column
-        indices in increasing order. Pivot choice is the first nonzero
-        entry scanning down each column, so the result is deterministic,
-        and rref is idempotent: R.rref() == (R, pivots).
-        """
+        """(R, pivots): the reduced row echelon form and its pivot columns
+        in increasing order. The pivot is the first nonzero entry down each
+        column, so R is deterministic and R.rref() == (R, pivots)."""
         if self._rref is not None:
             return self._rref
         F = self.field
@@ -335,18 +339,19 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def kernel_basis(self) -> "Matrix":
-        """Basis of the right kernel, as the columns of a cols x k matrix.
+        """Basis of the right kernel, as the columns of a cols x k matrix."""
+        return self.kernel()[0]
 
-        Built from the RREF by setting one free variable to 1 at a time
-        (free columns in increasing order), which makes the basis canonical.
-        A matrix with no kernel yields a cols x 0 matrix.
-        """
+    def kernel(self):
+        """(K, free): the free columns of the RREF in increasing order, and
+        K the kernel basis whose column j sets free variable free[j] to 1
+        and the others to 0, so row free[j] of K is the j-th unit vector."""
         F = self.field
         p = F.modulus
         R, pivots = self.rref()
         e, n = R._e, self.cols
         pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
+        free = tuple([c for c in range(n) if c not in pivot_set])
         k = len(free)
         if p == 2:  # the same columns as bits: -v = v, and column idx is bit k-1-idx
             out = [0] * n
@@ -355,7 +360,7 @@ class Matrix:
                 for r, pc in enumerate(pivots):
                     if e[r] >> (n - 1 - fc) & 1:
                         out[pc] |= bit
-            return Matrix._make(F, n, k, out)
+            return Matrix._make(F, n, k, out), free
         out = [F.zero] * (n * k)
         for idx, fc in enumerate(free):
             out[fc * k + idx] = F.one
@@ -363,7 +368,7 @@ class Matrix:
                 v = e[r * n + fc]
                 if v != 0:
                     out[pc * k + idx] = p - v if p else -v
-        return Matrix._make(F, n, k, out)
+        return Matrix._make(F, n, k, out), free
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the original columns at the RREF
@@ -397,10 +402,9 @@ class Matrix:
         b may have several columns; they are solved simultaneously. Free
         variables are set to zero, making the solution canonical.
 
-        A matrix in unit form (_unit_rows: a kernel basis, an identity, a
-        transposed cokernel projection) has independent columns and reads
-        x_j off row u_j, so the only candidate is b's rows at the unit rows,
-        kept when its product gives b back. Other matrices reduce [A | b].
+        A matrix in unit form (_unit_rows: a kernel basis, an identity) is
+        solved by selection: x is b's rows at the unit rows, kept when
+        self @ x == b. Other matrices reduce [A | b].
         """
         if self.field is not b.field:
             raise FieldMismatchError(f"{self.field.label} vs {b.field.label}")
@@ -430,10 +434,8 @@ class Matrix:
 
     @staticmethod
     def from_jsonable(field: FieldSpec, data, rows: int | None = None, cols: int | None = None) -> "Matrix":
-        """Parse the JSON matrix form, as to_jsonable writes it: an r x c
-        matrix is r rows of c entries, so an r x 0 matrix is r empty rows.
-        A matrix with no rows loses its column count in JSON ([] could be
-        0x3), so the intended shape may be supplied."""
+        """Parse to_jsonable's form: r rows of c entries, so an r x 0 matrix
+        is r empty rows. [] could be 0x3, so the shape may be supplied."""
         if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
             raise ShapeError("matrix JSON must be an array of arrays")
         if rows is None:

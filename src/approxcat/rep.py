@@ -428,34 +428,32 @@ def _hom_system(v: Rep, w: Rep) -> Matrix:
 
 
 def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
-    """The morphism whose vectorized components are the sequence col."""
-    F, comps, o = v.field, [], 0
-    for r, c in zip(w.dims, v.dims):
-        comps.append(Matrix._trusted(F, r, c, col[o : o + r * c]))
-        o += r * c
-    return RepMorphism._make(v, w, comps)
+    """The morphism whose vectorized components are the canonical flat
+    sequence col."""
+    return RepMorphism._make(v, w, Matrix._blocks(v.field, col, zip(w.dims, v.dims)))
 
 
 @lru_cache(maxsize=256)
-def _hom_kernel(v: Rep, w: Rep) -> Matrix:
-    """The kernel basis of the hom system of (v, w), whose columns are the
-    vectorized hom_basis(v, w). hom_basis, hom_dim and _factor_system all
-    read it here, since they meet the same few hom spaces many times (every
-    candidate of one member in refute and RefutationWitness.verify, every z
-    of a factorization); ext1_* build their own system, whose rref they
-    need and not its kernel."""
-    return _hom_system(v, w).kernel_basis()
+def _hom_kernel(v: Rep, w: Rep):
+    """(K, free): the kernel basis of the hom system of (v, w), whose
+    columns are the vectorized hom_basis(v, w), and its free columns, the
+    unit rows of K (Matrix.kernel). hom_basis, hom_dim and _factor_system
+    all read it here, since they meet the same few hom spaces many times
+    (every candidate of one member in refute and RefutationWitness.verify,
+    every z of a factorization); ext1_* build their own system, whose rref
+    they need and not its kernel."""
+    return _hom_system(v, w).kernel()
 
 
 def hom_basis(v: Rep, w: Rep):
     """Deterministic basis of Hom(v, w) as a list of morphisms."""
-    ker = _hom_kernel(v, w)
+    ker = _hom_kernel(v, w)[0]
     e = ker.flat()
     return [_unpack_hom_vector(v, w, e[j :: ker.cols]) for j in range(ker.cols)]
 
 
 def hom_dim(v: Rep, w: Rep) -> int:
-    return _hom_kernel(v, w).cols
+    return len(_hom_kernel(v, w)[1])
 
 
 def _ext_row_layout(v: Rep, w: Rep):
@@ -716,14 +714,17 @@ def _factor_system(z: RepMorphism, w: Rep, side: str):
     f factors exactly when residual (K''s rows at the other rows) maps f'
     to vec f there and the rows of obstruction = E[rank:] kill f'; then
     the rows of lift = K[:, pivots] E[:rank] map f' to vec h, h = K s for
-    the solution s of A' s = f'."""
+    the solution s of A' s = f'. Both kernels come with their unit rows
+    (_hom_kernel): K''s are the units, and a unit row of K, the j-th unit
+    vector, adds its coefficient at j to a row of A' and is the row of E
+    at pivot j (or zero) in lift, so only K's other rows are combined."""
     left = side == "left"
     src, dst = (z.target, w) if left else (w, z.source)
     f_src, f_dst = (z.source, w) if left else (w, z.target)
     F = w.field
-    ker, f_ker = _hom_kernel(src, dst), _hom_kernel(f_src, f_dst)
+    (ker, free), (f_ker, units) = _hom_kernel(src, dst), _hom_kernel(f_src, f_dst)
     ke, k, kk = ker.flat(), ker.cols, f_ker.cols
-    units = f_ker._unit_rows()  # a kernel basis is in unit form
+    unit_of = {u: j for j, u in enumerate(free)}  # row u of K is the j-th unit vector
     offs, f_offs = _hom_offsets(src, dst)[0], _hom_offsets(f_src, f_dst)[0]
     zflat = [zx.flat() for zx in z.components]
     out = []
@@ -739,7 +740,11 @@ def _factor_system(z: RepMorphism, w: Rep, side: str):
         row = [F.zero] * k
         for coef, m in cell:
             if coef:
-                row = [s + coef * t for s, t in zip(row, ke[m * k : m * k + k])]
+                j = unit_of.get(m)
+                if j is None:
+                    row = [s + coef * t for s, t in zip(row, ke[m * k : m * k + k])]
+                else:
+                    row[j] += coef
         out += row
     p = F.modulus
     a = Matrix._trusted(F, kk, k, [x % p for x in out] if p else out)
@@ -747,9 +752,15 @@ def _factor_system(z: RepMorphism, w: Rep, side: str):
     rank = sum(pc < k for pc in pivots)
     re, width = R.flat(), k + kk
     E = [re[r * width + k : (r + 1) * width] for r in range(kk)]
+    zero = (F.zero,) * kk
+    at_pivot = dict(zip(pivots[:rank], E))
     lift = []
     for i in range(ker.rows):
-        row = [F.zero] * kk
+        j = unit_of.get(i)
+        if j is not None:
+            lift.append(at_pivot.get(j, zero))
+            continue
+        row = zero
         for r in range(rank):
             coef = ke[i * k + pivots[r]]
             if coef:

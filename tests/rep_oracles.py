@@ -1,7 +1,8 @@
 """Test-only oracles for the representation layer: extension classes,
 the Yoneda dimension identity and arrow stability of subspace families,
 each checked by a direct computation that the library does not use; for
-the matrix layer, linear solving by reduction of [A | b] alone; and the
+the matrix layer, linear solving by reduction of [A | b] alone; hom
+vectors unpacked block by block through Matrix._trusted; and the
 factorization system built from block matrices."""
 
 from approxcat.errors import ApproxcatError
@@ -32,6 +33,17 @@ def ref_solve(a: Matrix, b: Matrix):
         base = r * (n + k) + n
         out[pc * k : (pc + 1) * k] = e[base : base + k]
     return Matrix._trusted(a.field, n, k, out)
+
+
+def ref_unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
+    """rep._unpack_hom_vector as it was before Matrix._blocks: each
+    component built from its slice of col through Matrix._trusted, which
+    checks the shape and, over F2, packs the entries into bit rows."""
+    F, comps, o = v.field, [], 0
+    for r, c in zip(w.dims, v.dims):
+        comps.append(Matrix._trusted(F, r, c, col[o : o + r * c]))
+        o += r * c
+    return RepMorphism._make(v, w, comps)
 
 
 def ref_factor_system(z: RepMorphism, w: Rep, side: str):

@@ -19,9 +19,16 @@ quiver, and f drawn from the hom basis and its combinations on both sides,
 the two must give the same factor or both None. A map built with
 check=False that is not natural has coordinates in the hom basis all the
 same; it must never factor, whatever z is.
+
+Hom basis morphisms and factors are built from flat sequences (a kernel
+column, a lift) by Matrix._blocks, in stored form. They must equal, and
+hash like, the blocks ref_unpack_hom_vector builds through
+Matrix._trusted, and round-trip through JSON into matrices built by the
+public constructor, equal, with an equal hash, and natural.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -39,8 +46,17 @@ from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix, hstack
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, RepMorphism, _factor, _hom_kernel, compose, hom_basis
-from rep_oracles import ref_factor
+from approxcat.rep import (
+    Rep,
+    RepMorphism,
+    _factor,
+    _hom_kernel,
+    _unpack_hom_vector,
+    compose,
+    hom_basis,
+)
+from approxcat.serialize import morphism_from_jsonable, morphism_to_jsonable
+from rep_oracles import ref_factor, ref_unpack_hom_vector
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.rationals()]
 # the Kronecker quiver has two parallel arrows 0 -> 1
@@ -299,3 +315,46 @@ def test_every_unnatural_map_into_p1_has_no_factorization(F):
         assert factor_through(f, RepMorphism.identity(m)) is None
         assert factor_through_right(f, RepMorphism.identity(p1)) is None
     assert unnatural == 6
+
+
+@st.composite
+def hom_vectors(draw):
+    """(v, w, col): col a column of the hom kernel of (v, w), or a drawn
+    canonical sequence of its length, as a lift gives, as a list."""
+    F = draw(st.sampled_from(FIELDS))
+    q = draw(st.sampled_from(QUIVERS))
+    v, w = draw(reps(q, F)), draw(reps(q, F))
+    ker = _hom_kernel(v, w)[0]
+    if ker.cols and draw(st.booleans()):
+        return v, w, ker.flat()[draw(st.integers(0, ker.cols - 1)) :: ker.cols]
+    n = sum(a * b for a, b in zip(v.dims, w.dims))
+    return v, w, [F.coerce(x) for x in draw(st.lists(scalars(F), min_size=n, max_size=n))]
+
+
+@SETTINGS
+@given(hom_vectors())
+def test_sliced_blocks_are_the_trusted_blocks(case):
+    v, w, col = case
+    got, want = _unpack_hom_vector(v, w, col), ref_unpack_hom_vector(v, w, col)
+    assert got == want and hash(got) == hash(want)
+    for g, r in zip(got.components, want.components):
+        assert (g.rows, g.cols, g.key()) == (r.rows, r.cols, r.key())
+
+
+def assert_round_trips(g):
+    data = json.loads(json.dumps(morphism_to_jsonable(g)))
+    back = morphism_from_jsonable(g.source.quiver, g.source.field, data)
+    assert back == g and hash(back) == hash(g)
+    assert back.is_natural()
+
+
+@SETTINGS
+@given(cases())
+def test_hom_bases_and_factors_round_trip_through_json(case):
+    side, z, targets = case
+    for w, fs in targets:
+        for f in fs:
+            assert_round_trips(f)
+            h = _factor(f, z, side)
+            if h is not None:
+                assert_round_trips(h)

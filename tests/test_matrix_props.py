@@ -290,6 +290,30 @@ def test_degenerate_rref_matches_reference(a):
 
 @SETTINGS
 @given(fields.flatmap(maybe_zero_matrices))
+def test_kernel_hands_out_its_unit_rows(a):
+    # row free[j] of the basis is the j-th unit vector, as _unit_rows reads it
+    K, free = a.kernel()
+    assert K == a.kernel_basis()
+    assert list(free) == K._unit_rows()
+
+
+@SETTINGS
+@given(st.data())
+def test_blocks_are_the_trusted_matrices(data):
+    F = data.draw(fields)
+    shapes = data.draw(st.lists(st.tuples(dims, dims), max_size=4))
+    n = sum(r * c for r, c in shapes)
+    seq = Matrix(F, 1, n, data.draw(st.lists(scalars(F), min_size=n, max_size=n))).flat()
+    blocks, o = Matrix._blocks(F, seq, shapes), 0
+    assert len(blocks) == len(shapes)
+    for (r, c), got in zip(shapes, blocks):
+        want = Matrix._trusted(F, r, c, seq[o : o + r * c])
+        assert got == want and hash(got) == hash(want) and got.key() == want.key()
+        o += r * c
+
+
+@SETTINGS
+@given(fields.flatmap(maybe_zero_matrices))
 def test_degenerate_kernel_basis_matches_reference(a):
     K = a.kernel_basis()
     assert (K.rows, K.cols) == (a.cols, a.cols - len(ref_rref(a.field, a.to_lists(), a.cols)[1]))

@@ -10,13 +10,15 @@ imported under another name is still counted. Besides the calls of
 Matrix.rref, Matrix.__matmul__, Matrix.solve, rep.cokernel and
 approx.member_add it counts the member_add calls made from extfilt, the
 solves that reduce [A | b] (rref_solves): every solve where Matrix has no
-_unit_rows, else those where _unit_rows, called from solve, returned None
-(rep._factor_system reads a kernel's unit rows through _unit_rows too,
-which is no solve); the factorization
+_unit_rows, else those where _unit_rows, called from solve, returned None;
+the _unit_rows calls made from anywhere but solve (unit_rows_outside_solve:
+a kernel's unit rows scanned again, as rep._factor_system did before
+kernels handed out their free columns); the factorization
 systems built (rep._factor_system); every hom system built (hom_systems:
 rep._hom_system, whoever calls it) and the kernels computed from them
-(hom_kernels: kernel_basis called from hom_basis, _factor_system or the
-rep._hom_kernel cache, whichever of them computes it in checkout); the
+(hom_kernels: Matrix.kernel_basis or Matrix.kernel called from hom_basis,
+_factor_system or the rep._hom_kernel cache, whichever of them computes
+it in checkout); the
 rep JSON bodies actually parsed (rep_parses: serialize._parse_rep where it
 exists, else every rep_from_jsonable); every approx.verify_evidence
 call, the recursive ones for the ends of an extension included; and the
@@ -62,7 +64,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     for name, (cls, attr) in values.items():
         if attr in vars(cls):
             targets[vars(cls)[attr].__code__] = name
-    kernel = matrix.Matrix.kernel_basis.__code__
+    kernels = {getattr(matrix.Matrix, name).__code__
+               for name in ("kernel_basis", "kernel") if hasattr(matrix.Matrix, name)}
     kernel_callers = {rep.hom_basis.__code__, rep._factor_system.__code__}
     if hasattr(rep, "_hom_kernel"):
         kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
@@ -78,8 +81,11 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 counts[name] += 1
                 if name == "member_add" and frame.f_back.f_code.co_filename == extfilt.__file__:
                     counts["member_add_from_extfilt"] += 1
-            elif frame.f_code is kernel and frame.f_back.f_code in kernel_callers:
+            elif frame.f_code in kernels and frame.f_back.f_code in kernel_callers:
                 counts["hom_kernels"] += 1
+            elif (unit is not None and frame.f_code is unit.__code__
+                  and frame.f_back.f_code is not solve):
+                counts["unit_rows_outside_solve"] += 1
             elif frame.f_code is flat and frame.f_locals["self"].field.modulus == 2:
                 counts["f2_flat"] += 1
                 if frame.f_back.f_code.co_filename != matrix.__file__:
@@ -99,7 +105,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
             sys.setprofile(None)
     counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
     counts["items"] = len(items)
-    for name in values:
+    for name in [*values, "hom_kernels", "unit_rows_outside_solve"]:
         counts[name] += 0
     return dict(sorted(counts.items()))
 
