@@ -59,9 +59,14 @@ class AddCategory:
     generator is a member only when it is itself such a sum, so add{S1 + S2}
     does not contain S1. Order matters for canonical sums and certificates,
     and it makes the handle an ordered family X_1, ..., X_n for filtrations,
-    whose normalization hypothesis is Ext1(X_i, X_j) = 0 for i <= j."""
+    whose normalization hypothesis is Ext1(X_i, X_j) = 0 for i <= j.
 
-    __slots__ = ("generators", "quiver", "field", "_key", "_kind")
+    _memo keeps what depends only on the handle: the canonical sum of each
+    multiplicity vector asked for, and member_add's zero-map evidence per
+    dimension vector. It is dropped whole when it would pass 256 entries,
+    and it is no part of ==, hash or repr."""
+
+    __slots__ = ("generators", "quiver", "field", "_key", "_kind", "_memo")
 
     def __init__(self, generators, quiver=None, field=None):
         generators = tuple(generators)
@@ -78,9 +83,17 @@ class AddCategory:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_kind", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AddCategory is immutable")
+
+    def _remember(self, key, value):
+        """value, kept in the memo under key; a full memo is dropped first."""
+        if len(self._memo) >= 256:
+            self._memo.clear()
+        self._memo[key] = value
+        return value
 
     def key(self):
         if self._key is None:
@@ -117,10 +130,15 @@ class AddCategory:
 
     def canonical_sum(self, multiplicities):
         """(rep, layout): the direct sum generators[0]^c0 + generators[1]^c1
-        + ... and the flat list of generator indices, one per summand."""
-        layout = self._layout(multiplicities)
-        reps = [self.generators[i] for i in layout]
-        return direct_sum_rep(reps, self.quiver, self.field), layout
+        + ... and the flat list of generator indices, one per summand; built
+        once per multiplicity vector and kept in the memo."""
+        key = ("sum", tuple(multiplicities))
+        got = self._memo.get(key)
+        if got is None:
+            layout = self._layout(key[1])
+            reps = [self.generators[i] for i in layout]
+            got = self._remember(key, (direct_sum_rep(reps, self.quiver, self.field), layout))
+        return got
 
     def _layout(self, multiplicities):
         """The generator index of each summand of the canonical sum."""
@@ -172,7 +190,9 @@ Handle = Union[AddCategory, ExtCategory]
 
 class AddEvidence(FrozenValue):
     """member is isomorphic to the canonical sum with these multiplicities;
-    iso maps the member onto that sum.
+    iso maps the member onto that sum. member_add's evidence over a
+    zero-map handle is the identity of that sum, one object shared per
+    handle and dimension vector (AddCategory._memo).
 
     _verified holds the keys of the members this evidence has been verified
     for (see counterex._member_verified): None until first use, freed with
@@ -213,9 +233,11 @@ Evidence = Union[AddEvidence, ExtEvidence]
 
 
 def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
-    """Re-check membership evidence from scratch: isos must be natural and
-    invertible onto freshly built canonical sums, and short exact sequences
-    must have natural maps and be exact."""
+    """Re-check membership evidence: isos must be natural and invertible
+    onto the handle's canonical sums, and short exact sequences must have
+    natural maps and be exact. An iso between equal ends whose every
+    component is the identity is both by definition, so only other isos
+    get the products and eliminations of the full check."""
     if isinstance(handle, AddCategory):
         if not isinstance(evidence, AddEvidence):
             return False
@@ -234,9 +256,13 @@ def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
                 [min(c, 0) if g.total_dim == 0 else c for c, g in zip(mults, gens)])
         except (ShapeError, ApproxcatError):
             return False
-        if evidence.iso.target != expected:
+        iso = evidence.iso
+        if iso.target != expected:
             return False
-        return evidence.iso.is_natural() and evidence.iso.is_iso()
+        if iso.source == iso.target and all(
+                c == Matrix.identity(c.field, c.rows) for c in iso.components):
+            return True
+        return iso.is_natural() and iso.is_iso()
     if isinstance(handle, ExtCategory):
         if not isinstance(evidence, ExtEvidence):
             return False
@@ -339,6 +365,8 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     zero. When every generator acts by zero, so does every canonical sum:
     m is a member exactly when its maps are zero and its dims admit a
     multiplicity vector, and then it is literally the first canonical sum.
+    The evidence is then the identity of that sum, built once per handle
+    and dims and shared, so evidence.member is a rep equal to m, not m.
     """
     gen_dims = [g.dims for g in handle.generators]
     if handle.kind()[0]:
@@ -346,8 +374,12 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
             raise FieldMismatchError("member_add needs a common quiver and field")
         if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):
             return None
-        mults = next(_multiplicities(gen_dims, m.dims), None)
-        return None if mults is None else AddEvidence(mults, RepMorphism.identity(m))
+        key = ("evidence", m.dims)
+        if key not in handle._memo:
+            mults = next(_multiplicities(gen_dims, m.dims), None)
+            handle._remember(key, None if mults is None else AddEvidence(
+                mults, RepMorphism.identity(handle.canonical_sum(mults)[0])))
+        return handle._memo[key]
     for mults in _multiplicities(gen_dims, m.dims):
         total, _ = handle.canonical_sum(mults)
         iso = iso_test(m, total)

@@ -40,9 +40,11 @@ radical series of m that decided membership, since rad_T(m/U) =
 most 1, and once that length reaches the remaining depth, each further
 term is rad_T^j(m) + U, spanned with the last peeled term's bases. Over
 a zero-map family its factors act by zero, so their evidence is read off
-the step dimensions; verify, filt_exchange, filt_normalize and other
+the step dimensions, one shared evidence per dimension vector kept on the
+handle (member_add); verify, filt_exchange, filt_normalize and other
 families' evidence read the cokernel that the Filtration keeps for each
-step.
+step. A certificate records its verify answer, so normalization's own
+check and a caller's verify of the result run once.
 
 filt_exchange swaps two adjacent filtration factors when the obstructing
 Ext group vanishes, checked by isomorphisms it constructs, and
@@ -133,9 +135,16 @@ class FiltrationCertificate(FrozenValue):
     """A filtration of member together with per-factor evidence that each
     cokernel of consecutive steps lies in add of the family. Steps read
     from JSON are built unchecked, so verify checks that every step is
-    natural before it reads a factor."""
+    natural before it reads a factor.
 
-    __slots__ = _fields = ("filtration", "member", "family", "factor_assignments")
+    _verified is the verified record: None until verify first runs, then
+    its answer, which every later verify of this (immutable) object
+    returns. It lives in this process only: it is never serialized, a
+    certificate read from JSON starts without one, and it is no part of
+    ==, hash or repr."""
+
+    _fields = ("filtration", "member", "family", "factor_assignments")
+    __slots__ = _fields + ("_verified",)
 
     def __init__(self, filtration: Filtration, member: Rep, family: AddCategory,
                  factor_assignments: tuple):
@@ -143,18 +152,21 @@ class FiltrationCertificate(FrozenValue):
         object.__setattr__(self, "member", member)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "factor_assignments", factor_assignments)
+        object.__setattr__(self, "_verified", None)
 
     @property
     def depth(self) -> int:
         return self.filtration.depth
 
     def verify(self) -> bool:
-        filt = self.filtration
-        if filt.top != self.member or len(self.factor_assignments) != filt.depth:
-            return False
-        return all(step.is_natural() for step in filt.steps) and all(
-            verify_evidence(ev, filt.factor(j), self.family)
-            for j, ev in enumerate(self.factor_assignments))
+        if self._verified is None:
+            filt = self.filtration
+            ok = (filt.top == self.member and len(self.factor_assignments) == filt.depth
+                  and all(step.is_natural() for step in filt.steps)
+                  and all(verify_evidence(ev, filt.factor(j), self.family)
+                          for j, ev in enumerate(self.factor_assignments)))
+            object.__setattr__(self, "_verified", ok)
+        return self._verified
 
 
 # membership in x*y

@@ -122,12 +122,14 @@ class Matrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        if field.modulus == 2 and n >= 0:
+        if n < 0:
+            raise ShapeError(f"negative shape {n}x{n}")
+        if field.modulus == 2:
             return Matrix._make(field, n, n, [1 << s for s in range(n - 1, -1, -1)])
         e = [field.zero] * (n * n)
         for i in range(n):
             e[i * n + i] = field.one
-        return Matrix._trusted(field, n, n, e)
+        return Matrix._make(field, n, n, e)
 
     @staticmethod
     def column(field: FieldSpec, values) -> "Matrix":

@@ -440,8 +440,8 @@ def _hom_kernel(v: Rep, w: Rep):
     unit rows of K (Matrix.kernel). hom_basis, hom_dim and _factor_system
     all read it here, since they meet the same few hom spaces many times
     (every candidate of one member in refute and RefutationWitness.verify,
-    every z of a factorization); ext1_* build their own system, whose rref
-    they need and not its kernel."""
+    every z of a factorization), and ext1_dim reads hom_dim; ext1_basis
+    builds its own system, whose rref it needs and not its kernel."""
     return _hom_system(v, w).kernel()
 
 
@@ -494,8 +494,10 @@ def ext1_basis(v: Rep, w: Rep):
 
 
 def ext1_dim(v: Rep, w: Rep) -> int:
-    a = _hom_system(v, w)
-    return a.rows - a.rank()
+    """rows - rank of the hom system, read as dim Hom(v, w) - euler_form:
+    rows - rank = (cols - rank) - (cols - rows), so it comes through the
+    bounded _hom_kernel cache."""
+    return hom_dim(v, w) - euler_form(v, w)
 
 
 def euler_form(v: Rep, w: Rep) -> int:

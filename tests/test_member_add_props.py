@@ -3,7 +3,8 @@
 When every generator acts by zero, so does every canonical sum, and
 member_add decides by a dimension count: m is a member exactly when its
 maps are zero and its dims admit a multiplicity vector, and its evidence
-is the first such vector with the identity of m. The reference here is the
+is the first such vector with the identity of the canonical sum, which
+equals m. The reference here is the
 general search member_add runs for every other family: try the
 multiplicity vectors in lexicographic order and certify the first whose
 canonical sum iso_test confirms. Over F2, F3 and Q, on A2, the one-loop

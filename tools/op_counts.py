@@ -31,6 +31,10 @@ validating constructors), of Matrix._fill (the shape check behind
 Matrix(...) and Matrix._trusted) and of FieldSpec.__eq__ and
 Quiver.__eq__; a checkout that lacks one of these (interned fields and
 quivers compare by identity, with no __eq__ of their own) counts 0.
+Handle work: the rep.direct_sum_rep calls made from
+AddCategory.canonical_sum (canonical_sums_built: the canonical sums
+actually built, whether or not the handle keeps them) and the
+AddEvidence objects constructed (add_evidence_built).
 """
 
 import collections
@@ -55,6 +59,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         rep._hom_system.__code__: "hom_systems",
         getattr(serialize, "_parse_rep", serialize.rep_from_jsonable).__code__: "rep_parses",
         approx.verify_evidence.__code__: "verify_evidence",
+        approx.AddEvidence.__init__.__code__: "add_evidence_built",
     }
     values = {"Rep.__init__": (rep.Rep, "__init__"),
               "RepMorphism.__init__": (rep.RepMorphism, "__init__"),
@@ -71,6 +76,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
     unit = getattr(matrix.Matrix, "_unit_rows", None)
     solve = matrix.Matrix.solve.__code__
+    sum_rep = getattr(rep, "direct_sum_rep", rep.direct_sum).__code__
+    canonical = approx.AddCategory.canonical_sum.__code__
     flat = getattr(getattr(matrix.Matrix, "flat", None), "__code__", None)
     counts = collections.Counter()
 
@@ -81,6 +88,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 counts[name] += 1
                 if name == "member_add" and frame.f_back.f_code.co_filename == extfilt.__file__:
                     counts["member_add_from_extfilt"] += 1
+            elif frame.f_code is sum_rep and frame.f_back.f_code is canonical:
+                counts["canonical_sums_built"] += 1
             elif frame.f_code in kernels and frame.f_back.f_code in kernel_callers:
                 counts["hom_kernels"] += 1
             elif (unit is not None and frame.f_code is unit.__code__
@@ -105,7 +114,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
             sys.setprofile(None)
     counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
     counts["items"] = len(items)
-    for name in [*values, "hom_kernels", "unit_rows_outside_solve"]:
+    for name in [*values, "hom_kernels", "unit_rows_outside_solve", "canonical_sums_built"]:
         counts[name] += 0
     return dict(sorted(counts.items()))
 
