@@ -62,9 +62,9 @@ class AddCategory:
     whose normalization hypothesis is Ext1(X_i, X_j) = 0 for i <= j.
 
     _memo keeps what depends only on the handle: the canonical sum of each
-    multiplicity vector asked for, and member_add's zero-map evidence per
-    dimension vector. It is dropped whole when it would pass 256 entries,
-    and it is no part of ==, hash or repr."""
+    multiplicity vector asked for, and the zero-map evidence of each
+    dimension vector (zero_map_evidence). It is dropped whole when it would
+    pass 256 entries, and it is no part of ==, hash or repr."""
 
     __slots__ = ("generators", "quiver", "field", "_key", "_kind", "_memo")
 
@@ -140,6 +140,20 @@ class AddCategory:
             got = self._remember(key, (direct_sum_rep(reps, self.quiver, self.field), layout))
         return got
 
+    def zero_map_evidence(self, dims):
+        """The evidence member_add gives a rep of these dims with zero maps,
+        over a handle whose generators all act by zero: the identity of the
+        first canonical sum of dims, built once per dims and kept in the
+        memo, or None when no multiplicity vector gives dims."""
+        if not self.kind()[0]:
+            raise ShapeError("zero-map evidence needs generators that act by zero")
+        key = ("evidence", tuple(dims))
+        if key not in self._memo:
+            mults = next(_multiplicities([g.dims for g in self.generators], key[1]), None)
+            self._remember(key, None if mults is None else AddEvidence(
+                mults, RepMorphism.identity(self.canonical_sum(mults)[0])))
+        return self._memo[key]
+
     def _layout(self, multiplicities):
         """The generator index of each summand of the canonical sum."""
         if len(multiplicities) != len(self.generators):
@@ -192,7 +206,7 @@ class AddEvidence(FrozenValue):
     """member is isomorphic to the canonical sum with these multiplicities;
     iso maps the member onto that sum. member_add's evidence over a
     zero-map handle is the identity of that sum, one object shared per
-    handle and dimension vector (AddCategory._memo).
+    handle and dimension vector (AddCategory.zero_map_evidence).
 
     _verified holds the keys of the members this evidence has been verified
     for (see counterex._member_verified): None until first use, freed with
@@ -365,22 +379,17 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     zero. When every generator acts by zero, so does every canonical sum:
     m is a member exactly when its maps are zero and its dims admit a
     multiplicity vector, and then it is literally the first canonical sum.
-    The evidence is then the identity of that sum, built once per handle
-    and dims and shared, so evidence.member is a rep equal to m, not m.
+    The evidence is then the handle's zero_map_evidence for m.dims, built
+    once per handle and dims and shared, so evidence.member is a rep equal
+    to m, not m.
     """
-    gen_dims = [g.dims for g in handle.generators]
     if handle.kind()[0]:
         if m.quiver != handle.quiver or m.field != handle.field:
             raise FieldMismatchError("member_add needs a common quiver and field")
         if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):
             return None
-        key = ("evidence", m.dims)
-        if key not in handle._memo:
-            mults = next(_multiplicities(gen_dims, m.dims), None)
-            handle._remember(key, None if mults is None else AddEvidence(
-                mults, RepMorphism.identity(handle.canonical_sum(mults)[0])))
-        return handle._memo[key]
-    for mults in _multiplicities(gen_dims, m.dims):
+        return handle.zero_map_evidence(m.dims)
+    for mults in _multiplicities([g.dims for g in handle.generators], m.dims):
         total, _ = handle.canonical_sum(mults)
         iso = iso_test(m, total)
         if iso is not None:

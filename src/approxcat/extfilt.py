@@ -27,8 +27,7 @@ candidate whose quotient peels down to add(S) in the remaining depth,
 and returns the projections it peeled, which the certificate lifts with
 no second search. The radical series of (m, T) is kept in a bounded
 lru_cache (_loewy_series), so the decisions over one m at
-r = 4, 3, 2, 1 and their certificates build it once; it reads rad_T(m)
-off copies of the arrow maps, so no elimination is cached on m. The peel
+r = 4, 3, 2, 1 and their certificates build it once. The peel
 search's answers are kept in a dict made per decision and dropped with
 it, keyed by (representation, depth), as the family and budget are fixed
 within one decision; a repeated decision searches again. The certificate
@@ -251,9 +250,7 @@ def _radical_series(m: Rep, support) -> Optional[tuple]:
         parts = [[] for _ in dims]
         for a in m.quiver.arrows:
             parts[a.target].append(m.map(a.id) @ term[a.source] if series else m.map(a.id))
-        # rad_T(m) is read off the arrow maps, which hstack copies so that no
-        # rref is left on them; a single later product is used as it is
-        nxt = tuple((p[0] if series and len(p) == 1 else hstack(p)).image_basis() if p
+        nxt = tuple((p[0] if len(p) == 1 else hstack(p)).image_basis() if p
                     else Matrix.zeros(F, d, 0) for p, d in zip(parts, dims))
         nsize = sum(b.cols for b in nxt)
         if nsize == size:
@@ -459,13 +456,15 @@ def _certify(filt: Filtration, member: Rep, family: AddCategory) -> FiltrationCe
     or filt_normalize built filt, so every factor acts by zero (a peel lies
     in the joint kernels, a radical layer is killed by rad_T, a merged run
     splits as Ext1(X_i, X_i) = 0), and factor j is the zero-map rep on
-    dims(M_j+1) - dims(M_j): no step cokernel is taken. Other families
-    read filt.factor(j)."""
-    evidence = []
+    dims(M_j+1) - dims(M_j), whose evidence the handle hands out by dims
+    (AddCategory.zero_map_evidence): no step cokernel is taken and no
+    factor built. Other families read filt.factor(j)."""
+    evidence, semisimple = [], family.kind()[0]
     for j, step in enumerate(filt.steps):
-        factor = filt.factor(j) if not family.kind()[0] else _zero_map_rep(
-            member.quiver, member.field, [t - s for s, t in zip(step.source.dims, step.target.dims)])
-        ev = member_add(factor, family)
+        if semisimple:
+            ev = family.zero_map_evidence([t - s for s, t in zip(step.source.dims, step.target.dims)])
+        else:
+            ev = member_add(filt.factor(j), family)
         if ev is None:
             raise CertificateError("a filtration factor failed add membership")
         evidence.append(ev)

@@ -30,8 +30,19 @@ this module reads entries through flat() or key(), the stored tuple. With
 column 0 on top, comparing two rows of one width as ints orders them as
 comparing their entries does, so key() sorts matrices of one field and
 shape exactly as their flat entries sort.
+
+Caches. Products, RREFs and kernels are computed behind three bounded
+functools.lru_caches (_matmul, _rref, _kernel; 128 entries each) keyed by
+value: the field, the shape and the stored entries, which is exactly what
+Matrix.__eq__ compares. Fields are interned and F2 rows are ints, so a key
+hashes cheaply. So a matrix equal to one eliminated or multiplied
+recently, however it was built, gets the shared result without the work,
+and a check that recomputes a product or RREF its construction just made
+reads it from the cache. The results are immutable Matrix objects, so
+sharing them is safe; no Matrix holds a result of its own.
 """
 
+from functools import lru_cache
 from operator import mul, xor
 
 from .errors import FieldMismatchError, ShapeError
@@ -52,7 +63,7 @@ def _pack(entries, rows, cols) -> tuple:
 class Matrix:
     """Immutable row-major matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "_e", "_rref")
+    __slots__ = ("field", "rows", "cols", "_e")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries=()):
         self._fill(field, rows, cols, [field.coerce(x) for x in entries])
@@ -76,7 +87,6 @@ class Matrix:
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_e(self, _pack(entries, rows, cols) if field.modulus == 2 else tuple(entries))
-        _set_rref(self, None)
 
     @staticmethod
     def _blocks(field: FieldSpec, seq, shapes) -> list:
@@ -98,7 +108,6 @@ class Matrix:
         _set_rows(m, rows)
         _set_cols(m, cols)
         _set_e(m, tuple(e))
-        _set_rref(m, None)
         return m
 
     def __setattr__(self, name, value):
@@ -219,24 +228,7 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a, b, p = self._e, other._e, F.modulus
-        if not (any(a) and any(b)):  # an empty operand has no entries
-            return Matrix._make(F, n, m, (0,) * n if p == 2 else (F.zero,) * (n * m))
-        if p == 2:  # row i of the product: the XOR of B's rows at row i's bits
-            rb, out = b[::-1], []
-            for r in a:
-                acc = 0
-                while r:  # r & -r is r's lowest set bit
-                    acc ^= rb[(r & -r).bit_length() - 1]
-                    r &= r - 1
-                out.append(acc)
-            return Matrix._make(F, n, m, out)
-        arows = [a[i * k : (i + 1) * k] for i in range(n)]
-        bcols = [b[j::m] for j in range(m)]
-        # k > 0 here, so each sum has a term and is a Fraction over Q
-        out = [sum(map(mul, row, col)) for row in arows for col in bcols]
-        return Matrix._make(F, n, m, [x % p for x in out] if p else out)
+        return _matmul(F, self.rows, self.cols, self._e, other.cols, other._e)
 
     def trace(self):
         """The sum of the diagonal entries of a square matrix."""
@@ -279,60 +271,10 @@ class Matrix:
     def rref(self):
         """(R, pivots): the reduced row echelon form and its pivot columns
         in increasing order. The pivot is the first nonzero entry down each
-        column, so R is deterministic and R.rref() == (R, pivots)."""
-        if self._rref is not None:
-            return self._rref
-        F = self.field
-        p = F.modulus
-        rows, cols, e = self.rows, self.cols, self._e
-        if not any(e):
-            # a copy, not self: a matrix holding itself would wait for the cyclic GC
-            _set_rref(self, (Matrix._make(F, rows, cols, e), ()))
-            return self._rref
-        pivots, r = [], 0
-        if p == 2:  # the same scan on bit rows: swap, then XOR the pivot row away
-            m = list(e)
-            for c in range(cols):
-                bit = 1 << (cols - 1 - c)
-                for i in range(r, rows):
-                    if m[i] & bit:
-                        break
-                else:
-                    continue
-                m[i], m[r] = m[r], m[i]
-                for i in range(rows):
-                    if i != r and m[i] & bit:
-                        m[i] ^= m[r]
-                pivots.append(c)
-                r += 1
-        else:
-            m = [list(e[i * cols : (i + 1) * cols]) for i in range(rows)]
-            for c in range(cols):
-                if r == rows:
-                    break
-                for pr in range(r, rows):
-                    if m[pr][c] != 0:
-                        break
-                else:
-                    continue
-                m[r], m[pr] = m[pr], m[r]
-                pe = m[r][c]
-                if pe != 1:
-                    inv = pow(pe, -1, p) if p else 1 / pe
-                    row = [inv * x for x in m[r]]
-                    m[r] = [x % p for x in row] if p else row
-                mr = m[r]
-                for i in range(rows):
-                    f = m[i][c]
-                    if i != r and f != 0:
-                        row = [x - f * y for x, y in zip(m[i], mr)]
-                        m[i] = [x % p for x in row] if p else row
-                pivots.append(c)
-                r += 1
-            m = [x for row in m for x in row]
-        result = (Matrix._make(F, rows, cols, m), tuple(pivots))
-        _set_rref(self, result)
-        return result
+        column, so R is deterministic and R.rref() == (R, pivots). The pair
+        is computed once per value and shared by every equal matrix while
+        it stays in the bounded cache (_rref)."""
+        return _rref(self.field, self.rows, self.cols, self._e)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -348,29 +290,7 @@ class Matrix:
         """(K, free): the free columns of the RREF in increasing order, and
         K the kernel basis whose column j sets free variable free[j] to 1
         and the others to 0, so row free[j] of K is the j-th unit vector."""
-        F = self.field
-        p = F.modulus
-        R, pivots = self.rref()
-        e, n = R._e, self.cols
-        pivot_set = set(pivots)
-        free = tuple([c for c in range(n) if c not in pivot_set])
-        k = len(free)
-        if p == 2:  # the same columns as bits: -v = v, and column idx is bit k-1-idx
-            out = [0] * n
-            for idx, fc in enumerate(free):
-                out[fc] = bit = 1 << (k - 1 - idx)
-                for r, pc in enumerate(pivots):
-                    if e[r] >> (n - 1 - fc) & 1:
-                        out[pc] |= bit
-            return Matrix._make(F, n, k, out), free
-        out = [F.zero] * (n * k)
-        for idx, fc in enumerate(free):
-            out[fc * k + idx] = F.one
-            for r, pc in enumerate(pivots):
-                v = e[r * n + fc]
-                if v != 0:
-                    out[pc * k + idx] = p - v if p else -v
-        return Matrix._make(F, n, k, out), free
+        return _kernel(self.field, self.rows, self.cols, self._e)
 
     def image_basis(self) -> "Matrix":
         """Basis of the column space: the original columns at the RREF
@@ -451,8 +371,113 @@ class Matrix:
 
 # the slots' own setters: __setattr__ refuses assignment, and these cost
 # less per call than object.__setattr__ by name
-_set_field, _set_rows, _set_cols, _set_e, _set_rref = (
+_set_field, _set_rows, _set_cols, _set_e = (
     getattr(Matrix, slot).__set__ for slot in Matrix.__slots__)
+
+
+# The work behind Matrix.__matmul__, rref and kernel, cached by value (see
+# Caches above). The shape is part of every key, as F2 rows of different
+# widths can be the same ints; the bounds keep memory flat over a sweep.
+
+
+@lru_cache(maxsize=128)
+def _matmul(F: FieldSpec, n: int, k: int, a: tuple, m: int, b: tuple) -> Matrix:
+    """The n x m product of the n x k matrix a by the k x m matrix b,
+    both in stored form."""
+    p = F.modulus
+    if not (any(a) and any(b)):  # an empty operand has no entries
+        return Matrix._make(F, n, m, (0,) * n if p == 2 else (F.zero,) * (n * m))
+    if p == 2:  # row i of the product: the XOR of B's rows at row i's bits
+        rb, out = b[::-1], []
+        for r in a:
+            acc = 0
+            while r:  # r & -r is r's lowest set bit
+                acc ^= rb[(r & -r).bit_length() - 1]
+                r &= r - 1
+            out.append(acc)
+        return Matrix._make(F, n, m, out)
+    arows = [a[i * k : (i + 1) * k] for i in range(n)]
+    bcols = [b[j::m] for j in range(m)]
+    # k > 0 here, so each sum has a term and is a Fraction over Q
+    out = [sum(map(mul, row, col)) for row in arows for col in bcols]
+    return Matrix._make(F, n, m, [x % p for x in out] if p else out)
+
+
+@lru_cache(maxsize=128)
+def _rref(F: FieldSpec, rows: int, cols: int, e: tuple):
+    """(R, pivots) of the rows x cols matrix e in stored form."""
+    p = F.modulus
+    if not any(e):
+        return Matrix._make(F, rows, cols, e), ()
+    pivots, r = [], 0
+    if p == 2:  # the same scan on bit rows: swap, then XOR the pivot row away
+        m = list(e)
+        for c in range(cols):
+            bit = 1 << (cols - 1 - c)
+            for i in range(r, rows):
+                if m[i] & bit:
+                    break
+            else:
+                continue
+            m[i], m[r] = m[r], m[i]
+            for i in range(rows):
+                if i != r and m[i] & bit:
+                    m[i] ^= m[r]
+            pivots.append(c)
+            r += 1
+    else:
+        m = [list(e[i * cols : (i + 1) * cols]) for i in range(rows)]
+        for c in range(cols):
+            if r == rows:
+                break
+            for pr in range(r, rows):
+                if m[pr][c] != 0:
+                    break
+            else:
+                continue
+            m[r], m[pr] = m[pr], m[r]
+            pe = m[r][c]
+            if pe != 1:
+                inv = pow(pe, -1, p) if p else 1 / pe
+                row = [inv * x for x in m[r]]
+                m[r] = [x % p for x in row] if p else row
+            mr = m[r]
+            for i in range(rows):
+                f = m[i][c]
+                if i != r and f != 0:
+                    row = [x - f * y for x, y in zip(m[i], mr)]
+                    m[i] = [x % p for x in row] if p else row
+            pivots.append(c)
+            r += 1
+        m = [x for row in m for x in row]
+    return Matrix._make(F, rows, cols, m), tuple(pivots)
+
+
+@lru_cache(maxsize=128)
+def _kernel(F: FieldSpec, rows: int, n: int, e: tuple):
+    """(K, free) of the rows x n matrix e in stored form."""
+    p = F.modulus
+    R, pivots = _rref(F, rows, n, e)
+    e = R._e
+    pivot_set = set(pivots)
+    free = tuple([c for c in range(n) if c not in pivot_set])
+    k = len(free)
+    if p == 2:  # the same columns as bits: -v = v, and column idx is bit k-1-idx
+        out = [0] * n
+        for idx, fc in enumerate(free):
+            out[fc] = bit = 1 << (k - 1 - idx)
+            for r, pc in enumerate(pivots):
+                if e[r] >> (n - 1 - fc) & 1:
+                    out[pc] |= bit
+        return Matrix._make(F, n, k, out), free
+    out = [F.zero] * (n * k)
+    for idx, fc in enumerate(free):
+        out[fc * k + idx] = F.one
+        for r, pc in enumerate(pivots):
+            v = e[r * n + fc]
+            if v != 0:
+                out[pc * k + idx] = p - v if p else -v
+    return Matrix._make(F, n, k, out), free
 
 
 def hstack(mats) -> Matrix:

@@ -580,9 +580,9 @@ def cokernel(f: RepMorphism):
     arrow a: s -> t is proj_t @ w_a read at the free columns of vertex s."""
     w = f.target
     q, F = w.quiver, w.field
-    comps_t = [c.transpose() for c in f.components]
-    projs = [t.kernel_basis().transpose() for t in comps_t]
-    free = [sorted(set(range(t.cols)).difference(t.rref()[1])) for t in comps_t]
+    kernels = [c.transpose().kernel() for c in f.components]
+    projs = [k.transpose() for k, _ in kernels]
+    free = [fr for _, fr in kernels]
     maps = {a.id: (projs[a.target] @ w.map(a.id)).take_cols(free[a.source]) for a in q.arrows}
     c = Rep._make(q, F, [p.rows for p in projs], maps)
     proj = RepMorphism._make(w, c, projs)

@@ -3,7 +3,9 @@ certificate remembers.
 
 - AddCategory keeps each canonical sum and each zero-map evidence it
   builds in a memo dropped whole past 256 entries, and that memo is no
-  part of ==, hash or repr.
+  part of ==, hash or repr. member_add and certificate construction read
+  the zero-map evidence by dims through one method, and dims that no
+  multiplicity vector gives still make a certificate refuse.
 - ext1_dim is read as hom_dim - euler_form through the hom kernel cache:
   over F2, F3, F5 and Q, on A2, the Kronecker and the one-loop quiver, it
   equals rows - rank of the hom system and the length of ext1_basis.
@@ -34,12 +36,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxcat.approx import AddCategory, AddEvidence, member_add, verify_evidence
-from approxcat.errors import ApproxcatError
-from approxcat.extfilt import FiltrationCertificate, filt_normalize, member_filt
+from approxcat.errors import ApproxcatError, CertificateError
+from approxcat.extfilt import FiltrationCertificate, _certify, filt_normalize, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
 from approxcat.rep import (
+    Filtration,
     Rep,
     RepMorphism,
     _hom_system,
@@ -124,6 +127,15 @@ def test_zero_map_evidence_is_shared_per_dims():
     assert ev.iso.target is handle.canonical_sum((1, 2))[0]
     assert verify_evidence(ev, m, handle)
     assert member_add(Rep(A2, F, [1, 1], {"a": Matrix(F, 1, 1, [1])}), handle) is None
+    # member_add and certificate construction read one evidence by dims
+    assert handle.zero_map_evidence([2, 1]) is ev
+    semisimple = AddCategory([Rep(A2, F, [1, 1])])
+    assert semisimple.zero_map_evidence((2, 1)) is None
+    m = Rep(A2, F, [2, 1])
+    with pytest.raises(CertificateError):
+        _certify(Filtration([RepMorphism.zero(Rep.zero(A2, F), m)]), m, semisimple)
+    with pytest.raises(ApproxcatError):
+        AddCategory([Rep(A2, F, [1, 1], {"a": Matrix(F, 1, 1, [1])})]).zero_map_evidence((1, 1))
 
 
 # ext1_dim read through the hom kernel

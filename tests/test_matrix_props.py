@@ -10,6 +10,12 @@ F2 matrices are stored as bit rows, so every F2 operation is also checked
 against the flat-tuple loops of tests/matrix_oracles.py, on every shape
 from 0 to 8; a matrix built by the public constructor, by _trusted or as
 an operation's result is one value, with one hash and one key.
+
+Products, RREFs and kernels are cached by value: matrices equal by every
+route (the constructor, from_jsonable, a computed product) get equal
+results, a matrix of another shape with the same stored entries never
+gets theirs, every result matches the references before and after the
+caches have evicted it, and no cache outgrows its bound.
 """
 
 from fractions import Fraction
@@ -18,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from approxcat import matrix as matrix_module
 from approxcat.errors import ShapeError
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix, block_diag, hstack, vstack
@@ -497,3 +504,70 @@ def test_f2_matrices_built_three_ways_are_one_value(a, other):
         # key() orders matrices of one shape as their flat entries, which
         # keeps the sort of fr_enumerate's (total_dim, Rep.key()) unchanged
         assert (a.key() < other.key()) == (e < f2_flat(other))
+
+
+# the value-keyed caches behind rref, kernel and @
+
+CACHES = (matrix_module._matmul, matrix_module._rref, matrix_module._kernel)
+
+
+@st.composite
+def cache_cases(draw):
+    field = draw(fields)
+    a = draw(matrices(field))
+    return a, draw(matrices(field, rows=a.cols))
+
+
+def evict(field):
+    """Run every cache over more distinct matrices (zero columns of every
+    height) than it holds, so each result asked for next is computed."""
+    for n in range(1, max(c.cache_info().maxsize for c in CACHES) + 2):
+        z = Matrix.zeros(field, n, 1)
+        z.rref(), z.kernel(), Matrix.zeros(field, 1, n) @ z
+
+
+def eliminated(m: Matrix):
+    """m's rref and kernel, checked against the references."""
+    F, e = m.field, list(m.flat())
+    R, pivots = m.rref()
+    ref, ref_pivots = ref_rref(F, m.to_lists(), m.cols)
+    assert (R.rows, R.cols, pivots) == (m.rows, m.cols, ref_pivots)
+    assert R.to_lists() == ref
+    K, free = m.kernel()
+    assert (K.rows, K.cols) == (m.cols, m.cols - len(pivots))
+    assert list(K.flat()) == oracle.kernel_basis(F, m.rows, m.cols, e)
+    assert free == tuple(c for c in range(m.cols) if c not in pivots)
+    return R, pivots, K, free
+
+
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b, checked against the reference."""
+    p = a @ b
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert list(p.flat()) == oracle.matmul(a.field, a.rows, a.cols, b.cols,
+                                           list(a.flat()), list(b.flat()))
+    return p
+
+
+@SETTINGS
+@given(cache_cases())
+def test_equal_matrices_share_cached_results_and_shapes_never_do(case):
+    a, b = case
+    F, r, c = a.field, a.rows, a.cols
+    routes = [Matrix(F, r, c, a.flat()), Matrix.from_jsonable(F, a.to_jsonable(), r, c),
+              a @ Matrix.identity(F, c)]
+    # a matrix of another shape with the same stored entries: over F2 a zero
+    # column in front keeps every row's int (and b's, for the product),
+    # elsewhere the flat tuple is read as c x r
+    if F.modulus == 2:
+        twin = hstack([Matrix.zeros(F, r, 1), a])
+        twin_b = hstack([Matrix.zeros(F, c, 1), b])
+    else:
+        twin, twin_b = Matrix(F, c, r, a.flat()), b
+    for _ in range(2):  # the second round after every entry was evicted
+        results = {eliminated(m) + (product(m, b),) for m in routes}
+        assert len(results) == 1
+        eliminated(twin)
+        product(a, twin_b)
+        evict(F)
+    assert all(cache.cache_info().currsize <= cache.cache_info().maxsize for cache in CACHES)

@@ -7,7 +7,8 @@ On a2-filt, seed 0, in a fresh process so that no bounded cache starts
 warm: the family's Ext1 hypothesis makes one hom system per distinct
 generator pair, and the handle builds each canonical sum and each
 zero-map evidence once, so neither count passes the 16 distinct
-multiplicity vectors the workload asks for."""
+multiplicity vectors the workload asks for; and the value-keyed matrix
+caches leave at most a tenth of its eliminations to compute."""
 
 import importlib.util
 import json
@@ -38,3 +39,7 @@ def test_a2_filt_builds_each_handle_value_once():
     assert counts["hom_systems"] == 3
     assert 0 < counts["canonical_sums_built"] <= 16
     assert 0 < counts["add_evidence_built"] <= 16
+    # equal matrices are eliminated once while the bounded cache holds them:
+    # at most a tenth of the 10,206 rrefs the workload ran before it existed
+    assert 0 < counts["rref_computed"] <= 1020
+    assert all(c["currsize"] <= c["maxsize"] for c in counts["caches"].values())

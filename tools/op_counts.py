@@ -34,7 +34,14 @@ quivers compare by identity, with no __eq__ of their own) counts 0.
 Handle work: the rep.direct_sum_rep calls made from
 AddCategory.canonical_sum (canonical_sums_built: the canonical sums
 actually built, whether or not the handle keeps them) and the
-AddEvidence objects constructed (add_evidence_built).
+AddEvidence objects constructed (add_evidence_built). Work done behind
+the matrix caches: the calls of the functions that matrix's bounded
+caches wrap (rref_computed: matrix._rref, products_computed:
+matrix._matmul, kernels_computed: matrix._kernel), that is the cache
+misses, where rref, matmul and solve count the method calls; a checkout
+without those caches counts none. "caches" holds, for every
+functools.lru_cache a module of the package defines, its hits and misses
+over the run, its size at the end and its bound.
 """
 
 import collections
@@ -66,6 +73,10 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
               "Matrix._fill": (matrix.Matrix, "_fill"),
               "FieldSpec.__eq__": (fields.FieldSpec, "__eq__"),
               "Quiver.__eq__": (quiver.Quiver, "__eq__")}
+    for name, wrapper in (("rref_computed", "_rref"), ("products_computed", "_matmul"),
+                          ("kernels_computed", "_kernel")):
+        if hasattr(matrix, wrapper):
+            targets[getattr(matrix, wrapper).__wrapped__.__code__] = name
     for name, (cls, attr) in values.items():
         if attr in vars(cls):
             targets[vars(cls)[attr].__code__] = name
@@ -106,6 +117,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         wl = workloads.make(workload, workdir, inproc=True)
         items = wl.build(seed)
+        before = caches()
         sys.setprofile(hook)
         try:
             for item in items:
@@ -116,7 +128,25 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     counts["items"] = len(items)
     for name in [*values, "hom_kernels", "unit_rows_outside_solve", "canonical_sums_built"]:
         counts[name] += 0
-    return dict(sorted(counts.items()))
+    out = dict(sorted(counts.items()))
+    out["caches"] = {}
+    for name, info in sorted(caches().items()):
+        hits, misses = before.get(name, (0, 0))[:2]
+        out["caches"][name] = {"hits": info.hits - hits, "misses": info.misses - misses,
+                               "currsize": info.currsize, "maxsize": info.maxsize}
+    return out
+
+
+def caches() -> dict:
+    """cache_info() of every lru_cache defined by a loaded module of the
+    package, keyed "module.name"."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("approxcat."):
+            for name, obj in vars(mod).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == mod_name:
+                    out[f"{mod_name.removeprefix('approxcat.')}.{name}"] = obj.cache_info()
+    return out
 
 
 if __name__ == "__main__":
