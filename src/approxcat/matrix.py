@@ -231,11 +231,14 @@ class Matrix:
         return _matmul(F, self.rows, self.cols, self._e, other.cols, other._e)
 
     def trace(self):
-        """The sum of the diagonal entries of a square matrix."""
+        """The sum of the diagonal entries of a square matrix; over F2 the
+        parity of the diagonal bits, read off the stored rows."""
         if self.rows != self.cols:
             raise ShapeError(f"trace of a non-square {self.rows}x{self.cols} matrix")
-        p = self.field.modulus
-        t = sum(self.flat()[:: self.cols + 1], self.field.zero)
+        p, n = self.field.modulus, self.cols
+        if p == 2:  # entry (i, i) is bit n - 1 - i of row i
+            return sum(r >> (n - 1 - i) & 1 for i, r in enumerate(self._e)) & 1
+        t = sum(self.flat()[:: n + 1], self.field.zero)
         return t % p if p else t
 
     def transpose(self) -> "Matrix":

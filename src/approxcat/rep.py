@@ -113,9 +113,7 @@ class Rep:
 
     @staticmethod
     def simple(quiver: Quiver, field: FieldSpec, vertex: int) -> "Rep":
-        dims = [0] * quiver.vertex_count
-        dims[vertex] = 1
-        return Rep(quiver, field, dims)
+        return _simple(quiver, field, vertex)
 
     def map(self, aid: str) -> Matrix:
         return self.maps[aid]
@@ -168,9 +166,11 @@ class RepMorphism:
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
     _memo holds the factorization systems built for this morphism, one
-    per (side, far end) (see _factor): lists of rows in the coordinates of
+    per (side, far end) (see _system): lists of rows in the coordinates of
     the hom space of the factored morphism's ends, and the unit rows that
-    read those coordinates. It is set on first use and freed with the
+    read those coordinates. A left system for a semisimple far end is
+    assembled from the systems for its simple summands S_x, which are kept
+    here too, under their own keys. It is set on first use and freed with the
     morphism. The hom kernels those systems start from depend only on the
     ends, so they are not kept here but in the bounded _hom_kernel cache,
     shared by every morphism and read by hom_basis and hom_dim too. The
@@ -433,6 +433,25 @@ def _unpack_hom_vector(v: Rep, w: Rep, col) -> RepMorphism:
     return RepMorphism._make(v, w, Matrix._blocks(v.field, col, zip(w.dims, v.dims)))
 
 
+@lru_cache(maxsize=64)
+def _simple(quiver: Quiver, field: FieldSpec, x: int) -> Rep:
+    """The simple rep at vertex x, every arrow acting by zero (Rep.simple):
+    one object per (quiver, field, x) while cached, so its key is built
+    once."""
+    dims = [0] * quiver.vertex_count
+    dims[x] = 1
+    return _zero_map_rep(quiver, field, dims)
+
+
+def _simple_summands(w: Rep):
+    """The vertices x of the simple summands S_x of w, w_x copies each in
+    vertex order, when every arrow of w acts by zero and w is neither zero
+    nor simple; None otherwise."""
+    if w.total_dim < 2 or not all(m.is_zero() for m in w.maps.values()):
+        return None
+    return [x for x, d in enumerate(w.dims) for _ in range(d)]
+
+
 @lru_cache(maxsize=256)
 def _hom_kernel(v: Rep, w: Rep):
     """(K, free): the kernel basis of the hom system of (v, w), whose
@@ -441,8 +460,25 @@ def _hom_kernel(v: Rep, w: Rep):
     all read it here, since they meet the same few hom spaces many times
     (every candidate of one member in refute and RefutationWitness.verify,
     every z of a factorization), and ext1_dim reads hom_dim; ext1_basis
-    builds its own system, whose rref it needs and not its kernel."""
-    return _hom_system(v, w).kernel()
+    builds its own system, whose rref it needs and not its kernel.
+
+    Hom is additive: into a w with simple summands (_simple_summands),
+    whose arrows act by zero, the system ties row i of f_x to itself
+    alone, and that row is the contiguous block of the copy (x, i) in the
+    row-major ambient. A row space split over disjoint column blocks has
+    the blocks' RREFs as its RREF, so K is the block_diag of the kernels
+    of Hom(v, S_x), one per copy, and the free columns are theirs shifted
+    by the copy's offset: the same K and free columns, by no elimination."""
+    xs = _simple_summands(w)
+    if xs is None:
+        return _hom_system(v, w).kernel()
+    parts, free, off = [], [], 0
+    for x in xs:
+        k, fr = _hom_kernel(v, _simple(w.quiver, w.field, x))
+        parts.append(k)
+        free += [off + c for c in fr]
+        off += v.dims[x]
+    return block_diag(w.field, parts), tuple(free)
 
 
 def hom_basis(v: Rep, w: Rep):
@@ -664,20 +700,12 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is eliminated once per (side, w) and memoized on z. Each call reads
+    it is built once per (side, w) and memoized on z (_system). Each call reads
     f's coordinates f' in the hom basis of its ends off the flat entries of
     f, checks that they give f back, then applies the system's obstruction
     rows and lift rows to f'."""
     w = f.target if side == "left" else f.source
-    memo = z._memo
-    if memo is None:
-        memo = {}
-        _set_memo(z, memo)
-    key = (side, w.key())
-    system = memo.get(key)
-    if system is None:
-        system = memo[key] = _factor_system(z, w, side)
-    units, others, residual, obstruction, lift = system
+    units, others, residual, obstruction, lift = _system(z, w, side)
     F = w.field
     vec = [x for c in f.components for x in c.flat()]
     coords = [vec[u] for u in units]
@@ -689,6 +717,53 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
         return None
     src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
     return _unpack_hom_vector(src, dst, _apply_rows(lift, coords, F))
+
+
+def _system(z: RepMorphism, w: Rep, side: str):
+    """The system of _factor_system for (z, w, side), kept in z._memo under
+    (side, w.key()). On the left, a w with simple summands
+    (_simple_summands) gets it assembled from the systems of its summands
+    by _summed_system; the right side always takes the general path, since
+    there the copies of a semisimple w interleave in the row-major ambient
+    of Hom(w, z.target) instead of filling contiguous blocks."""
+    memo = z._memo
+    if memo is None:
+        memo = {}
+        _set_memo(z, memo)
+    key = (side, w.key())
+    system = memo.get(key)
+    if system is None:
+        xs = _simple_summands(w) if side == "left" else None
+        system = _factor_system(z, w, side) if xs is None else _summed_system(z, xs)
+        memo[key] = system
+    return system
+
+
+def _summed_system(z: RepMorphism, xs):
+    """The left system for the far end w = sum of S_x over xs
+    (_simple_summands) from the systems for each S_x, kept in z._memo.
+    With w's arrows zero, (h z)_x row i is row i of h_x times z_x, so after
+    a column permutation both the hom systems and [A' | I] are block
+    diagonal over the copies, and an RREF of a row space split over
+    disjoint columns is the union of the blocks' RREFs: a copy's units and
+    others are its own shifted by its offset in the ambient of
+    Hom(z.source, w), and its residual, obstruction and lift rows are its
+    own padded into its column block, in copy order. That is, entry for
+    entry, the system _factor_system builds for w."""
+    m, F = z.source, z.source.field
+    systems = [_system(z, _simple(m.quiver, F, x), "left") for x in xs]
+    kk = sum(len(s[0]) for s in systems)
+    units, others, residual, obstruction, lift = [], [], [], [], []
+    off = col = 0
+    for x, (u, o, res, obs, lf) in zip(xs, systems):
+        units += [off + i for i in u]
+        others += [off + i for i in o]
+        before, after = [F.zero] * col, [F.zero] * (kk - col - len(u))
+        for out, rows in ((residual, res), (obstruction, obs), (lift, lf)):
+            out += [[*before, *r, *after] for r in rows]
+        off += m.dims[x]
+        col += len(u)
+    return units, others, residual, obstruction, lift
 
 
 def _apply_rows(rows, vec, F: FieldSpec) -> list:

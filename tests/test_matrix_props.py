@@ -404,6 +404,19 @@ def test_f2_entrywise_and_products_match_the_flat_loops(data):
 
 @F2_SETTINGS
 @given(st.data())
+def test_f2_trace_reads_the_diagonal_bits(data):
+    # the trace reads bit n - 1 - i of stored row i; the flat formula sums
+    # every n + 1-th unpacked entry
+    n = data.draw(f2_dims)
+    a, b = data.draw(f2_matrices(n, n)), data.draw(f2_matrices(n, n))
+    t = a.trace()
+    assert type(t) is int and t == sum(f2_flat(a)[:: n + 1]) % 2
+    assert (a + b).trace() == (t + b.trace()) % 2
+    assert (a @ b).trace() == (b @ a).trace()
+
+
+@F2_SETTINGS
+@given(st.data())
 def test_f2_reshaping_matches_the_flat_loops(data):
     a = data.draw(f2_matrices())
     r, c, e = a.rows, a.cols, f2_flat(a)

@@ -8,7 +8,13 @@ warm: the family's Ext1 hypothesis makes one hom system per distinct
 generator pair, and the handle builds each canonical sum and each
 zero-map evidence once, so neither count passes the 16 distinct
 multiplicity vectors the workload asks for; and the value-keyed matrix
-caches leave at most a tenth of its eliminations to compute."""
+caches leave at most a tenth of its eliminations to compute.
+
+On refute-approx-f3, seed 0, in a fresh process as well: the workload
+factors maps into the semisimple targets S1^a + S2^b, and Hom into them is
+assembled from the simple summands, so it eliminates at most 250
+factorization systems, 400 hom systems and 200 RREFs (1,404, 1,782 and
+1,317 before the assembly)."""
 
 import importlib.util
 import json
@@ -43,3 +49,16 @@ def test_a2_filt_builds_each_handle_value_once():
     # at most a tenth of the 10,206 rrefs the workload ran before it existed
     assert 0 < counts["rref_computed"] <= 1020
     assert all(c["currsize"] <= c["maxsize"] for c in counts["caches"].values())
+
+
+def test_refute_assembles_semisimple_ends_from_their_summands():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_counts.py"),
+                           "refute-approx-f3", "0"],
+                          capture_output=True, text=True, check=True, timeout=300)
+    counts = json.loads(done.stdout)
+    assert counts["items"] > 0
+    assert counts["factor_systems_assembled"] > 0 and counts["hom_kernels_assembled"] > 0
+    assert 0 < counts["factor_systems"] <= 250
+    assert 0 < counts["hom_systems"] <= 400
+    assert counts["hom_kernels"] == counts["hom_systems"]
+    assert 0 < counts["rref_computed"] <= 200
