@@ -49,6 +49,7 @@ from .rep import (
     pushout,
     ses_verify,
     _factor,
+    _remember,
 )
 from .search import Budget, default_budget, iter_subreps
 
@@ -64,7 +65,7 @@ class AddCategory:
     _memo keeps what depends only on the handle: the canonical sum of each
     multiplicity vector asked for, and the zero-map evidence of each
     dimension vector (zero_map_evidence). It is dropped whole when it would
-    pass 256 entries, and it is no part of ==, hash or repr."""
+    pass 256 entries (rep._remember), and it is no part of ==, hash or repr."""
 
     __slots__ = ("generators", "quiver", "field", "_key", "_kind", "_memo")
 
@@ -87,13 +88,6 @@ class AddCategory:
 
     def __setattr__(self, name, value):
         raise AttributeError("AddCategory is immutable")
-
-    def _remember(self, key, value):
-        """value, kept in the memo under key; a full memo is dropped first."""
-        if len(self._memo) >= 256:
-            self._memo.clear()
-        self._memo[key] = value
-        return value
 
     def key(self):
         if self._key is None:
@@ -137,7 +131,8 @@ class AddCategory:
         if got is None:
             layout = self._layout(key[1])
             reps = [self.generators[i] for i in layout]
-            got = self._remember(key, (direct_sum_rep(reps, self.quiver, self.field), layout))
+            got = direct_sum_rep(reps, self.quiver, self.field), layout
+            got = _remember(self._memo, key, got)
         return got
 
     def zero_map_evidence(self, dims):
@@ -150,7 +145,7 @@ class AddCategory:
         key = ("evidence", tuple(dims))
         if key not in self._memo:
             mults = next(_multiplicities([g.dims for g in self.generators], key[1]), None)
-            self._remember(key, None if mults is None else AddEvidence(
+            _remember(self._memo, key, None if mults is None else AddEvidence(
                 mults, RepMorphism.identity(self.canonical_sum(mults)[0])))
         return self._memo[key]
 

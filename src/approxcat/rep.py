@@ -54,6 +54,15 @@ class FrozenValue:
         return f"{type(self).__name__}({args})"
 
 
+def _remember(memo: dict, key, value):
+    """value, kept in memo under key; a memo of 256 entries is dropped
+    whole first, which bounds the memos kept on handles and morphisms."""
+    if len(memo) >= 256:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class Rep:
     """A representation: a dimension per vertex and a matrix per arrow.
 
@@ -165,13 +174,15 @@ class RepMorphism:
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
-    _memo holds the factorization systems built for this morphism, one
-    per (side, far end) (see _system): lists of rows in the coordinates of
-    the hom space of the factored morphism's ends, and the unit rows that
-    read those coordinates. A left system for a semisimple far end is
-    assembled from the systems for its simple summands S_x, which are kept
-    here too, under their own keys. It is set on first use and freed with the
-    morphism. The hom kernels those systems start from depend only on the
+    _memo holds what factoring through this morphism has computed: the
+    factorization systems, one per (side, far end) (see _system), lists of
+    rows in the coordinates of the hom space of the factored morphism's
+    ends and the unit rows that read those coordinates; and, for a
+    semisimple far end read copy by copy on the left (_copy_lifts), the
+    answer for each (x, slice): the lift into S_x, or False when the slice
+    does not factor. It is set on first use, dropped whole when it would
+    pass 256 entries (_remember), and freed with the morphism. The hom
+    kernels those systems start from depend only on the
     ends, so they are not kept here but in the bounded _hom_kernel cache,
     shared by every morphism and read by hom_basis and hom_dim too. The
     loop-and-exit stage's morphisms are shared through counterex's bounded
@@ -460,32 +471,31 @@ def _hom_kernel(v: Rep, w: Rep):
     all read it here, since they meet the same few hom spaces many times
     (every candidate of one member in refute and RefutationWitness.verify,
     every z of a factorization), and ext1_dim reads hom_dim; ext1_basis
-    builds its own system, whose rref it needs and not its kernel.
-
-    Hom is additive: into a w with simple summands (_simple_summands),
-    whose arrows act by zero, the system ties row i of f_x to itself
-    alone, and that row is the contiguous block of the copy (x, i) in the
-    row-major ambient. A row space split over disjoint column blocks has
-    the blocks' RREFs as its RREF, so K is the block_diag of the kernels
-    of Hom(v, S_x), one per copy, and the free columns are theirs shifted
-    by the copy's offset: the same K and free columns, by no elimination."""
-    xs = _simple_summands(w)
-    if xs is None:
-        return _hom_system(v, w).kernel()
-    parts, free, off = [], [], 0
-    for x in xs:
-        k, fr = _hom_kernel(v, _simple(w.quiver, w.field, x))
-        parts.append(k)
-        free += [off + c for c in fr]
-        off += v.dims[x]
-    return block_diag(w.field, parts), tuple(free)
+    builds its own system, whose rref it needs and not its kernel. Into a
+    w with simple summands, hom_basis and the left factorizations read the
+    kernels of Hom(v, S_x) instead, one per vertex of a summand."""
+    return _hom_system(v, w).kernel()
 
 
 def hom_basis(v: Rep, w: Rep):
-    """Deterministic basis of Hom(v, w) as a list of morphisms."""
-    ker = _hom_kernel(v, w)[0]
-    e = ker.flat()
-    return [_unpack_hom_vector(v, w, e[j :: ker.cols]) for j in range(ker.cols)]
+    """Deterministic basis of Hom(v, w) as a list of morphisms: the columns
+    of the kernel of the hom system. Hom is additive: into a w with simple
+    summands (_simple_summands), whose arrows act by zero, the system ties
+    row i of f_x to itself alone, and that row is the contiguous slice of
+    the copy (x, i) in the row-major ambient. So the system is block
+    diagonal over the copies, and its kernel is read copy by copy: each
+    column of the kernel of Hom(v, S_x) placed in its copy's slice, copy
+    by copy in order, the same basis by no elimination of w's system."""
+    xs = _simple_summands(w)
+    ends = [w] if xs is None else [_simple(w.quiver, w.field, x) for x in xs]
+    n, zero = _hom_offsets(v, w)[1], v.field.zero
+    out, off = [], 0
+    for end in ends:
+        ker = _hom_kernel(v, end)[0]
+        e, k, before, after = ker.flat(), ker.cols, (zero,) * off, (zero,) * (n - off - ker.rows)
+        out += [_unpack_hom_vector(v, w, before + e[j::k] + after) for j in range(k)]
+        off += ker.rows
+    return out
 
 
 def hom_dim(v: Rep, w: Rep) -> int:
@@ -700,14 +710,32 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is built once per (side, w) and memoized on z (_system). Each call reads
-    f's coordinates f' in the hom basis of its ends off the flat entries of
-    f, checks that they give f back, then applies the system's obstruction
-    rows and lift rows to f'."""
-    w = f.target if side == "left" else f.source
-    units, others, residual, obstruction, lift = _system(z, w, side)
-    F = w.field
+    it is built once per (side, w) and memoized on z (_system), and _lift
+    reads f's flat entries through it.
+
+    On the left, a w with simple summands (_simple_summands) is read copy
+    by copy (_copy_lifts): its arrows act by zero, so f is natural exactly
+    when each copy, a map into S_x, is, and h z = f holds copy by copy. The
+    right side always takes the general path, since there the copies of a
+    semisimple w interleave in the row-major ambient of Hom(w, z.target)
+    instead of filling contiguous slices."""
+    left = side == "left"
+    w = f.target if left else f.source
     vec = [x for c in f.components for x in c.flat()]
+    xs = _simple_summands(w) if left else None
+    h = _lift(_system(z, w, side), vec, w.field) if xs is None else _copy_lifts(z, xs, vec)
+    if h is None:
+        return None
+    src, dst = (z.target, f.target) if left else (f.source, z.source)
+    return _unpack_hom_vector(src, dst, h)
+
+
+def _lift(system, vec, F: FieldSpec):
+    """vec h for the flat entries vec of f through a system of
+    _factor_system, or None when f does not factor: reads f's coordinates
+    f' in the hom basis of its ends off vec at the units, checks that they
+    give f back, then applies the obstruction rows and lift rows to f'."""
+    units, others, residual, obstruction, lift = system
     coords = [vec[u] for u in units]
     # a morphism built with check=False need not be natural: then
     # vec f != K' f' and it has no factorization
@@ -715,55 +743,55 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
         return None
     if any(_apply_rows(obstruction, coords, F)):
         return None
-    src, dst = (z.target, f.target) if side == "left" else (f.source, z.source)
-    return _unpack_hom_vector(src, dst, _apply_rows(lift, coords, F))
+    return _apply_rows(lift, coords, F)
+
+
+def _copy_lifts(z: RepMorphism, xs, vec):
+    """vec h for h z = f on the left into w = sum of the S_x over xs
+    (_simple_summands), or None when f does not factor. The copy (x, i) of
+    f is row i of f_x, a contiguous slice of vec in the row-major ambient,
+    and its lift is row i of h_x, the copy's slice of vec h, so vec h is the
+    copies' lifts in copy order. A zero slice lifts to zero; any other is
+    read through the system for S_x, and its answer (the lift entries, or
+    False when it does not factor) is kept in z._memo under (x, slice)
+    (_remember), where every later equal copy finds it."""
+    m, n = z.source, z.target
+    F, memo = m.field, _memo_of(z)
+    out, off = [], 0
+    for x in xs:
+        part = tuple(vec[off : off + m.dims[x]])
+        off += m.dims[x]
+        if not any(part):
+            out += [F.zero] * n.dims[x]
+            continue
+        got = memo.get((x, part))
+        if got is None:
+            got = _lift(_system(z, _simple(m.quiver, F, x), "left"), part, F)
+            got = _remember(memo, (x, part), False if got is None else got)
+        if got is False:
+            return None
+        out += got
+    return out
 
 
 def _system(z: RepMorphism, w: Rep, side: str):
     """The system of _factor_system for (z, w, side), kept in z._memo under
-    (side, w.key()). On the left, a w with simple summands
-    (_simple_summands) gets it assembled from the systems of its summands
-    by _summed_system; the right side always takes the general path, since
-    there the copies of a semisimple w interleave in the row-major ambient
-    of Hom(w, z.target) instead of filling contiguous blocks."""
+    (side, w.key()) (_remember)."""
+    memo = _memo_of(z)
+    key = (side, w.key())
+    system = memo.get(key)
+    if system is None:
+        system = _remember(memo, key, _factor_system(z, w, side))
+    return system
+
+
+def _memo_of(z: RepMorphism) -> dict:
+    """z._memo, made on first use."""
     memo = z._memo
     if memo is None:
         memo = {}
         _set_memo(z, memo)
-    key = (side, w.key())
-    system = memo.get(key)
-    if system is None:
-        xs = _simple_summands(w) if side == "left" else None
-        system = _factor_system(z, w, side) if xs is None else _summed_system(z, xs)
-        memo[key] = system
-    return system
-
-
-def _summed_system(z: RepMorphism, xs):
-    """The left system for the far end w = sum of S_x over xs
-    (_simple_summands) from the systems for each S_x, kept in z._memo.
-    With w's arrows zero, (h z)_x row i is row i of h_x times z_x, so after
-    a column permutation both the hom systems and [A' | I] are block
-    diagonal over the copies, and an RREF of a row space split over
-    disjoint columns is the union of the blocks' RREFs: a copy's units and
-    others are its own shifted by its offset in the ambient of
-    Hom(z.source, w), and its residual, obstruction and lift rows are its
-    own padded into its column block, in copy order. That is, entry for
-    entry, the system _factor_system builds for w."""
-    m, F = z.source, z.source.field
-    systems = [_system(z, _simple(m.quiver, F, x), "left") for x in xs]
-    kk = sum(len(s[0]) for s in systems)
-    units, others, residual, obstruction, lift = [], [], [], [], []
-    off = col = 0
-    for x, (u, o, res, obs, lf) in zip(xs, systems):
-        units += [off + i for i in u]
-        others += [off + i for i in o]
-        before, after = [F.zero] * col, [F.zero] * (kk - col - len(u))
-        for out, rows in ((residual, res), (obstruction, obs), (lift, lf)):
-            out += [[*before, *r, *after] for r in rows]
-        off += m.dims[x]
-        col += len(u)
-    return units, others, residual, obstruction, lift
+    return memo
 
 
 def _apply_rows(rows, vec, F: FieldSpec) -> list:

@@ -11,10 +11,14 @@ multiplicity vectors the workload asks for; and the value-keyed matrix
 caches leave at most a tenth of its eliminations to compute.
 
 On refute-approx-f3, seed 0, in a fresh process as well: the workload
-factors maps into the semisimple targets S1^a + S2^b, and Hom into them is
-assembled from the simple summands, so it eliminates at most 250
-factorization systems, 400 hom systems and 200 RREFs (1,404, 1,782 and
-1,317 before the assembly)."""
+factors maps into the semisimple targets S1^a + S2^b, and a map into one
+of them is factored one simple copy at a time, each distinct (x, slice)
+once per z, so it computes at most 300 per-copy answers (244) and
+eliminates at most 160 factorization systems (1,404 before Hom into a
+semisimple rep was read through its summands, 212 when the systems were
+assembled from theirs), 400 hom systems and 200 RREFs; the bounded
+rep._hom_kernel cache misses at most 400 times (1,782 when the kernels
+of semisimple ends were assembled there, nearly all first-time misses)."""
 
 import importlib.util
 import json
@@ -51,14 +55,15 @@ def test_a2_filt_builds_each_handle_value_once():
     assert all(c["currsize"] <= c["maxsize"] for c in counts["caches"].values())
 
 
-def test_refute_assembles_semisimple_ends_from_their_summands():
+def test_refute_factors_into_semisimple_ends_copy_by_copy():
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_counts.py"),
                            "refute-approx-f3", "0"],
                           capture_output=True, text=True, check=True, timeout=300)
     counts = json.loads(done.stdout)
     assert counts["items"] > 0
-    assert counts["factor_systems_assembled"] > 0 and counts["hom_kernels_assembled"] > 0
-    assert 0 < counts["factor_systems"] <= 250
+    assert 0 < counts["copy_factorizations"] <= 300
+    assert 0 < counts["factor_systems"] <= 160
+    assert counts["caches"]["rep._hom_kernel"]["misses"] <= 400
     assert 0 < counts["hom_systems"] <= 400
     assert counts["hom_kernels"] == counts["hom_systems"]
     assert 0 < counts["rref_computed"] <= 200

@@ -18,15 +18,14 @@ systems built (rep._factor_system); every hom system built (hom_systems:
 rep._hom_system, whoever calls it) and the kernels computed from them
 (hom_kernels: Matrix.kernel_basis or Matrix.kernel called from hom_basis,
 _factor_system or the rep._hom_kernel cache, whichever of them computes
-it in checkout); the left factorization systems and the hom kernels
-assembled from the systems and kernels of a semisimple far end's simple
-summands, with no elimination (factor_systems_assembled: the calls of
-rep._summed_system; hom_kernels_assembled: the matrix.block_diag calls
-made from the rep._hom_kernel cache), 0 in a checkout without them; the
-rep JSON bodies actually parsed (rep_parses: serialize._parse_rep where it
-exists, else every rep_from_jsonable); every approx.verify_evidence
-call, the recursive ones for the ends of an extension included; and the
-calls of Matrix.flat on F2 matrices, each of which unpacks the stored bit
+it in checkout); the per-copy answers computed when a map into a
+semisimple far end is factored on the left one simple copy at a time
+(copy_factorizations: the calls of rep._lift made from rep._copy_lifts,
+that is the misses of the (x, slice) memo on z), 0 in a checkout without
+them; the rep JSON bodies actually parsed (rep_parses:
+serialize._parse_rep where it exists, else every rep_from_jsonable);
+every approx.verify_evidence call, the recursive ones for the ends of
+an extension included; and the calls of Matrix.flat on F2 matrices, each of which unpacks the stored bit
 rows (f2_flat; f2_flat_outside_matrix counts those made from another
 module than matrix.py, such as rep's reads of hom systems and kernels).
 A checkout whose Matrix has no flat counts none. Value construction and
@@ -72,8 +71,6 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         approx.verify_evidence.__code__: "verify_evidence",
         approx.AddEvidence.__init__.__code__: "add_evidence_built",
     }
-    if hasattr(rep, "_summed_system"):
-        targets[rep._summed_system.__code__] = "factor_systems_assembled"
     values = {"Rep.__init__": (rep.Rep, "__init__"),
               "RepMorphism.__init__": (rep.RepMorphism, "__init__"),
               "Matrix._fill": (matrix.Matrix, "_fill"),
@@ -89,11 +86,10 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     kernels = {getattr(matrix.Matrix, name).__code__
                for name in ("kernel_basis", "kernel") if hasattr(matrix.Matrix, name)}
     kernel_callers = {rep.hom_basis.__code__, rep._factor_system.__code__}
-    hom_kernel = None
     if hasattr(rep, "_hom_kernel"):
-        hom_kernel = rep._hom_kernel.__wrapped__.__code__
-        kernel_callers.add(hom_kernel)
-    block_diag = matrix.block_diag.__code__
+        kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
+    copy_lifts = getattr(getattr(rep, "_copy_lifts", None), "__code__", None)
+    lift = getattr(getattr(rep, "_lift", None), "__code__", None)
     unit = getattr(matrix.Matrix, "_unit_rows", None)
     solve = matrix.Matrix.solve.__code__
     sum_rep = getattr(rep, "direct_sum_rep", rep.direct_sum).__code__
@@ -112,8 +108,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 counts["canonical_sums_built"] += 1
             elif frame.f_code in kernels and frame.f_back.f_code in kernel_callers:
                 counts["hom_kernels"] += 1
-            elif frame.f_code is block_diag and frame.f_back.f_code is hom_kernel:
-                counts["hom_kernels_assembled"] += 1
+            elif frame.f_code is lift and frame.f_back.f_code is copy_lifts:
+                counts["copy_factorizations"] += 1
             elif (unit is not None and frame.f_code is unit.__code__
                   and frame.f_back.f_code is not solve):
                 counts["unit_rows_outside_solve"] += 1
@@ -138,7 +134,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
     counts["items"] = len(items)
     for name in [*values, "hom_kernels", "unit_rows_outside_solve", "canonical_sums_built",
-                 "factor_systems_assembled", "hom_kernels_assembled"]:
+                 "copy_factorizations"]:
         counts[name] += 0
     out = dict(sorted(counts.items()))
     out["caches"] = {}
