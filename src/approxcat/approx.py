@@ -54,7 +54,7 @@ from .rep import (
 from .search import Budget, default_budget, iter_subreps
 
 
-class AddCategory:
+class AddCategory(FrozenValue):
     """add of a finite generator list: all finite direct sums of copies of
     the generators. It is not closed under direct summands: a summand of a
     generator is a member only when it is itself such a sum, so add{S1 + S2}
@@ -67,7 +67,8 @@ class AddCategory:
     dimension vector (zero_map_evidence). It is dropped whole when it would
     pass 256 entries (rep._remember), and it is no part of ==, hash or repr."""
 
-    __slots__ = ("generators", "quiver", "field", "_key", "_kind", "_memo")
+    _fields = ("generators", "quiver", "field")
+    __slots__ = _fields + ("_kind", "_memo")
 
     def __init__(self, generators, quiver=None, field=None):
         generators = tuple(generators)
@@ -82,19 +83,8 @@ class AddCategory:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_kind", None)
         object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AddCategory is immutable")
-
-    def key(self):
-        if self._key is None:
-            k = ("add", self.quiver.key(), self.field.label,
-                 tuple(g.key() for g in self.generators))
-            object.__setattr__(self, "_key", k)
-        return self._key
 
     def kind(self):
         """(semisimple, support): whether every generator has zero arrow
@@ -112,12 +102,6 @@ class AddCategory:
             )
             object.__setattr__(self, "_kind", (semisimple, support if vertex_simple else None))
         return self._kind
-
-    def __eq__(self, other):
-        return isinstance(other, AddCategory) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"AddCategory({[g.dims for g in self.generators]})"
@@ -158,20 +142,17 @@ class AddCategory:
         return tuple(i for i, c in enumerate(multiplicities) for _ in range(c))
 
 
-class ExtCategory:
+class ExtCategory(FrozenValue):
     """The extension closure step x*y: objects fitting in a short exact
     sequence with sub in x and quotient in y."""
 
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left, right):
         if left.quiver != right.quiver or left.field != right.field:
             raise FieldMismatchError("handles live over different quivers or fields")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtCategory is immutable")
 
     @property
     def quiver(self):
@@ -180,15 +161,6 @@ class ExtCategory:
     @property
     def field(self):
         return self.left.field
-
-    def key(self):
-        return ("ext", self.left.key(), self.right.key())
-
-    def __eq__(self, other):
-        return isinstance(other, ExtCategory) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"ExtCategory({self.left!r} * {self.right!r})"
@@ -287,7 +259,11 @@ def verify_evidence(evidence: Evidence, member: Rep, handle: Handle) -> bool:
 
 class ApproxCertificate(FrozenValue):
     """A left approximation (morphism: m -> t, evidence about t) or a right
-    approximation (morphism: t -> m, evidence about t = the source)."""
+    approximation (morphism: t -> m, evidence about t = the source).
+
+    verify checks that the morphism is natural and that t lies in the
+    handle, not that the morphism is an approximation: the zero morphism
+    into a member of the handle passes too."""
 
     __slots__ = _fields = ("side", "morphism", "handle", "evidence")
 

@@ -84,6 +84,7 @@ from .errors import (
     BudgetExceededError,
     CertificateError,
     ExtObstructionError,
+    FieldMismatchError,
     HypothesisViolationError,
     ShapeError,
 )
@@ -113,14 +114,14 @@ from .search import Budget, SubrepSearch, _require_prime, default_budget, iter_s
 
 
 # An ordered family X_1, ..., X_n is its add handle: the generator order
-# carries the normalization hypothesis, and the handle its key and kind.
+# carries the normalization hypothesis, and the handle its kind.
 OrderedFamily = AddCategory
 
 
 @lru_cache(maxsize=32)
 def _interned(generators: tuple) -> AddCategory:
     """The handle of a plain generator tuple, shared by equal tuples so that
-    repeated calls over one list compute its key and kind once."""
+    repeated calls over one list compute its kind once."""
     return AddCategory(generators)
 
 
@@ -344,11 +345,14 @@ def member_filt(m: Rep, s, r: int, budget: Budget | None = None) -> Optional[Fil
     bounded lru_cache (_loewy_series). Any other family's peel search stays
     within the budget and needs a prime field; it returns the peels the
     certificate is lifted from, and its memo lives for this one decision,
-    so no earlier call's budget can change it.
+    so no earlier call's budget can change it. A family over another quiver
+    or field than m's raises FieldMismatchError on either path.
     """
     if r < 1:
         raise ShapeError("filtration depth must be at least 1")
     family = _as_family(s)
+    if m.quiver is not family.quiver or m.field is not family.field:
+        raise FieldMismatchError("member_filt needs a common quiver and field")
     support = family.kind()[1]
     series = peels = None
     if support is not None:

@@ -31,9 +31,20 @@ from .quiver import Quiver
 
 
 class FrozenValue:
-    """Base of the immutable record classes: an instance equals another of
+    """Base of the immutable value classes: an instance equals another of
     its own class with equal _fields, hashes over them and refuses
-    assignment. Each subclass sets its slots in its own __init__."""
+    assignment. Each subclass sets its slots in its own __init__.
+
+    The value classes are RepMorphism, ShortExactSeq and Filtration here,
+    the handles AddCategory and ExtCategory, the evidence, the three
+    certificate kinds, Budget and LoopQuiverConfig. A slot outside _fields
+    holds what this process has computed from the value and is no part of
+    ==, hash or the generic repr: RepMorphism._memo, Filtration._cokernels,
+    AddCategory._kind and _memo, and _verified on evidence and
+    certificates. Rep, Matrix, Quiver and FieldSpec keep their own
+    equality: Quiver and FieldSpec are interned and compare by identity,
+    Rep's maps are a dict and its == has an identity fast path, and Matrix
+    sits below this module."""
 
     __slots__ = ()
 
@@ -169,7 +180,7 @@ def _zero_map_rep(quiver: Quiver, field: FieldSpec, dims) -> Rep:
     return Rep._make(quiver, field, dims, maps)
 
 
-class RepMorphism:
+class RepMorphism(FrozenValue):
     """A natural family of linear maps between two representations of the
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
@@ -181,9 +192,9 @@ class RepMorphism:
     semisimple far end read copy by copy on the left (_copy_lifts), the
     answer for each (x, slice): the lift into S_x, or False when the slice
     does not factor. It is set on first use, dropped whole when it would
-    pass 256 entries (_remember), and freed with the morphism. The hom
-    kernels those systems start from depend only on the
-    ends, so they are not kept here but in the bounded _hom_kernel cache,
+    pass 256 entries (_remember), freed with the morphism, and no part of
+    ==, hash or repr. The hom kernels those systems start from depend only
+    on the ends, so they are not kept here but in the bounded _hom_kernel cache,
     shared by every morphism and read by hom_basis and hom_dim too. The
     loop-and-exit stage's morphisms are shared through counterex's bounded
     memo, so a system kept on one of them lives as long as its stage;
@@ -195,7 +206,8 @@ class RepMorphism:
     check=False; a morphism the library computes from validated values is
     built by RepMorphism._make, which checks nothing."""
 
-    __slots__ = ("source", "target", "components", "_memo")
+    _fields = ("source", "target", "components")
+    __slots__ = _fields + ("_memo",)
 
     def __init__(self, source: Rep, target: Rep, components, check: bool = True):
         if source.quiver is not target.quiver:
@@ -230,9 +242,6 @@ class RepMorphism:
         _set_components(f, tuple(components))
         _set_memo(f, None)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepMorphism is immutable")
 
     def is_natural(self) -> bool:
         """Whether the components commute with every arrow map. The
@@ -275,17 +284,6 @@ class RepMorphism:
         comps = [c.solve(Matrix.identity(c.field, c.rows)) for c in self.components]
         return RepMorphism(self.target, self.source, comps)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RepMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.source.key(), self.target.key(), self.components))
-
     def __repr__(self):
         return f"RepMorphism({self.source.dims} -> {self.target.dims})"
 
@@ -313,21 +311,18 @@ _set_source, _set_target, _set_components, _set_memo = (
     getattr(RepMorphism, slot).__set__ for slot in RepMorphism.__slots__)
 
 
-class ShortExactSeq:
+class ShortExactSeq(FrozenValue):
     """A pair (i: X -> Z, p: Z -> Y) intended to be short exact. The
     constructor only checks composability; exactness is the job of
     ses_verify, which certificate code always calls."""
 
-    __slots__ = ("i", "p")
+    __slots__ = _fields = ("i", "p")
 
     def __init__(self, i: RepMorphism, p: RepMorphism):
         if i.target != p.source:
             raise ShapeError("middle terms disagree")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShortExactSeq is immutable")
 
     @property
     def sub(self) -> Rep:
@@ -341,22 +336,18 @@ class ShortExactSeq:
     def quot(self) -> Rep:
         return self.p.target
 
-    def __eq__(self, other):
-        return isinstance(other, ShortExactSeq) and self.i == other.i and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.i, self.p))
-
     def __repr__(self):
         return f"SES({self.sub.dims} -> {self.mid.dims} -> {self.quot.dims})"
 
 
-class Filtration:
+class Filtration(FrozenValue):
     """A chain 0 = M_0 -> M_1 -> ... -> M_r of injective morphisms, stored
     as the steps M_j -> M_j+1. Factor j is coker(step j) = M_j+1 / M_j;
-    each step's cokernel is computed on first use and kept here."""
+    each step's cokernel is computed on first use and kept in _cokernels,
+    which is no part of the value."""
 
-    __slots__ = ("steps", "_cokernels")
+    _fields = ("steps",)
+    __slots__ = _fields + ("_cokernels",)
 
     def __init__(self, steps):
         steps = tuple(steps)
@@ -371,9 +362,6 @@ class Filtration:
                 raise ShapeError(f"filtration steps {j - 1} and {j} do not chain")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_cokernels", [None] * len(steps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
 
     @property
     def depth(self) -> int:

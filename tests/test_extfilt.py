@@ -8,6 +8,7 @@ from approxcat.errors import (
     BudgetExceededError,
     CertificateError,
     ExtObstructionError,
+    FieldMismatchError,
     HypothesisViolationError,
     RationalFieldUnsupportedError,
     ShapeError,
@@ -247,6 +248,17 @@ class TestMemberFilt:
         for gen in (jordan(Q, 2), direct_sum([s, s])[0]):
             with pytest.raises(RationalFieldUnsupportedError):
                 member_filt(jordan(Q, 4), [gen], 2)
+
+    def test_family_over_another_field_or_quiver_is_refused(self):
+        # a vertex-simple family used to get a certificate that fails its
+        # own verify; the peel path (the [J2] family) is refused alike
+        m = Rep(LOOP, F2, [2])
+        for family in ([Rep.simple(LOOP, F3, 0)], [Rep.simple(loop_quiver(2), F2, 0)],
+                       [jordan(F3, 2)]):
+            with pytest.raises(FieldMismatchError):
+                member_filt(m, family, 2)
+        with pytest.raises(FieldMismatchError):
+            member_add(m, AddCategory([Rep.simple(LOOP, F3, 0)]))
 
     def test_handle_input_forms(self):
         s1 = Rep.simple(A2, F2, 0)

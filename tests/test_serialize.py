@@ -81,8 +81,7 @@ class TestValueRoundTrips:
         s2 = Rep.simple(A2, F2, 1)
         f = hom_basis(s2, p1(F2))[0]
         back = morphism_from_jsonable(A2, F2, through_json(morphism_to_jsonable(f)))
-        assert back.source == f.source and back.target == f.target
-        assert back.components == f.components
+        assert back == f
 
     def test_handles(self):
         s1 = Rep.simple(A2, F2, 0)
@@ -100,8 +99,7 @@ class TestValueRoundTrips:
         s1 = Rep.simple(A2, F2, 0)
         ev = member_add(s1, AddCategory([s1, p1(F2)]))
         back = evidence_from_jsonable(A2, F2, through_json(evidence_to_jsonable(ev)))
-        assert back.multiplicities == ev.multiplicities
-        assert back.iso.components == ev.iso.components
+        assert back == ev
 
 
 class TestApproxCertificates:
@@ -113,7 +111,7 @@ class TestApproxCertificates:
         assert verify_certificate(data)
         back = approx_certificate_from_jsonable(data)
         assert back.verify()
-        assert back.morphism.components == cert.morphism.components
+        assert back == cert
 
     def test_ext_approximation_round_trip(self):
         s1 = Rep.simple(A2, F2, 0)
@@ -187,8 +185,7 @@ class TestFiltrationCertificates:
         assert verify_certificate(data)
         back = filtration_certificate_from_jsonable(data)
         assert back.verify()
-        assert back.depth == cert.depth
-        assert back.member == cert.member
+        assert back == cert
 
     def test_tampered_member_detected(self):
         s1 = Rep.simple(A2, F2, 0)
@@ -216,7 +213,7 @@ class TestFiltrationCertificates:
         assert data["family"] == [] and data["factor_assignments"][0]["multiplicities"] == []
         assert verify_certificate(data) is True
         back = filtration_certificate_from_jsonable(data)
-        assert back.verify() and back.family == cert.family
+        assert back.verify() and back == cert
         assert certificate_to_jsonable(back) == data
 
 
@@ -232,7 +229,7 @@ class TestRefutationWitnesses:
         assert verify_certificate(data)
         back = refutation_witness_from_jsonable(data)
         assert back.verify()
-        assert back.i0 == witness.i0 and back.w == witness.w
+        assert back == witness
 
     def test_tampered_index_detected(self):
         cfg = LoopQuiverConfig(2, F2)

@@ -1,12 +1,20 @@
-"""The seven immutable record classes are values.
+"""The immutable classes built on FrozenValue are values.
 
-AddEvidence, ExtEvidence, ApproxCertificate, Budget,
+AddEvidence, ExtEvidence, ApproxCertificate, Budget, Filtration,
 FiltrationCertificate, LoopQuiverConfig and RefutationWitness each take
-their fields through an explicit constructor. Two instances of one class
-are equal, and hash alike, exactly when every field is equal; an instance
-of another class never equals them; the verification record _verified of
-the two evidence classes starts as None and is no part of the value; and
-no attribute can be assigned.
+exactly their fields through an explicit constructor. Two instances of one
+class are equal, and hash alike, exactly when every field is equal; an
+instance of another class never equals them; the verification record
+_verified of the two evidence classes starts as None and is no part of the
+value; and no attribute can be assigned.
+
+The handles AddCategory and ExtCategory, RepMorphism and ShortExactSeq
+take other constructor arguments than their fields, so they are checked
+apart, together with Filtration: two of them built separately are equal
+and hash alike, filling a slot that holds what this process computed (a
+morphism's factorization memo, a handle's kind and memo, a filtration's
+step cokernels) changes neither ==, nor hash, nor repr, and assignment is
+refused with "<Class> is immutable".
 """
 
 import inspect
@@ -17,7 +25,9 @@ from approxcat.approx import (
     AddCategory,
     AddEvidence,
     ApproxCertificate,
+    ExtCategory,
     ExtEvidence,
+    factor_through,
     left_approx_add,
     right_approx_add,
 )
@@ -34,7 +44,7 @@ from approxcat.extfilt import FiltrationCertificate, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import loop_quiver
-from approxcat.rep import Rep, RepMorphism
+from approxcat.rep import Filtration, FrozenValue, Rep, RepMorphism, ShortExactSeq
 from approxcat.search import Budget
 
 F2 = FieldSpec.prime(2)
@@ -70,6 +80,8 @@ def _instances(cls):
         return Budget(), Budget(3, 10)
     if cls is FiltrationCertificate:
         return _filtration(F2), _filtration(F3)
+    if cls is Filtration:
+        return _filtration(F2).filtration, _filtration(F3).filtration
     if cls is LoopQuiverConfig:
         return CFG2, CFG3
     return _witness(CFG2), _witness(CFG3)
@@ -85,8 +97,8 @@ def _pair(cls):
     return xs, ys
 
 
-CLASSES = [AddEvidence, ExtEvidence, ApproxCertificate, Budget, FiltrationCertificate,
-           LoopQuiverConfig, RefutationWitness]
+CLASSES = [AddEvidence, ExtEvidence, ApproxCertificate, Budget, Filtration,
+           FiltrationCertificate, LoopQuiverConfig, RefutationWitness]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -124,3 +136,60 @@ def test_budget_defaults_and_keywords():
     assert Budget(max_subspaces=5) == Budget(8, 5)
     assert Budget(max_total_dim=3, max_subspaces=4).max_total_dim == 3
     assert repr(Budget()) == "Budget(max_total_dim=8, max_subspaces=1000000)"
+
+
+def _value(cls):
+    """A value of cls built from fresh reps over F3 on each call: J2 on the
+    one-loop quiver, its socle S, and the sequence S -> J2 -> S."""
+    q = loop_quiver(1)
+    s = Rep(q, F3, [1])
+    j2 = Rep(q, F3, [2], {"alpha1": Matrix(F3, 2, 2, [0, 0, 1, 0])})
+    i = RepMorphism(s, j2, [Matrix(F3, 2, 1, [0, 1])])
+    p = RepMorphism(j2, s, [Matrix(F3, 1, 2, [1, 0])])
+    if cls is AddCategory:
+        return AddCategory([s, j2])
+    if cls is ExtCategory:
+        return ExtCategory(AddCategory([s]), AddCategory([j2]))
+    if cls is RepMorphism:
+        return p
+    if cls is ShortExactSeq:
+        return ShortExactSeq(i, p)
+    return Filtration([RepMorphism(Rep(q, F3, [0]), s, [Matrix(F3, 1, 0)]), i])
+
+
+def _fill(value):
+    """Compute what value keeps in its in-process slots, and check that it
+    was kept."""
+    if isinstance(value, AddCategory):
+        value.kind()
+        value.canonical_sum((1,) * len(value.generators))
+        assert value._kind is not None and value._memo
+    elif isinstance(value, ExtCategory):
+        _fill(value.left)
+        _fill(value.right)
+    elif isinstance(value, RepMorphism):
+        assert factor_through(value, value) == RepMorphism.identity(value.target)
+        assert value._memo
+    elif isinstance(value, ShortExactSeq):
+        _fill(value.p)
+    else:
+        value.step_cokernel(1)
+        assert value._cokernels[1] is not None
+
+
+OTHER_CLASSES = [AddCategory, ExtCategory, RepMorphism, ShortExactSeq, Filtration]
+
+
+@pytest.mark.parametrize("cls", OTHER_CLASSES, ids=lambda c: c.__name__)
+def test_in_process_slots_are_no_part_of_the_value(cls):
+    # equality, hashing and assignment are FrozenValue's alone
+    assert issubclass(cls, FrozenValue)
+    assert not {"__eq__", "__hash__", "__setattr__", "key"} & set(vars(cls))
+    a, b = _value(cls), _value(cls)
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    _fill(a)
+    assert a == b and b == a and hash(a) == hash(b) and repr(a) == repr(b)
+    for name in cls._fields + ("_memo", "other"):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(a, name, None)
+    assert a == b
