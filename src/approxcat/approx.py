@@ -27,6 +27,9 @@ from .errors import (
     ApproxcatError,
     CertificateError,
     FieldMismatchError,
+    HypothesisViolationError,
+    NonAcyclicQuiverError,
+    RationalFieldUnsupportedError,
     ShapeError,
     SubobjectClosureError,
 )
@@ -261,17 +264,33 @@ class ApproxCertificate(FrozenValue):
     """A left approximation (morphism: m -> t, evidence about t) or a right
     approximation (morphism: t -> m, evidence about t = the source).
 
-    verify checks that the morphism is natural and that t lies in the
-    handle, not that the morphism is an approximation: the zero morphism
-    into a member of the handle passes too."""
+    verify checks that the morphism f is natural, that t lies in the
+    handle, and that f is an approximation: the library's own
+    approximation z of m into the same handle (_approximation) must factor
+    through f, as z = k f on the left (z = f k on the right). That is
+    exactly the property: z goes into the handle, so an approximation f
+    lets it factor, and if z = k f then every g = h z into the handle is
+    (h k) f. Where the library has no z that a theorem makes an
+    approximation, verify refuses with an error of exit code 3 rather than
+    answer.
 
-    __slots__ = _fields = ("side", "morphism", "handle", "evidence")
+    _own is True on a certificate the library built as an approximation
+    (left_approx_add, right_approx_add, left_approx_ext, a subobject-closed
+    left_approx_ext_subclosed, and minimize_approx of such a one): its
+    morphism is its own z, so verify needs no factorization. It lives in
+    this process only: it is never serialized, a certificate read from
+    JSON or built by hand starts with False, and it is no part of ==, hash
+    or repr."""
+
+    _fields = ("side", "morphism", "handle", "evidence")
+    __slots__ = _fields + ("_own",)
 
     def __init__(self, side: str, morphism: RepMorphism, handle: Handle, evidence: Evidence):
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "morphism", morphism)
         object.__setattr__(self, "handle", handle)
         object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "_own", False)
 
     @property
     def of(self) -> Rep:
@@ -284,7 +303,46 @@ class ApproxCertificate(FrozenValue):
     def verify(self) -> bool:
         if self.side not in ("left", "right") or not self.morphism.is_natural():
             return False
-        return verify_evidence(self.evidence, self.approximating, self.handle)
+        if not verify_evidence(self.evidence, self.approximating, self.handle):
+            return False
+        if self._own:
+            return True
+        z = _approximation(self.side, self.of, self.handle)
+        factor = factor_through if self.side == "left" else factor_through_right
+        return factor(z, self.morphism) is not None
+
+
+def _as_own(cert: ApproxCertificate, own: bool = True) -> ApproxCertificate:
+    """cert, recorded as the library's own approximation when own is true."""
+    object.__setattr__(cert, "_own", own)
+    return cert
+
+
+def _approximation(side: str, m: Rep, handle: Handle) -> RepMorphism:
+    """The library's approximation of m into handle on side, where a
+    theorem makes it one: the stacked basis into an add handle on either
+    side; left_approx into a handle tree on an acyclic quiver
+    (Gentle-Todorov); on a quiver with a cycle, left_approx_ext_subclosed
+    into x*y for an add handle y closed under subobjects, by theorem when y
+    is vertex-simple, else by the exhaustive check over F_p within the
+    default budget. Anything else has no such z and is refused with an
+    error of exit code 3: a right side into an ext handle, an ext y on a
+    quiver with a cycle, and a y that is not vertex-simple over Q, whose
+    closure no check decides (as well as a y that fails the check, or a
+    check past the budget, which left_approx_ext_subclosed refuses)."""
+    if isinstance(handle, AddCategory):
+        return (left_approx_add if side == "left" else right_approx_add)(m, handle).morphism
+    if side != "left":
+        raise HypothesisViolationError("no right approximation into an ext handle is built")
+    if m.quiver.is_acyclic:
+        return left_approx(m, handle).morphism
+    y = handle.right
+    if not isinstance(y, AddCategory):
+        raise NonAcyclicQuiverError("an ext y needs projectives, so an acyclic quiver")
+    if y.kind()[1] is None and m.field.kind != PRIME:
+        raise RationalFieldUnsupportedError(
+            "closure of y under subobjects is checked over a prime field only")
+    return left_approx_ext_subclosed(m, handle.left, y).morphism
 
 
 def left_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
@@ -304,7 +362,7 @@ def left_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
         comps.append(vstack(blocks) if blocks else Matrix(m.field, 0, m.dims[x]))
     morphism = RepMorphism._make(m, target, comps)
     evidence = AddEvidence(mults, RepMorphism.identity(target))
-    return ApproxCertificate("left", morphism, handle, evidence)
+    return _as_own(ApproxCertificate("left", morphism, handle, evidence))
 
 
 def right_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
@@ -320,7 +378,7 @@ def right_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
         comps.append(hstack(blocks) if blocks else Matrix(m.field, m.dims[x], 0))
     morphism = RepMorphism._make(source, m, comps)
     evidence = AddEvidence(mults, RepMorphism.identity(source))
-    return ApproxCertificate("right", morphism, handle, evidence)
+    return _as_own(ApproxCertificate("right", morphism, handle, evidence))
 
 
 def factor_through(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
@@ -352,11 +410,12 @@ def member_add(m: Rep, handle: AddCategory) -> Optional[AddEvidence]:
     multiplicity vector, and then it is literally the first canonical sum.
     The evidence is then the handle's zero_map_evidence for m.dims, built
     once per handle and dims and shared, so evidence.member is a rep equal
-    to m, not m.
+    to m, not m. An m over another quiver or field than the handle's
+    raises FieldMismatchError, whatever the handle.
     """
+    if m.quiver is not handle.quiver or m.field is not handle.field:
+        raise FieldMismatchError("member_add needs a common quiver and field")
     if handle.kind()[0]:
-        if m.quiver != handle.quiver or m.field != handle.field:
-            raise FieldMismatchError("member_add needs a common quiver and field")
         if not all(m.map(a.id).is_zero() for a in m.quiver.arrows):
             return None
         return handle.zero_map_evidence(m.dims)
@@ -401,7 +460,8 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
     A of summands factors through the restriction to any B containing A
     (compose with the projection B -> A on the left, with the inclusion
     A -> B on the right), so a summand the pass cannot drop never becomes
-    droppable later.
+    droppable later. For the same reason the result is an approximation
+    exactly when cert is, so it is the library's own (_own) when cert is.
     """
     if not isinstance(cert.evidence, AddEvidence):
         raise ApproxcatError("minimize_approx needs an add-approximation certificate")
@@ -440,7 +500,7 @@ def minimize_approx(cert: ApproxCertificate) -> ApproxCertificate:
     total = z.target if left else z.source
     mults = tuple(sum(layout[p] == i for p in kept) for i in range(len(gens)))
     evidence = AddEvidence(mults, RepMorphism.identity(total))
-    return ApproxCertificate(cert.side, z, handle, evidence)
+    return _as_own(ApproxCertificate(cert.side, z, handle, evidence), cert._own)
 
 
 def left_approx(m: Rep, handle: Handle) -> ApproxCertificate:
@@ -494,7 +554,7 @@ def left_approx_ext(m: Rep, x: Handle, y: Handle) -> ApproxCertificate:
     )
     a_s, ses, x_evidence = _pushout_extension(comb, x)
     evidence = ExtEvidence(ses, x_evidence, cy.evidence)
-    return ApproxCertificate("left", compose(a_s, injs[0]), ExtCategory(x, y), evidence)
+    return _as_own(ApproxCertificate("left", compose(a_s, injs[0]), ExtCategory(x, y), evidence))
 
 
 def left_approx_ext_subclosed(
@@ -513,11 +573,14 @@ def left_approx_ext_subclosed(
     of simples on T, each a generator. Otherwise, over a prime field,
     closure of each generator's subrepresentations is confirmed
     exhaustively (budget bounded) before constructing; over the rationals
-    it is the caller's assertion. Either way the image itself is certified
-    by member_add, so a violation surfacing there raises
+    it is the caller's assertion, and the certificate is then not the
+    library's own (_own), so its verify checks the approximation property
+    through _approximation, which refuses it. Either way the image itself
+    is certified by member_add, so a violation surfacing there raises
     SubobjectClosureError.
     """
-    if m.field.kind == PRIME and y.kind()[1] is None:
+    vertex_simple = y.kind()[1] is not None
+    if m.field.kind == PRIME and not vertex_simple:
         budget = budget or default_budget()
         for g in y.generators:
             for sub, _ in iter_subreps(g, budget):
@@ -535,4 +598,5 @@ def left_approx_ext_subclosed(
         )
     a_m, ses, x_evidence = _pushout_extension(y_epi, x)
     evidence = ExtEvidence(ses, x_evidence, quot_evidence)
-    return ApproxCertificate("left", a_m, ExtCategory(x, y), evidence)
+    return _as_own(ApproxCertificate("left", a_m, ExtCategory(x, y), evidence),
+                   m.field.kind == PRIME or vertex_simple)

@@ -314,12 +314,12 @@ def _peels(m: Rep, handle: AddCategory, r: int, budget: Budget,
     the quotient of the first peel candidate whose quotient has peels at
     r - 1, followed by those peels; None when m is not in F_r(add handle).
     memo belongs to one decision, whose family and budget are fixed, and
-    is keyed by (representation key, r)."""
+    is keyed by (representation, r)."""
     if member_add(m, handle) is not None:
         return ()
     if r <= 1:
         return None
-    key = (m.key(), r)
+    key = (m, r)
     if key not in memo:
         found = None
         for incl in _peel_candidates(m, handle, budget):

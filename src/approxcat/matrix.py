@@ -113,6 +113,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix._make, (self.field, self.rows, self.cols, self._e)
+
     # construction helpers
 
     @staticmethod

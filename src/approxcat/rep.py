@@ -40,11 +40,12 @@ class FrozenValue:
     certificate kinds, Budget and LoopQuiverConfig. A slot outside _fields
     holds what this process has computed from the value and is no part of
     ==, hash or the generic repr: RepMorphism._memo, Filtration._cokernels,
-    AddCategory._kind and _memo, and _verified on evidence and
-    certificates. Rep, Matrix, Quiver and FieldSpec keep their own
-    equality: Quiver and FieldSpec are interned and compare by identity,
-    Rep's maps are a dict and its == has an identity fast path, and Matrix
-    sits below this module."""
+    AddCategory._kind and _memo, _verified on evidence and filtration
+    certificates, and ApproxCertificate._own. Rep, Matrix, Quiver and
+    FieldSpec keep their own equality: Quiver and FieldSpec are interned
+    and compare by identity, Rep's maps are a dict, its == has an identity
+    fast path and it keeps its hash once computed, and Matrix sits below
+    this module."""
 
     __slots__ = ()
 
@@ -81,9 +82,16 @@ class Rep:
     column vectors. Missing arrows in the maps argument default to zero.
     The constructor checks its arguments; a rep the library computes from
     validated ones is built by Rep._make, which checks nothing.
-    """
 
-    __slots__ = ("quiver", "field", "dims", "maps", "_key")
+    A rep's hash is computed once, on first use, from exactly what ==
+    compares: the interned quiver and field, the dims and each arrow map's
+    stored entries in quiver order. It is kept in the slot _hash, as key()
+    is kept in _key; neither is part of the value, and neither is pickled
+    or copied (__reduce__ rebuilds through Rep._make), since the hashes of
+    strings and of the interned quiver and field hold within one process
+    only."""
+
+    __slots__ = ("quiver", "field", "dims", "maps", "_key", "_hash")
 
     def __init__(self, quiver: Quiver, field: FieldSpec, dims, maps=None):
         dims = tuple(dims)
@@ -111,6 +119,7 @@ class Rep:
         _set_dims(self, dims)
         _set_maps(self, full)
         _set_key(self, None)
+        _set_hash(self, None)
 
     @staticmethod
     def _make(quiver: Quiver, field: FieldSpec, dims, maps: dict) -> "Rep":
@@ -122,7 +131,11 @@ class Rep:
         _set_dims(r, tuple(dims))
         _set_maps(r, maps)
         _set_key(r, None)
+        _set_hash(r, None)
         return r
+
+    def __reduce__(self):
+        return Rep._make, (self.quiver, self.field, self.dims, self.maps)
 
     def __setattr__(self, name, value):
         raise AttributeError("Rep is immutable")
@@ -155,7 +168,13 @@ class Rep:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        h = self._hash
+        if h is None:
+            maps = self.maps
+            h = hash((self.quiver, self.field, self.dims,
+                      *[maps[a.id].key() for a in self.quiver.arrows]))
+            _set_hash(self, h)
+        return h
 
     def key(self):
         """Hashable structural identity, usable as a memo key."""
@@ -305,7 +324,7 @@ def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
     return RepMorphism._make(f.source, g.target, comps)
 
 
-_set_quiver, _set_field, _set_dims, _set_maps, _set_key = (
+_set_quiver, _set_field, _set_dims, _set_maps, _set_key, _set_hash = (
     getattr(Rep, slot).__set__ for slot in Rep.__slots__)
 _set_source, _set_target, _set_components, _set_memo = (
     getattr(RepMorphism, slot).__set__ for slot in RepMorphism.__slots__)
@@ -764,9 +783,9 @@ def _copy_lifts(z: RepMorphism, xs, vec):
 
 def _system(z: RepMorphism, w: Rep, side: str):
     """The system of _factor_system for (z, w, side), kept in z._memo under
-    (side, w.key()) (_remember)."""
+    (side, w) (_remember)."""
     memo = _memo_of(z)
-    key = (side, w.key())
+    key = (side, w)
     system = memo.get(key)
     if system is None:
         system = _remember(memo, key, _factor_system(z, w, side))

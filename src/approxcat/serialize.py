@@ -5,7 +5,8 @@ Every certificate serializes to a dict carrying "format": 1 and a "type"
 tag plus enough context (quiver, field) to rebuild the objects from the
 file alone. verify_certificate re-runs the certificate's own verification
 on the rebuilt objects, so stored certificates never have to be trusted:
-tampering shows up as a False, not as a crash.
+tampering shows up as a False, not as a crash, and a verification the
+library cannot decide (an error of exit code 3) is refused, not answered.
 
 The filtration and refutation forms import extfilt and counterex in the
 functions that build their objects, so reading or writing one kind of
@@ -335,10 +336,15 @@ def verify_certificate(data) -> bool:
 
     Envelope problems (not an object, wrong format, missing or unknown
     type) raise CertificateError; a well-enveloped certificate whose
-    content fails to rebuild or verify returns False.
+    content fails to rebuild or verify returns False. A refusal, an error
+    of exit code 3 such as an approximation certificate whose property no
+    approximation of the library's can check (ApproxCertificate), is
+    raised: it is no negative answer.
     """
     read = _reader(data)
     try:
         return bool(read(data).verify())
-    except ApproxcatError:
+    except ApproxcatError as exc:
+        if exc.exit_code == 3:
+            raise
         return False

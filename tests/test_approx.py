@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
 
@@ -19,9 +22,12 @@ from approxcat.approx import (
     right_approx_add,
     verify_evidence,
 )
+from approxcat.cli import main
 from approxcat.errors import (
     BudgetExceededError,
     FieldMismatchError,
+    HypothesisViolationError,
+    RationalFieldUnsupportedError,
     ShapeError,
     SubobjectClosureError,
 )
@@ -42,6 +48,7 @@ from approxcat.rep import (
 )
 from approxcat.scenarios import _check_factoring
 from approxcat.search import Budget, iter_all_reps
+from approxcat.serialize import certificate_to_jsonable, verify_certificate
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -247,6 +254,17 @@ class TestMemberAdd:
         s1_q, _ = simples(Q)
         with pytest.raises(FieldMismatchError):
             member_add(s1_f2, AddCategory([s1_q]))
+
+    @pytest.mark.parametrize("dims", [[3], [2]])
+    def test_any_family_refuses_another_field(self, dims):
+        # J2's loop acts by nonzero, so the handle is no zero-map one: the
+        # mismatch raises whether or not the dims admit a multiplicity
+        # vector (at [3] none does, and None used to come back)
+        j2 = Rep(LOOP, F3, [2], {"alpha1": Matrix(F3, 2, 2, [0, 0, 1, 0])})
+        with pytest.raises(FieldMismatchError):
+            member_add(Rep(LOOP, F2, dims), AddCategory([j2]))
+        with pytest.raises(FieldMismatchError):
+            member_add(Rep(loop_quiver(2), F3, dims), AddCategory([j2]))
 
     @pytest.mark.parametrize("field", [F2, Q])
     def test_add_is_not_closed_under_direct_summands(self, field):
@@ -515,6 +533,49 @@ class TestCertificateVerify:
         s1, _ = simples(Q)
         cert = left_approx_add(s1, AddCategory([s1]))
         assert not ApproxCertificate("up", cert.morphism, cert.handle, cert.evidence).verify()
+
+    def test_zero_morphism_into_a_member_fails(self):
+        # natural, and its far end lies in the handle, but the approximation
+        # of S2 into add{P1}, onto the socle, does not factor through it
+        _, s2 = simples(F3)
+        cert = left_approx_add(s2, AddCategory([p1(F3)]))
+        assert cert._own and cert.verify() and not cert.morphism.is_zero()
+        zero = RepMorphism.zero(s2, cert.approximating)
+        assert not ApproxCertificate("left", zero, cert.handle, cert.evidence).verify()
+        again = ApproxCertificate("left", cert.morphism, cert.handle, cert.evidence)
+        assert not again._own and again == cert and again.verify()
+
+    def test_closure_over_q_is_refused(self, tmp_path):
+        # add{S, J2} is closed under subobjects but not vertex-simple: over
+        # F3 the closure is checked and the certificate verifies, over Q no
+        # check decides it, so verify refuses (exit 3) instead of answering
+        for field in (F3, Q):
+            s = Rep.simple(LOOP, field, 0)
+            j2 = Rep(LOOP, field, [2], {"alpha1": Matrix(field, 2, 2, [0, 0, 1, 0])})
+            cert = left_approx_ext_subclosed(j2, AddCategory([s]), AddCategory([s, j2]))
+            data = certificate_to_jsonable(cert)
+            if field is F3:
+                assert cert._own and cert.verify() and verify_certificate(data)
+                continue
+            assert not cert._own
+            with pytest.raises(RationalFieldUnsupportedError):
+                cert.verify()
+            with pytest.raises(RationalFieldUnsupportedError):
+                verify_certificate(data)
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(data))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["--json-only", "verify", "--certificate", str(path)]) == 3
+
+    def test_right_side_into_an_ext_handle_is_refused(self):
+        # the library builds no right approximation into x*y to check against
+        s1, s2 = simples(Q)
+        cert = left_approx_ext(s2, AddCategory([s1]), AddCategory([p1(Q)]))
+        t = cert.approximating
+        right = ApproxCertificate("right", RepMorphism.identity(t), cert.handle, cert.evidence)
+        with pytest.raises(HypothesisViolationError):
+            right.verify()
 
     def test_ext_evidence_with_broken_row_fails(self):
         s1, s2 = simples(Q)

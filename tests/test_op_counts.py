@@ -18,7 +18,14 @@ eliminates at most 160 factorization systems (1,404 before Hom into a
 semisimple rep was read through its summands, 212 when the systems were
 assembled from theirs), 400 hom systems and 200 RREFs; the bounded
 rep._hom_kernel cache misses at most 400 times (1,782 when the kernels
-of semisimple ends were assembled there, nearly all first-time misses)."""
+of semisimple ends were assembled there, nearly all first-time misses).
+The 107 left approximations it verifies were built by the library, which
+records them as their own approximations, so checking the approximation
+property adds no factorization system to those bounds.
+
+On loop-filt, seed 0: a rep computes its hash once and keeps it, so of
+the 28,248 Rep.__hash__ calls at most 4,000 compute one (3,532 distinct
+reps; every call computed one before the hash was kept)."""
 
 import importlib.util
 import json
@@ -67,3 +74,11 @@ def test_refute_factors_into_semisimple_ends_copy_by_copy():
     assert 0 < counts["hom_systems"] <= 400
     assert counts["hom_kernels"] == counts["hom_systems"]
     assert 0 < counts["rref_computed"] <= 200
+
+
+def test_loop_filt_hashes_each_rep_once():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_counts.py"), "loop-filt", "0"],
+                          capture_output=True, text=True, check=True, timeout=300)
+    counts = json.loads(done.stdout)
+    assert counts["items"] > 0 and counts["rep_hashes"] > 0
+    assert 0 < counts["rep_hashes_computed"] <= 4000

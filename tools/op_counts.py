@@ -37,8 +37,11 @@ quivers compare by identity, with no __eq__ of their own) counts 0.
 Handle work: the rep.direct_sum_rep calls made from
 AddCategory.canonical_sum (canonical_sums_built: the canonical sums
 actually built, whether or not the handle keeps them) and the
-AddEvidence objects constructed (add_evidence_built). Work done behind
-the matrix caches: the calls of the functions that matrix's bounded
+AddEvidence objects constructed (add_evidence_built). Rep hashing: the
+calls of Rep.__hash__ (rep_hashes) and those that compute the hash
+(rep_hashes_computed), that is every call in a checkout whose Rep keeps
+no hash, else the calls made while its _hash slot is still empty. Work
+done behind the matrix caches: the calls of the functions that matrix's bounded
 caches wrap (rref_computed: matrix._rref, products_computed:
 matrix._matmul, kernels_computed: matrix._kernel), that is the cache
 misses, where rref, matmul and solve count the method calls; a checkout
@@ -70,6 +73,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         getattr(serialize, "_parse_rep", serialize.rep_from_jsonable).__code__: "rep_parses",
         approx.verify_evidence.__code__: "verify_evidence",
         approx.AddEvidence.__init__.__code__: "add_evidence_built",
+        rep.Rep.__hash__.__code__: "rep_hashes",
     }
     values = {"Rep.__init__": (rep.Rep, "__init__"),
               "RepMorphism.__init__": (rep.RepMorphism, "__init__"),
@@ -104,6 +108,9 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 counts[name] += 1
                 if name == "member_add" and frame.f_back.f_code.co_filename == extfilt.__file__:
                     counts["member_add_from_extfilt"] += 1
+                elif name == "rep_hashes":
+                    counts["rep_hashes_computed"] += getattr(frame.f_locals["self"], "_hash",
+                                                             None) is None
             elif frame.f_code is sum_rep and frame.f_back.f_code is canonical:
                 counts["canonical_sums_built"] += 1
             elif frame.f_code in kernels and frame.f_back.f_code in kernel_callers:
@@ -134,7 +141,7 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
     counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
     counts["items"] = len(items)
     for name in [*values, "hom_kernels", "unit_rows_outside_solve", "canonical_sums_built",
-                 "copy_factorizations"]:
+                 "copy_factorizations", "rep_hashes_computed"]:
         counts[name] += 0
     out = dict(sorted(counts.items()))
     out["caches"] = {}
