@@ -21,6 +21,7 @@ y-approximation by its image; its x is any handle tree, through the same
 recursion, which needs projectives again below an ext x.
 """
 
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import (
@@ -52,7 +53,6 @@ from .rep import (
     pushout,
     ses_verify,
     _factor,
-    _remember,
 )
 from .search import Budget, default_budget, iter_subreps
 
@@ -64,14 +64,11 @@ class AddCategory(FrozenValue):
     does not contain S1. Order matters for canonical sums and certificates,
     and it makes the handle an ordered family X_1, ..., X_n for filtrations,
     whose normalization hypothesis is Ext1(X_i, X_j) = 0 for i <= j.
-
-    _memo keeps what depends only on the handle: the canonical sum of each
-    multiplicity vector asked for, and the zero-map evidence of each
-    dimension vector (zero_map_evidence). It is dropped whole when it would
-    pass 256 entries (rep._remember), and it is no part of ==, hash or repr."""
+    Its canonical sums and zero-map evidence are kept in bounded caches
+    keyed by (handle, vector)."""
 
     _fields = ("generators", "quiver", "field")
-    __slots__ = _fields + ("_kind", "_memo")
+    __slots__ = _fields + ("_kind",)
 
     def __init__(self, generators, quiver=None, field=None):
         generators = tuple(generators)
@@ -87,7 +84,6 @@ class AddCategory(FrozenValue):
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_kind", None)
-        object.__setattr__(self, "_memo", {})
 
     def kind(self):
         """(semisimple, support): whether every generator has zero arrow
@@ -111,30 +107,17 @@ class AddCategory(FrozenValue):
 
     def canonical_sum(self, multiplicities):
         """(rep, layout): the direct sum generators[0]^c0 + generators[1]^c1
-        + ... and the flat list of generator indices, one per summand; built
-        once per multiplicity vector and kept in the memo."""
-        key = ("sum", tuple(multiplicities))
-        got = self._memo.get(key)
-        if got is None:
-            layout = self._layout(key[1])
-            reps = [self.generators[i] for i in layout]
-            got = direct_sum_rep(reps, self.quiver, self.field), layout
-            got = _remember(self._memo, key, got)
-        return got
+        + ... and the flat list of generator indices, one per summand."""
+        return _canonical_sum(self, tuple(multiplicities))
 
     def zero_map_evidence(self, dims):
         """The evidence member_add gives a rep of these dims with zero maps,
         over a handle whose generators all act by zero: the identity of the
-        first canonical sum of dims, built once per dims and kept in the
-        memo, or None when no multiplicity vector gives dims."""
+        first canonical sum of dims, or None when no multiplicity vector
+        gives dims."""
         if not self.kind()[0]:
             raise ShapeError("zero-map evidence needs generators that act by zero")
-        key = ("evidence", tuple(dims))
-        if key not in self._memo:
-            mults = next(_multiplicities([g.dims for g in self.generators], key[1]), None)
-            _remember(self._memo, key, None if mults is None else AddEvidence(
-                mults, RepMorphism.identity(self.canonical_sum(mults)[0])))
-        return self._memo[key]
+        return _zero_map_evidence(self, tuple(dims))
 
     def _layout(self, multiplicities):
         """The generator index of each summand of the canonical sum."""
@@ -143,6 +126,20 @@ class AddCategory(FrozenValue):
         if any(c < 0 for c in multiplicities):
             raise ShapeError("negative multiplicity")
         return tuple(i for i, c in enumerate(multiplicities) for _ in range(c))
+
+
+@lru_cache(maxsize=256)
+def _canonical_sum(handle: AddCategory, multiplicities: tuple):
+    layout = handle._layout(multiplicities)
+    reps = [handle.generators[i] for i in layout]
+    return direct_sum_rep(reps, handle.quiver, handle.field), layout
+
+
+@lru_cache(maxsize=256)
+def _zero_map_evidence(handle: AddCategory, dims: tuple):
+    mults = next(_multiplicities([g.dims for g in handle.generators], dims), None)
+    return None if mults is None else AddEvidence(
+        mults, RepMorphism.identity(handle.canonical_sum(mults)[0]))
 
 
 class ExtCategory(FrozenValue):
@@ -176,19 +173,13 @@ class AddEvidence(FrozenValue):
     """member is isomorphic to the canonical sum with these multiplicities;
     iso maps the member onto that sum. member_add's evidence over a
     zero-map handle is the identity of that sum, one object shared per
-    handle and dimension vector (AddCategory.zero_map_evidence).
+    handle and dimension vector (AddCategory.zero_map_evidence)."""
 
-    _verified holds the keys of the members this evidence has been verified
-    for (see counterex._member_verified): None until first use, freed with
-    the evidence like RepMorphism._memo, and no part of ==, hash or repr."""
-
-    _fields = ("multiplicities", "iso")
-    __slots__ = _fields + ("_verified",)
+    __slots__ = _fields = ("multiplicities", "iso")
 
     def __init__(self, multiplicities: tuple, iso: RepMorphism):
         object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "iso", iso)
-        object.__setattr__(self, "_verified", None)
 
     @property
     def member(self) -> Rep:
@@ -197,16 +188,14 @@ class AddEvidence(FrozenValue):
 
 class ExtEvidence(FrozenValue):
     """member == ses.mid sits in a verified short exact sequence whose ends
-    carry their own evidence; _verified as on AddEvidence."""
+    carry their own evidence."""
 
-    _fields = ("ses", "sub_evidence", "quot_evidence")
-    __slots__ = _fields + ("_verified",)
+    __slots__ = _fields = ("ses", "sub_evidence", "quot_evidence")
 
     def __init__(self, ses: ShortExactSeq, sub_evidence: "Evidence", quot_evidence: "Evidence"):
         object.__setattr__(self, "ses", ses)
         object.__setattr__(self, "sub_evidence", sub_evidence)
         object.__setattr__(self, "quot_evidence", quot_evidence)
-        object.__setattr__(self, "_verified", None)
 
     @property
     def member(self) -> Rep:
@@ -384,7 +373,7 @@ def right_approx_add(m: Rep, handle: AddCategory) -> ApproxCertificate:
 def factor_through(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
     """h with h z = f, for morphisms f: m -> w and z: m -> t out of a common
     source; None when no factorization exists. The system for each target
-    w is built once and memoized on z."""
+    w is built once per z and kept in a bounded cache."""
     if f.source != z.source:
         raise ShapeError("factor_through needs a common source")
     return _factor(f, z, "left")
@@ -393,7 +382,7 @@ def factor_through(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
 def factor_through_right(f: RepMorphism, z: RepMorphism) -> Optional[RepMorphism]:
     """h with z h = f, for morphisms f: w -> m and z: t -> m into a common
     target; None when no factorization exists. The system for each source
-    w is built once and memoized on z."""
+    w is built once per z and kept in a bounded cache."""
     if f.target != z.target:
         raise ShapeError("factor_through_right needs a common target")
     return _factor(f, z, "right")

@@ -156,7 +156,11 @@ def _add_handle_or_die(handle, flag):
 
 
 def _approximation_report(cert, what):
-    """The report of a verified approximation; `what` names it in the summary."""
+    """The report of an approximation, verified here; `what` names it in the
+    summary. A certificate that does not verify is refused, and one that
+    verify cannot judge raises its refusal."""
+    if not cert.verify():
+        raise CertificateError("the produced approximation fails verification")
     payload = {
         "certificate": certificate_to_jsonable(cert),
         "approximating_dims": list(cert.approximating.dims),

@@ -153,26 +153,18 @@ def w_membership(cfg: LoopQuiverConfig, i0: int) -> ExtEvidence:
     return _w_stage(cfg.n_loops, cfg.field, i0)[1]
 
 
+@lru_cache(maxsize=256)
 def _member_verified(evidence: Evidence, member: Rep) -> bool:
     """verify_evidence of member against the standard handle of its level,
-    run once per evidence object and member: a success is recorded on the
-    (immutable) evidence under member.key(), and freed with it."""
-    done = getattr(evidence, "_verified", None)
-    if done is not None and member.key() in done:
-        return True
-    if not verify_evidence(evidence, member, standard_handle(LoopQuiverConfig.of_rep(member))):
-        return False
-    if done is None:
-        done = set()
-        object.__setattr__(evidence, "_verified", done)
-    done.add(member.key())
-    return True
+    run once per (evidence, member) value while the bounded cache holds
+    it."""
+    return verify_evidence(evidence, member, standard_handle(LoopQuiverConfig.of_rep(member)))
 
 
 def beta_surjectivity_check(z: Rep, evidence: Evidence) -> bool:
     """Whether the exit map of a certified member covers all of vertex 1.
 
-    The evidence is verified first (once per evidence object and member)
+    The evidence is verified first (_member_verified, a bounded cache)
     and rejected loudly when it does not hold up; on a valid certificate
     the answer is always True, because both S1-powers (nothing at vertex 1)
     and M-powers (identity exit map) have the property and it passes to
@@ -274,13 +266,7 @@ class RefutationWitness(FrozenValue):
         v = self.candidate.target
         if not v.map(f"alpha{self.i0}").is_zero():
             return False
-        # W's own evidence is one shared object, verified once through its
-        # record; evidence of any other value is verified in full
-        own = w_membership(cfg, self.i0)
-        if self.w_evidence == own:
-            if not _member_verified(own, self.w):
-                return False
-        elif not verify_evidence(self.w_evidence, self.w, standard_handle(cfg)):
+        if not _member_verified(self.w_evidence, self.w):
             return False
         g = self.nonzero_target_map
         if g.source != s2 or g.target != self.w or g.is_zero() or not g.is_natural():
@@ -300,7 +286,7 @@ def refute(phi: RepMorphism, evidence: Evidence) -> RefutationWitness:
     """A witness that phi: S2 -> V is not a left approximation into
     add{S1} * add{M}, given membership evidence for V.
 
-    Verifies the evidence (once per evidence object and member), picks the
+    Verifies the evidence (_member_verified, a bounded cache), picks the
     smallest loop index acting by zero on V (escalating the truncation once
     when every loop is used), builds W at that index, checks by direct
     computation that every composite of phi with a morphism V -> W

@@ -708,7 +708,8 @@ def fr_enumerate(generators, r: int, dim_bound, budget: Budget | None = None,
                     if _iso_insert(groups, mid):
                         added.append(mid)
         current = current + added
-    current.sort(key=lambda v: (v.total_dim, v.key()))
+    # every rep here shares one quiver and field
+    current.sort(key=lambda v: (v.total_dim, v.dims, [v.maps[a.id].key() for a in quiver.arrows]))
     return current
 
 

@@ -38,16 +38,17 @@ class FrozenValue:
     The value classes are RepMorphism, ShortExactSeq and Filtration here,
     the handles AddCategory and ExtCategory, the evidence, the three
     certificate kinds, Budget and LoopQuiverConfig. A slot outside _fields
-    holds what this process has computed from the value and is no part of
-    ==, hash or the generic repr: RepMorphism._memo, Filtration._cokernels,
-    AddCategory._kind and _memo, _verified on evidence and filtration
-    certificates, and ApproxCertificate._own. Rep, Matrix, Quiver and
-    FieldSpec keep their own equality: Quiver and FieldSpec are interned
-    and compare by identity, Rep's maps are a dict, its == has an identity
-    fast path and it keeps its hash once computed, and Matrix sits below
-    this module."""
+    holds what this process has computed from the value alone and is no
+    part of ==, hash or the generic repr: the hash itself (_hash, unset
+    until the first __hash__), Filtration._cokernels, AddCategory._kind,
+    FiltrationCertificate._verified and ApproxCertificate._own. What is
+    computed from several values is kept in a bounded lru_cache keyed by
+    them instead. Rep, Matrix, Quiver and FieldSpec keep their own
+    equality: Quiver and FieldSpec are interned and compare by identity,
+    Rep's maps are a dict, its == has an identity fast path and it keeps
+    its hash once computed, and Matrix sits below this module."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -59,20 +60,19 @@ class FrozenValue:
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            _set_value_hash(self, h)
+            return h
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({args})"
 
 
-def _remember(memo: dict, key, value):
-    """value, kept in memo under key; a memo of 256 entries is dropped
-    whole first, which bounds the memos kept on handles and morphisms."""
-    if len(memo) >= 256:
-        memo.clear()
-    memo[key] = value
-    return value
+_set_value_hash = FrozenValue._hash.__set__
 
 
 class Rep:
@@ -85,13 +85,12 @@ class Rep:
 
     A rep's hash is computed once, on first use, from exactly what ==
     compares: the interned quiver and field, the dims and each arrow map's
-    stored entries in quiver order. It is kept in the slot _hash, as key()
-    is kept in _key; neither is part of the value, and neither is pickled
-    or copied (__reduce__ rebuilds through Rep._make), since the hashes of
-    strings and of the interned quiver and field hold within one process
-    only."""
+    stored entries in quiver order. It is kept in the slot _hash, which is
+    no part of the value and is never pickled or copied (__reduce__
+    rebuilds through Rep._make), since the hashes of strings and of the
+    interned quiver and field hold within one process only."""
 
-    __slots__ = ("quiver", "field", "dims", "maps", "_key", "_hash")
+    __slots__ = ("quiver", "field", "dims", "maps", "_hash")
 
     def __init__(self, quiver: Quiver, field: FieldSpec, dims, maps=None):
         dims = tuple(dims)
@@ -118,7 +117,6 @@ class Rep:
         _set_field(self, field)
         _set_dims(self, dims)
         _set_maps(self, full)
-        _set_key(self, None)
         _set_hash(self, None)
 
     @staticmethod
@@ -130,7 +128,6 @@ class Rep:
         _set_field(r, field)
         _set_dims(r, tuple(dims))
         _set_maps(r, maps)
-        _set_key(r, None)
         _set_hash(r, None)
         return r
 
@@ -176,18 +173,6 @@ class Rep:
             _set_hash(self, h)
         return h
 
-    def key(self):
-        """Hashable structural identity, usable as a memo key."""
-        if self._key is None:
-            k = (
-                self.quiver.key(),
-                self.field.label,
-                self.dims,
-                tuple(self.maps[a.id].key() for a in self.quiver.arrows),
-            )
-            _set_key(self, k)
-        return self._key
-
     def __repr__(self):
         return f"Rep(dims={self.dims})"
 
@@ -204,29 +189,14 @@ class RepMorphism(FrozenValue):
     same quiver: component(x) has shape target.dims[x] x source.dims[x] and
     target.map(a) @ f_s == f_t @ source.map(a) for every arrow a: s -> t.
 
-    _memo holds what factoring through this morphism has computed: the
-    factorization systems, one per (side, far end) (see _system), lists of
-    rows in the coordinates of the hom space of the factored morphism's
-    ends and the unit rows that read those coordinates; and, for a
-    semisimple far end read copy by copy on the left (_copy_lifts), the
-    answer for each (x, slice): the lift into S_x, or False when the slice
-    does not factor. It is set on first use, dropped whole when it would
-    pass 256 entries (_remember), freed with the morphism, and no part of
-    ==, hash or repr. The hom kernels those systems start from depend only
-    on the ends, so they are not kept here but in the bounded _hom_kernel cache,
-    shared by every morphism and read by hom_basis and hom_dim too. The
-    loop-and-exit stage's morphisms are shared through counterex's bounded
-    memo, so a system kept on one of them lives as long as its stage;
-    refute and RefutationWitness.verify keep none there. A certificate
-    read shares equal reps, never morphisms, so a read morphism's systems
-    go with it.
+    What factoring through a morphism computes is kept in bounded caches
+    keyed by its value (_factor_system, _copy_lift), not on the object.
 
     The constructor checks shapes and fields, and naturality unless
     check=False; a morphism the library computes from validated values is
     built by RepMorphism._make, which checks nothing."""
 
-    _fields = ("source", "target", "components")
-    __slots__ = _fields + ("_memo",)
+    __slots__ = _fields = ("source", "target", "components")
 
     def __init__(self, source: Rep, target: Rep, components, check: bool = True):
         if source.quiver is not target.quiver:
@@ -247,7 +217,6 @@ class RepMorphism(FrozenValue):
         _set_source(self, source)
         _set_target(self, target)
         _set_components(self, components)
-        _set_memo(self, None)
         if check and not self.is_natural():
             raise ShapeError("components are not natural (do not commute with arrow maps)")
 
@@ -259,7 +228,6 @@ class RepMorphism(FrozenValue):
         _set_source(f, source)
         _set_target(f, target)
         _set_components(f, tuple(components))
-        _set_memo(f, None)
         return f
 
     def is_natural(self) -> bool:
@@ -324,9 +292,9 @@ def compose(g: RepMorphism, f: RepMorphism) -> RepMorphism:
     return RepMorphism._make(f.source, g.target, comps)
 
 
-_set_quiver, _set_field, _set_dims, _set_maps, _set_key, _set_hash = (
+_set_quiver, _set_field, _set_dims, _set_maps, _set_hash = (
     getattr(Rep, slot).__set__ for slot in Rep.__slots__)
-_set_source, _set_target, _set_components, _set_memo = (
+_set_source, _set_target, _set_components = (
     getattr(RepMorphism, slot).__set__ for slot in RepMorphism.__slots__)
 
 
@@ -717,8 +685,8 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     """h with h z = f (side "left", f and z out of a common source) or with
     z h = f (side "right", into a common target); None when f does not
     factor. The linear system depends only on z and the far end w of f, so
-    it is built once per (side, w) and memoized on z (_system), and _lift
-    reads f's flat entries through it.
+    it is built once per (z, w, side) (_factor_system, a bounded cache),
+    and _lift reads f's flat entries through it.
 
     On the left, a w with simple summands (_simple_summands) is read copy
     by copy (_copy_lifts): its arrows act by zero, so f is natural exactly
@@ -730,7 +698,7 @@ def _factor(f: RepMorphism, z: RepMorphism, side: str):
     w = f.target if left else f.source
     vec = [x for c in f.components for x in c.flat()]
     xs = _simple_summands(w) if left else None
-    h = _lift(_system(z, w, side), vec, w.field) if xs is None else _copy_lifts(z, xs, vec)
+    h = _lift(_factor_system(z, w, side), vec, w.field) if xs is None else _copy_lifts(z, xs, vec)
     if h is None:
         return None
     src, dst = (z.target, f.target) if left else (f.source, z.source)
@@ -759,46 +727,29 @@ def _copy_lifts(z: RepMorphism, xs, vec):
     f is row i of f_x, a contiguous slice of vec in the row-major ambient,
     and its lift is row i of h_x, the copy's slice of vec h, so vec h is the
     copies' lifts in copy order. A zero slice lifts to zero; any other is
-    read through the system for S_x, and its answer (the lift entries, or
-    False when it does not factor) is kept in z._memo under (x, slice)
-    (_remember), where every later equal copy finds it."""
+    read through _copy_lift, where every later equal copy finds it."""
     m, n = z.source, z.target
-    F, memo = m.field, _memo_of(z)
     out, off = [], 0
     for x in xs:
         part = tuple(vec[off : off + m.dims[x]])
         off += m.dims[x]
         if not any(part):
-            out += [F.zero] * n.dims[x]
+            out += [m.field.zero] * n.dims[x]
             continue
-        got = memo.get((x, part))
+        got = _copy_lift(z, x, part)
         if got is None:
-            got = _lift(_system(z, _simple(m.quiver, F, x), "left"), part, F)
-            got = _remember(memo, (x, part), False if got is None else got)
-        if got is False:
             return None
         out += got
     return out
 
 
-def _system(z: RepMorphism, w: Rep, side: str):
-    """The system of _factor_system for (z, w, side), kept in z._memo under
-    (side, w) (_remember)."""
-    memo = _memo_of(z)
-    key = (side, w)
-    system = memo.get(key)
-    if system is None:
-        system = _remember(memo, key, _factor_system(z, w, side))
-    return system
-
-
-def _memo_of(z: RepMorphism) -> dict:
-    """z._memo, made on first use."""
-    memo = z._memo
-    if memo is None:
-        memo = {}
-        _set_memo(z, memo)
-    return memo
+@lru_cache(maxsize=256)
+def _copy_lift(z: RepMorphism, x: int, part: tuple):
+    """The lift into S_x of the copy with flat entries part of a map out of
+    z.source, through the system for S_x, or None when it does not
+    factor."""
+    m = z.source
+    return _lift(_factor_system(z, _simple(m.quiver, m.field, x), "left"), part, m.field)
 
 
 def _apply_rows(rows, vec, F: FieldSpec) -> list:
@@ -809,6 +760,7 @@ def _apply_rows(rows, vec, F: FieldSpec) -> list:
     return [x % p for x in out] if p else out
 
 
+@lru_cache(maxsize=256)
 def _factor_system(z: RepMorphism, w: Rep, side: str):
     """The system for h z = f on the left (z h = f on the right), in the
     coordinates of Hom(m, w) (of Hom(w, m)), where f lives:

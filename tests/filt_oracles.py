@@ -54,7 +54,7 @@ def ref_radical_series(m, support):
 def ref_peel_depth(m, handle, cap, budget, memo):
     """Minimal r <= cap with m in F_r(add handle), or None, as the peel
     search decided before one walk both decided and built: every candidate
-    is tried, for the least depth, and memo holds per representation key
+    is tried, for the least depth, and memo holds per representation
     (deepest cap tried, minimal depth or None within that cap)."""
     if cap < 1:
         return None
@@ -62,7 +62,7 @@ def ref_peel_depth(m, handle, cap, budget, memo):
         return 1
     if cap <= 1:
         return None
-    got = memo.get(m.key())
+    got = memo.get(m)
     if got is None or (got[1] is None and got[0] < cap):
         best = None
         for incl in _peel_candidates(m, handle, budget):
@@ -72,7 +72,7 @@ def ref_peel_depth(m, handle, cap, budget, memo):
                 best = inner + 1
                 if best == 2:
                     break
-        got = memo[m.key()] = (cap, best)
+        got = memo[m] = (cap, best)
     return got[1] if got[1] is not None and got[1] <= cap else None
 
 

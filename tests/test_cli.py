@@ -253,6 +253,29 @@ class TestApprox:
         assert code == 0
         assert verify_certificate(out["certificate"])
 
+    @pytest.mark.parametrize("field, want", [("F3", 0), ("Q", 3)])
+    def test_left_ext_subclosed_report_is_verified(self, capsys, tmp_path, field, want):
+        # add{S, J2} is closed under subobjects but not vertex-simple: over
+        # F3 the closure is checked and the report verifies; over Q nothing
+        # decides it, so the report's verify refuses with exit 3
+        ws = json.loads(json.dumps(ONE_LOOP_WORKSPACE))
+        ws["field"] = field
+        ws["handles"]["addsj"] = {"add": ["S", "J2"]}
+        path = tmp_path / "oneloop.json"
+        path.write_text(json.dumps(ws))
+        code, out, _ = run(
+            capsys,
+            [
+                "approx-ext", "--workspace", str(path), "--of", "J2",
+                "--x", "adds", "--y", "addsj", "--assume-subobject-closed",
+            ],
+        )
+        assert code == want
+        if want:
+            assert out["error"]["code"] == "RationalFieldUnsupported"
+        else:
+            assert verify_certificate(out["certificate"])
+
     @pytest.mark.parametrize("x, y", [("semis", "projs"), ("simples1", "inline"),
                                       ("inline", "semis")])
     def test_left_ext_of_handle_trees(self, capsys, a2_ws, x, y):

@@ -95,7 +95,7 @@ def outcome(cok, f):
         c, proj = cok(f)
     except ApproxcatError as e:
         return type(e), str(e)
-    return c.dims, c.key(), proj.components
+    return c.dims, c, proj.components
 
 
 @SETTINGS

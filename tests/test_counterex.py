@@ -344,7 +344,7 @@ class TestSweep:
     def test_sampling_is_deterministic(self):
         first = sample_members(CFG2, 8, seed=5)
         second = sample_members(CFG2, 8, seed=5)
-        assert [v.key() for v, _ in first] == [v.key() for v, _ in second]
+        assert [v for v, _ in first] == [v for v, _ in second]
 
     def test_refutation_sweep(self):
         for v, ev in sample_members(CFG2, 30, max_total_dim=6, seed=1):

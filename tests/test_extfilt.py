@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -112,7 +113,7 @@ class TestSubrepSearch:
     def test_enumeration_of_all_reps(self):
         reps = list(iter_all_reps(LOOP, F2, (2,)))
         assert len(reps) == 1 + 2 + 16
-        assert len({r.key() for r in reps}) == len(reps)
+        assert len(set(reps)) == len(reps)
 
     def test_budget_and_field_guards(self):
         with pytest.raises(RationalFieldUnsupportedError):
@@ -684,13 +685,19 @@ class TestFrEnumerate:
         assert any(iso_test(v, p1(F2)) is not None for v in out)
 
     def test_agreement_with_member_filt(self):
-        s = Rep.simple(LOOP, F2, 0)
-        table = fr_enumerate([s], 2, 2)
-        for v in iter_all_reps(LOOP, F2, (2,)):
-            enumerated = any(
-                v.dims == w.dims and iso_test(v, w) is not None for w in table
-            )
-            assert enumerated == (member_filt(v, [s], 2) is not None)
+        # [S] on the loop within 2, and [S2, S1] on A2 within (2, 2), over
+        # F2 and F3, at r = 1 and 2
+        for F, r in itertools.product((F2, F3), (1, 2)):
+            for q, family, bound in (
+                (LOOP, [Rep.simple(LOOP, F, 0)], (2,)),
+                (A2, [Rep.simple(A2, F, 1), Rep.simple(A2, F, 0)], (2, 2)),
+            ):
+                table = fr_enumerate(family, r, bound)
+                for v in iter_all_reps(q, F, bound):
+                    enumerated = any(
+                        v.dims == w.dims and iso_test(v, w) is not None for w in table
+                    )
+                    assert enumerated == (member_filt(v, family, r) is not None)
 
     def test_budget_and_field_guards(self):
         s = Rep.simple(LOOP, F2, 0)

@@ -36,7 +36,7 @@ def ref_min_depth(m, handle, cap, budget, memo):
         return 1
     if cap <= 1:
         return None
-    got = memo.get(m.key())
+    got = memo.get(m)
     if got is not None:
         tried, val = got
         if val is not None:
@@ -57,7 +57,7 @@ def ref_min_depth(m, handle, cap, budget, memo):
             best = inner + 1
             if best == 2:
                 break
-    memo[m.key()] = (cap, best)
+    memo[m] = (cap, best)
     return best
 
 

@@ -1,11 +1,12 @@
 """What a handle keeps, what verify_evidence may skip, and what a
 certificate remembers.
 
-- AddCategory keeps each canonical sum and each zero-map evidence it
-  builds in a memo dropped whole past 256 entries, and that memo is no
-  part of ==, hash or repr. member_add and certificate construction read
-  the zero-map evidence by dims through one method, and dims that no
-  multiplicity vector gives still make a certificate refuse.
+- A handle's canonical sums and zero-map evidence are kept in two
+  bounded caches of 256 entries keyed by (handle, vector), and nothing of
+  them is part of the handle's ==, hash or repr. member_add and
+  certificate construction read the zero-map evidence by dims through one
+  method, and dims that no multiplicity vector gives still make a
+  certificate refuse.
 - ext1_dim is read as hom_dim - euler_form through the hom kernel cache:
   over F2, F3, F5 and Q, on A2, the Kronecker and the one-loop quiver, it
   equals rows - rank of the hom system and the length of ext1_basis.
@@ -35,7 +36,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxcat.approx import AddCategory, AddEvidence, member_add, verify_evidence
+from approxcat.approx import (
+    AddCategory,
+    AddEvidence,
+    _canonical_sum,
+    member_add,
+    verify_evidence,
+)
 from approxcat.errors import ApproxcatError, CertificateError
 from approxcat.extfilt import FiltrationCertificate, _certify, filt_normalize, member_filt
 from approxcat.fields import FieldSpec
@@ -96,7 +103,7 @@ def _bump(F, x):
     return F.coerce(x + 1)
 
 
-# the handle's memo
+# the handle's caches
 
 
 def test_canonical_sum_is_built_once_and_memo_is_bounded():
@@ -111,8 +118,8 @@ def test_canonical_sum_is_built_once_and_memo_is_bounded():
         handle.canonical_sum((1,))
     for c in range(300):
         handle.canonical_sum((c % 20, c // 20))
-        assert len(handle._memo) <= 256
-    # the memo is no part of the handle's value
+        assert _canonical_sum.cache_info().currsize <= 256
+    # the cache is no part of the handle's value
     fresh = AddCategory(gens)
     assert handle == fresh and hash(handle) == hash(fresh) and repr(handle) == repr(fresh)
 
@@ -124,7 +131,7 @@ def test_zero_map_evidence_is_shared_per_dims():
     ev = member_add(m, handle)
     assert ev is member_add(n, handle)
     assert ev.member == m and ev.multiplicities == (1, 2)
-    assert ev.iso.target is handle.canonical_sum((1, 2))[0]
+    assert ev.iso.target == handle.canonical_sum((1, 2))[0]
     assert verify_evidence(ev, m, handle)
     assert member_add(Rep(A2, F, [1, 1], {"a": Matrix(F, 1, 1, [1])}), handle) is None
     # member_add and certificate construction read one evidence by dims

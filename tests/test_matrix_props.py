@@ -515,7 +515,7 @@ def test_f2_matrices_built_three_ways_are_one_value(a, other):
     assert (a == other) == ((r, c, e) == (other.rows, other.cols, f2_flat(other)))
     if (other.rows, other.cols) == (r, c):
         # key() orders matrices of one shape as their flat entries, which
-        # keeps the sort of fr_enumerate's (total_dim, Rep.key()) unchanged
+        # keeps fr_enumerate's sort by (total_dim, dims, map keys) unchanged
         assert (a.key() < other.key()) == (e < f2_flat(other))
 
 

@@ -12,8 +12,9 @@ caches leave at most a tenth of its eliminations to compute.
 
 On refute-approx-f3, seed 0, in a fresh process as well: the workload
 factors maps into the semisimple targets S1^a + S2^b, and a map into one
-of them is factored one simple copy at a time, each distinct (x, slice)
-once per z, so it computes at most 300 per-copy answers (244) and
+of them is factored one simple copy at a time, each distinct (z, x,
+slice) once while the bounded rep._copy_lift cache holds it, so it
+computes at most 300 per-copy answers (244) and
 eliminates at most 160 factorization systems (1,404 before Hom into a
 semisimple rep was read through its summands, 212 when the systems were
 assembled from theirs), 400 hom systems and 200 RREFs; the bounded
@@ -21,7 +22,10 @@ rep._hom_kernel cache misses at most 400 times (1,782 when the kernels
 of semisimple ends were assembled there, nearly all first-time misses).
 The 107 left approximations it verifies were built by the library, which
 records them as their own approximations, so checking the approximation
-property adds no factorization system to those bounds.
+property adds no factorization system to those bounds. Every memo of the
+package is a bounded lru_cache: the five that hold results computed from
+several values (factorization systems, per-copy answers, canonical sums,
+zero-map evidence and verified evidence) are listed with 256 entries.
 
 On loop-filt, seed 0: a rep computes its hash once and keeps it, so of
 the 28,248 Rep.__hash__ calls at most 4,000 compute one (3,532 distinct
@@ -74,6 +78,9 @@ def test_refute_factors_into_semisimple_ends_copy_by_copy():
     assert 0 < counts["hom_systems"] <= 400
     assert counts["hom_kernels"] == counts["hom_systems"]
     assert 0 < counts["rref_computed"] <= 200
+    for name in ("rep._factor_system", "rep._copy_lift", "approx._canonical_sum",
+                 "approx._zero_map_evidence", "counterex._member_verified"):
+        assert counts["caches"][name]["maxsize"] == 256
 
 
 def test_loop_filt_hashes_each_rep_once():

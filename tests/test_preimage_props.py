@@ -78,7 +78,7 @@ def outcome(pre, f, incl):
         sub, sub_incl = pre(f, incl)
     except ShapeError as e:
         return type(e), str(e)
-    return sub.key(), sub_incl.components
+    return sub, sub_incl.components
 
 
 @SETTINGS

@@ -5,13 +5,13 @@ once per member.
   and W(i0) with its evidence) comes from one bounded memo: equal
   configurations share it, and no configuration sweep grows it past its
   bound.
-- refute records a successful verification on the evidence object, under
-  the member's key. The record never vouches for another member, a forged
-  copy, or evidence that failed.
-- RefutationWitness.verify checks W's evidence through the same record
-  when it equals the stage's own w_membership, so a sweep verifies that
-  shared object once; evidence of any other value, valid or forged, is
-  verified in full.
+- refute and RefutationWitness.verify verify membership evidence through
+  one bounded cache keyed by the (evidence, member) values
+  (counterex._member_verified). An answer never vouches for another
+  member or a forged copy, and a failure is kept as a failure; evidence
+  of equal value, such as a copy or the same evidence read from JSON,
+  shares the answer, so a sweep verifies each W(i0)'s evidence once and
+  any other valid W evidence once as well.
 - refute no longer re-verifies embedded evidence after an escalation. The
   property below is the theorem that stands in for that check: embedding
   verified evidence one level up yields verified evidence, because zero
@@ -122,18 +122,21 @@ class TestEvidenceMemo:
                              ev.sub_evidence, ev.quot_evidence)
         with pytest.raises(CertificateError):
             refute(candidate_maps(v)[0], forged)
-        # a failure is not recorded, so the next use raises as well
-        assert forged._verified is None
+        # the failure is kept as a failure, so the next use raises as well
+        assert counterex._member_verified(forged, v) is False
         with pytest.raises(CertificateError):
             refute(candidate_maps(v)[0], forged)
 
-    def test_a_copy_of_verified_evidence_is_verified_afresh(self):
+    def test_a_copy_of_verified_evidence_shares_its_answer(self):
         cfg = LoopQuiverConfig(2, F3)
         v, ev = assemble_member(cfg, 0, 1, [])
         refute(candidate_maps(v)[0], ev)
-        assert ev._verified == {v.key()}
         copied = ExtEvidence(ev.ses, ev.sub_evidence, ev.quot_evidence)
-        assert copied == ev and copied._verified is None
+        assert copied == ev and copied is not ev
+        info = counterex._member_verified.cache_info()
+        refute(candidate_maps(v)[0], copied)
+        after = counterex._member_verified.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
 
     def test_the_record_is_not_part_of_the_evidence_value(self):
         cfg = LoopQuiverConfig(2, F2)
@@ -182,12 +185,13 @@ class TestStageMemo:
         assert verify_certificate(data) is True
 
     def test_refute_leaves_no_factor_systems_on_the_stage(self):
-        # stage morphisms are shared, so a factorization system memoized on
-        # one would live as long as the stage; refute and verify make none
+        # refute and verify factor nothing, so they add no factorization
+        # system or per-copy answer to the caches
         counterex._stage.cache_clear()
         counterex._w_stage.cache_clear()
         cfg = LoopQuiverConfig(2, F3)
         stage = []
+        before = rep._factor_system.cache_info(), rep._copy_lift.cache_info()
         for coeffs in ([1, 0], [0, 1], [1, 1]):
             v, ev = assemble_member(cfg, 1, 1, coeffs)
             for phi in candidate_maps(v):
@@ -198,7 +202,8 @@ class TestStageMemo:
                 stage += [w_ev.ses.i, w_ev.ses.p, w_ev.sub_evidence.iso, w_ev.quot_evidence.iso]
         # the last member uses both loops, so level 3's stage is covered too
         assert witness.escalated
-        assert stage and all(f._memo is None for f in stage)
+        after = rep._factor_system.cache_info(), rep._copy_lift.cache_info()
+        assert stage and [i.misses for i in after] == [i.misses for i in before]
 
 
 def _with_w_evidence(w, w_evidence):
@@ -224,6 +229,7 @@ class TestWEvidence:
 
     def test_the_stage_evidence_is_verified_once(self, monkeypatch):
         counterex._w_stage.cache_clear()
+        counterex._member_verified.cache_clear()
         witness = self._witness()
         own = w_membership(witness.config, witness.i0)
         calls = self._counting(monkeypatch)
@@ -232,10 +238,13 @@ class TestWEvidence:
             assert witness.verify()
             assert verify_certificate(data) is True
         assert [c[0] for c in calls] == [own]
-        assert own._verified == {witness.w.key()}
+        assert counterex._member_verified(own, witness.w) is True
 
     def test_other_valid_evidence_is_verified_in_full(self, monkeypatch):
-        # over F3, 2i is another inclusion of S1 with the same cokernel p
+        # over F3, 2i is another inclusion of S1 with the same cokernel p;
+        # it is verified in full once, and its copy read from JSON shares
+        # that answer
+        counterex._member_verified.cache_clear()
         witness = self._witness()
         ses = witness.w_evidence.ses
         w_ev = witness.w_evidence
@@ -248,8 +257,8 @@ class TestWEvidence:
         for _ in range(2):
             assert scaled.verify()
             assert verify_certificate(data) is True
-        assert len(calls) == 4 and all(c[0] == other for c in calls)
-        assert other._verified is None
+        assert len(calls) == 1 and calls[0][0] == other
+        assert counterex._member_verified(other, witness.w) is True
 
     @pytest.mark.parametrize("forge", ["zero-inclusion", "zero-projection"])
     def test_forged_evidence_is_refused(self, forge):
@@ -279,7 +288,7 @@ def test_each_hom_system_is_built_once(monkeypatch):
     built, system = [], rep._hom_system
 
     def counted(a, b):
-        built.append((a.key(), b.key()))
+        built.append((a, b))
         return system(a, b)
 
     monkeypatch.setattr(rep, "_hom_system", counted)

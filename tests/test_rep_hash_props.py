@@ -5,9 +5,9 @@ compares: the interned quiver and field, the dims and each arrow map's
 stored entries. Over F2, F3, F5 and Q, on A2 and the one-loop quiver, the
 same rep built five ways (the validating constructor, Rep._make,
 rep_from_jsonable, direct_sum_rep with a zero summand, and the cokernel of
-the zero morphism out of the zero rep) must be equal and hash alike,
-before and after key() is read, and each must find the others' entries in
-a dict and in the bounded rep._hom_kernel cache.
+the zero morphism out of the zero rep) must be equal and hash alike, each
+keeping the hash it computed first, and each must find the others' entries
+in a dict and in the bounded rep._hom_kernel cache.
 
 The hash of the interned quiver and field is their identity, and strings
 hash by a per-process seed, so a hash holds within one process only: a rep
@@ -72,18 +72,15 @@ def built_apart(q, F, dims, entries):
 
 
 @SETTINGS
-@given(parts(), st.integers(0, 4))
-def test_equal_reps_hash_alike_however_built(p, keyed):
+@given(parts())
+def test_equal_reps_hash_alike_however_built(p):
     reps = built_apart(*p)
     assert len({id(r) for r in reps}) == len(reps)
-    # one of them has its key read before any hash
-    reps[keyed].key()
     first = [hash(r) for r in reps]
     assert len(set(first)) == 1
     assert all(a == b for a in reps for b in reps)
     for r in reps:
         assert r._hash == first[0]
-        r.key()
     assert [hash(r) for r in reps] == first
 
 
@@ -121,15 +118,15 @@ def sample_reps():
     return out
 
 
-# run in another process: build the sample reps, hash them and read their
-# keys, and write them pickled to stdout
+# run in another process: build the sample reps, hash them, and write them
+# pickled to stdout
 CHILD = """
 import pickle, sys
 sys.path.insert(0, sys.argv[1])
 from test_rep_hash_props import sample_reps
 reps = sample_reps()
 for r in reps:
-    hash(r), r.key()
+    hash(r)
 sys.stdout.buffer.write(pickle.dumps(reps))
 """
 
@@ -143,15 +140,14 @@ def test_a_pickled_rep_carries_no_hash_across_processes():
     theirs, ours = pickle.loads(done.stdout), sample_reps()
     assert len(theirs) == len(ours)
     for a, b in zip(theirs, ours):
-        assert a._hash is None and a._key is None
+        assert a._hash is None
         assert a.quiver is b.quiver and a.field is b.field
         assert a == b and hash(a) == hash(b) and {b: 1}[a] == 1
-        assert a.key() == b.key()
 
 
 def test_a_copy_carries_no_hash():
     for r in sample_reps():
-        hash(r), r.key()
+        hash(r)
         for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-            assert c is not r and c._hash is None and c._key is None
+            assert c is not r and c._hash is None
             assert c == r and hash(c) == hash(r)

@@ -5,7 +5,8 @@ simple S_x, and Hom is additive: the copy (x, i) of a map f: v -> w is row
 i of f_x, a contiguous slice of f's flat entries, and f is natural exactly
 when each copy is, as a map v -> S_x. So hom_basis(v, w) is read copy by
 copy from the kernels of Hom(v, S_x), and factor_through factors a map
-into w one copy at a time, keeping each (x, slice) answer on z. Neither
+into w one copy at a time, keeping each (z, x, slice) answer in the
+bounded rep._copy_lift cache. Neither
 eliminates w's own system, and both must give what the elimination gives,
 entry for entry. The references are those of rep_oracles, which read no
 hom basis: ref_unpack_hom_vector over the kernel basis of
@@ -17,9 +18,9 @@ the Kronecker and the loop-and-exit quiver,
 - factor_through answers as ref_factor on hom basis morphisms, on a
   combination of them, on zero and on a morphism built with check=False
   that is unnatural in one copy only, which never factors;
-- a repeated call, answered from the memo on z, gives equal answers;
-- the memo on z holds at most 256 entries after more than 256 distinct
-  maps have been factored through z, and still answers as the reference.
+- a repeated call, answered from the cache, gives equal answers;
+- the caches hold at most 256 entries after more than 256 distinct maps
+  have been factored through z, and still answer as the reference.
 """
 
 import itertools
@@ -31,7 +32,14 @@ from hypothesis import strategies as st
 from approxcat.approx import factor_through
 from approxcat.matrix import Matrix
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, RepMorphism, _hom_system, hom_basis
+from approxcat.rep import (
+    Rep,
+    RepMorphism,
+    _copy_lift,
+    _factor_system,
+    _hom_system,
+    hom_basis,
+)
 from rep_oracles import ref_factor, ref_unpack_hom_vector
 from test_factor_props import FIELDS, combination, reps, scalars
 
@@ -115,7 +123,7 @@ def test_factor_through_a_semisimple_end_matches_the_reference(case, data):
     v, w, z = case
     basis = hom_basis(v, w)
     fs = basis + [data.draw(combination(basis, v, w)), RepMorphism.zero(v, w)]
-    # twice round: the second pass reads every copy's answer off the memo on z
+    # twice round: the second pass reads every copy's answer from the cache
     for _ in range(2):
         for f in fs:
             got = factor_through(f, z)
@@ -167,7 +175,8 @@ def test_the_memo_on_z_stays_bounded():
             entries[start : start + 9] = s
             f = from_flat(v, w, entries)
             got = factor_through(f, z)
-            assert len(z._memo) <= 256
+            assert _copy_lift.cache_info().currsize <= 256
             if k % 37 == 0:
                 assert got == ref_factor(f, z, "left")
-        assert len(z._memo) <= 256
+        assert _copy_lift.cache_info().currsize <= 256
+        assert _factor_system.cache_info().currsize <= 256

@@ -4,7 +4,7 @@ direct_sum_rep builds the sum's dimensions and block-diagonal arrow maps
 and nothing else; direct_sum adds one injection and one projection per
 summand on top of it. Over F2, F3 and Q, on A2, the one-loop and the
 Kronecker quiver, with zero-dimensional summands and the empty sum, the
-sum-only builder must equal direct_sum(...)[0], both by == and by key().
+sum-only builder must equal direct_sum(...)[0], both by == and by hash.
 Since direct_sum now calls it, the sum is also checked against the
 definition: the injections and projections direct_sum lays out are
 natural, p_i i_j is the identity for i = j and zero otherwise, and the
@@ -53,7 +53,7 @@ def test_sum_only_equals_the_full_direct_sum(case):
     got = direct_sum_rep(parts, quiver=q, field=F)
     want, injs, projs = direct_sum(parts, quiver=q, field=F)
     assert got == want
-    assert got.key() == want.key()
+    assert hash(got) == hash(want)
     assert len(injs) == len(projs) == len(parts)
     total = RepMorphism.zero(got, got)
     for i, (inj, proj) in enumerate(zip(injs, projs)):
@@ -70,7 +70,7 @@ def test_sum_only_equals_the_full_direct_sum(case):
 def test_empty_sum_is_the_zero_rep(q, F):
     got = direct_sum_rep([], quiver=q, field=F)
     assert got == direct_sum([], quiver=q, field=F)[0] == Rep.zero(q, F)
-    assert got.key() == Rep.zero(q, F).key()
+    assert hash(got) == hash(Rep.zero(q, F))
 
 
 def test_empty_sum_needs_quiver_and_field():

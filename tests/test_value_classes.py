@@ -4,17 +4,18 @@ AddEvidence, ExtEvidence, ApproxCertificate, Budget, Filtration,
 FiltrationCertificate, LoopQuiverConfig and RefutationWitness each take
 exactly their fields through an explicit constructor. Two instances of one
 class are equal, and hash alike, exactly when every field is equal; an
-instance of another class never equals them; the verification record
-_verified of the two evidence classes starts as None and is no part of the
-value; and no attribute can be assigned.
+instance of another class never equals them; the hash kept in the slot
+_hash is unset until the first hash and is no part of the value; and no
+attribute can be assigned.
 
 The handles AddCategory and ExtCategory, RepMorphism and ShortExactSeq
 take other constructor arguments than their fields, so they are checked
 apart, together with Filtration: two of them built separately are equal
-and hash alike, filling a slot that holds what this process computed (a
-morphism's factorization memo, a handle's kind and memo, a filtration's
-step cokernels) changes neither ==, nor hash, nor repr, and assignment is
-refused with "<Class> is immutable".
+and hash alike, filling a slot that holds what this process computed
+from the value (its hash, a handle's kind, a filtration's step
+cokernels), or computing what the caches keep for it (a factorization
+system, a canonical sum), changes neither ==, nor hash, nor repr, and
+assignment is refused with "<Class> is immutable".
 """
 
 import inspect
@@ -44,7 +45,14 @@ from approxcat.extfilt import FiltrationCertificate, member_filt
 from approxcat.fields import FieldSpec
 from approxcat.matrix import Matrix
 from approxcat.quiver import loop_quiver
-from approxcat.rep import Filtration, FrozenValue, Rep, RepMorphism, ShortExactSeq
+from approxcat.rep import (
+    Filtration,
+    FrozenValue,
+    Rep,
+    RepMorphism,
+    ShortExactSeq,
+    _factor_system,
+)
 from approxcat.search import Budget
 
 F2 = FieldSpec.prime(2)
@@ -118,12 +126,12 @@ def test_value_semantics(cls):
     # only an instance of the same class compares equal
     sub = type("Sub", (cls,), {"__slots__": ()})(*xs)
     assert sub != a and a != sub and a != xs
-    # the verification record is no part of the value
-    if cls in (AddEvidence, ExtEvidence):
-        assert a._verified is None
-        object.__setattr__(a, "_verified", {"a member key"})
-        assert a == b and hash(a) == hash(b)
-        assert "_verified" not in repr(a)
+    # the kept hash is no part of the value
+    fresh = cls(*xs)
+    with pytest.raises(AttributeError):
+        fresh._hash
+    assert hash(fresh) == fresh._hash == hash(a)
+    assert fresh == a and "_hash" not in repr(fresh)
     # no field, and no new name, can be assigned
     for name in a._fields + ("other",):
         with pytest.raises(AttributeError):
@@ -163,18 +171,22 @@ def _fill(value):
     if isinstance(value, AddCategory):
         value.kind()
         value.canonical_sum((1,) * len(value.generators))
-        assert value._kind is not None and value._memo
+        assert value._kind is not None
     elif isinstance(value, ExtCategory):
         _fill(value.left)
         _fill(value.right)
     elif isinstance(value, RepMorphism):
         assert factor_through(value, value) == RepMorphism.identity(value.target)
-        assert value._memo
+        # the system is kept in the cache, keyed by the morphism's value
+        hits = _factor_system.cache_info().hits
+        assert factor_through(value, value) == RepMorphism.identity(value.target)
+        assert _factor_system.cache_info().hits == hits + 1
     elif isinstance(value, ShortExactSeq):
         _fill(value.p)
     else:
         value.step_cokernel(1)
         assert value._cokernels[1] is not None
+    assert value._hash == hash(value)
 
 
 OTHER_CLASSES = [AddCategory, ExtCategory, RepMorphism, ShortExactSeq, Filtration]
@@ -189,7 +201,7 @@ def test_in_process_slots_are_no_part_of_the_value(cls):
     assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
     _fill(a)
     assert a == b and b == a and hash(a) == hash(b) and repr(a) == repr(b)
-    for name in cls._fields + ("_memo", "other"):
+    for name in cls._fields + ("_hash", "other"):
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(a, name, None)
     assert a == b

@@ -13,16 +13,11 @@ solves that reduce [A | b] (rref_solves): every solve where Matrix has no
 _unit_rows, else those where _unit_rows, called from solve, returned None;
 the _unit_rows calls made from anywhere but solve (unit_rows_outside_solve:
 a kernel's unit rows scanned again, as rep._factor_system did before
-kernels handed out their free columns); the factorization
-systems built (rep._factor_system); every hom system built (hom_systems:
+kernels handed out their free columns); every hom system built (hom_systems:
 rep._hom_system, whoever calls it) and the kernels computed from them
 (hom_kernels: Matrix.kernel_basis or Matrix.kernel called from hom_basis,
 _factor_system or the rep._hom_kernel cache, whichever of them computes
-it in checkout); the per-copy answers computed when a map into a
-semisimple far end is factored on the left one simple copy at a time
-(copy_factorizations: the calls of rep._lift made from rep._copy_lifts,
-that is the misses of the (x, slice) memo on z), 0 in a checkout without
-them; the rep JSON bodies actually parsed (rep_parses:
+it in checkout); the rep JSON bodies actually parsed (rep_parses:
 serialize._parse_rep where it exists, else every rep_from_jsonable);
 every approx.verify_evidence call, the recursive ones for the ends of
 an extension included; and the calls of Matrix.flat on F2 matrices, each of which unpacks the stored bit
@@ -33,11 +28,9 @@ comparison: the calls of Rep.__init__ and RepMorphism.__init__ (the
 validating constructors), of Matrix._fill (the shape check behind
 Matrix(...) and Matrix._trusted) and of FieldSpec.__eq__ and
 Quiver.__eq__; a checkout that lacks one of these (interned fields and
-quivers compare by identity, with no __eq__ of their own) counts 0.
-Handle work: the rep.direct_sum_rep calls made from
-AddCategory.canonical_sum (canonical_sums_built: the canonical sums
-actually built, whether or not the handle keeps them) and the
-AddEvidence objects constructed (add_evidence_built). Rep hashing: the
+quivers compare by identity, with no __eq__ of their own) counts 0. The
+AddEvidence objects constructed are counted too (add_evidence_built).
+Rep hashing: the
 calls of Rep.__hash__ (rep_hashes) and those that compute the hash
 (rep_hashes_computed), that is every call in a checkout whose Rep keeps
 no hash, else the calls made while its _hash slot is still empty. Work
@@ -47,7 +40,13 @@ matrix._matmul, kernels_computed: matrix._kernel), that is the cache
 misses, where rref, matmul and solve count the method calls; a checkout
 without those caches counts none. "caches" holds, for every
 functools.lru_cache a module of the package defines, its hits and misses
-over the run, its size at the end and its bound.
+over the run, its size at the end and its bound. Three counts are misses
+of such caches: the factorization systems built (factor_systems:
+rep._factor_system), the per-copy answers computed when a map into a
+semisimple far end is factored on the left one simple copy at a time
+(copy_factorizations: rep._copy_lift) and the canonical sums built
+(canonical_sums_built: approx._canonical_sum); a checkout without one
+counts 0.
 """
 
 import collections
@@ -68,7 +67,6 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
         matrix.Matrix.solve.__code__: "solve",
         rep.cokernel.__code__: "cokernel",
         approx.member_add.__code__: "member_add",
-        rep._factor_system.__code__: "factor_systems",
         rep._hom_system.__code__: "hom_systems",
         getattr(serialize, "_parse_rep", serialize.rep_from_jsonable).__code__: "rep_parses",
         approx.verify_evidence.__code__: "verify_evidence",
@@ -89,15 +87,12 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
             targets[vars(cls)[attr].__code__] = name
     kernels = {getattr(matrix.Matrix, name).__code__
                for name in ("kernel_basis", "kernel") if hasattr(matrix.Matrix, name)}
-    kernel_callers = {rep.hom_basis.__code__, rep._factor_system.__code__}
+    kernel_callers = {rep.hom_basis.__code__,
+                      getattr(rep._factor_system, "__wrapped__", rep._factor_system).__code__}
     if hasattr(rep, "_hom_kernel"):
         kernel_callers.add(rep._hom_kernel.__wrapped__.__code__)
-    copy_lifts = getattr(getattr(rep, "_copy_lifts", None), "__code__", None)
-    lift = getattr(getattr(rep, "_lift", None), "__code__", None)
     unit = getattr(matrix.Matrix, "_unit_rows", None)
     solve = matrix.Matrix.solve.__code__
-    sum_rep = getattr(rep, "direct_sum_rep", rep.direct_sum).__code__
-    canonical = approx.AddCategory.canonical_sum.__code__
     flat = getattr(getattr(matrix.Matrix, "flat", None), "__code__", None)
     counts = collections.Counter()
 
@@ -111,12 +106,8 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                 elif name == "rep_hashes":
                     counts["rep_hashes_computed"] += getattr(frame.f_locals["self"], "_hash",
                                                              None) is None
-            elif frame.f_code is sum_rep and frame.f_back.f_code is canonical:
-                counts["canonical_sums_built"] += 1
             elif frame.f_code in kernels and frame.f_back.f_code in kernel_callers:
                 counts["hom_kernels"] += 1
-            elif frame.f_code is lift and frame.f_back.f_code is copy_lifts:
-                counts["copy_factorizations"] += 1
             elif (unit is not None and frame.f_code is unit.__code__
                   and frame.f_back.f_code is not solve):
                 counts["unit_rows_outside_solve"] += 1
@@ -140,16 +131,18 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
             sys.setprofile(None)
     counts["rref_solves"] = counts["solve"] - counts["selection_solves"]
     counts["items"] = len(items)
-    for name in [*values, "hom_kernels", "unit_rows_outside_solve", "canonical_sums_built",
-                 "copy_factorizations", "rep_hashes_computed"]:
+    for name in [*values, "hom_kernels", "unit_rows_outside_solve", "rep_hashes_computed"]:
         counts[name] += 0
-    out = dict(sorted(counts.items()))
-    out["caches"] = {}
+    run = {}
     for name, info in sorted(caches().items()):
         hits, misses = before.get(name, (0, 0))[:2]
-        out["caches"][name] = {"hits": info.hits - hits, "misses": info.misses - misses,
-                               "currsize": info.currsize, "maxsize": info.maxsize}
-    return out
+        run[name] = {"hits": info.hits - hits, "misses": info.misses - misses,
+                     "currsize": info.currsize, "maxsize": info.maxsize}
+    for name, cache in (("factor_systems", "rep._factor_system"),
+                        ("copy_factorizations", "rep._copy_lift"),
+                        ("canonical_sums_built", "approx._canonical_sum")):
+        counts[name] = run.get(cache, {"misses": 0})["misses"]
+    return dict(sorted(counts.items()), caches=run)
 
 
 def caches() -> dict:
