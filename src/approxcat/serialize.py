@@ -12,9 +12,13 @@ The filtration and refutation forms import extfilt and counterex in the
 functions that build their objects, so reading or writing one kind of
 certificate loads no other kind's module.
 
-Equal reps are read once: rep_from_jsonable keeps what it built for
-(quiver, field, data) in a bounded lru_cache, so a certificate that repeats
-a rep (a witness names W and V in many morphisms) shares one object.
+Equal reps, morphisms and evidence are read once: rep_from_jsonable,
+morphism_from_jsonable and evidence_from_jsonable keep what they built for
+(parser, quiver, field, data) in one bounded lru_cache, so a certificate
+that repeats a value (a witness names W in many morphisms and repeats its
+vanishing maps) shares one immutable object. Handles, filtrations and
+certificates are read afresh each time: their slots hold what this process
+has computed, which a read must never inherit.
 """
 
 import marshal
@@ -43,24 +47,28 @@ def rep_to_jsonable(rep: Rep) -> dict:
     }
 
 
-def rep_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> Rep:
-    """The rep data describes, read once per equal (quiver, field, data).
+def _read_once(parse):
+    """A reader that answers as parse(quiver, field, data) and parses
+    equal (parse, quiver, field, data) once, while the bounded cache _read
+    holds it.
 
     The key is data's marshal text, which writes only exact builtin types,
     each under its own type code: true, 1.0, a tuple or an int subclass
     never shares a key with the 1 or the list it resembles, so a cached
-    read answers exactly as the typed reader would. Data marshal refuses
-    is read uncached, and a refusal is never cached."""
-    try:
-        text = marshal.dumps(data, 2)
-    except ValueError:
-        return _parse_rep(quiver, field, data)
-    return _read_rep(quiver, field, text)
+    read answers exactly as parse would. Data marshal refuses is read
+    uncached, and a refusal is never cached."""
+    def read(quiver: Quiver, field: FieldSpec, data):
+        try:
+            text = marshal.dumps(data, 2)
+        except ValueError:
+            return parse(quiver, field, data)
+        return _read(parse, quiver, field, text)
+    return read
 
 
 @lru_cache(maxsize=256)
-def _read_rep(quiver: Quiver, field: FieldSpec, text: bytes) -> Rep:
-    return _parse_rep(quiver, field, marshal.loads(text))
+def _read(parse, quiver: Quiver, field: FieldSpec, text: bytes):
+    return parse(quiver, field, marshal.loads(text))
 
 
 def _parse_rep(quiver: Quiver, field: FieldSpec, data) -> Rep:
@@ -75,6 +83,9 @@ def _parse_rep(quiver: Quiver, field: FieldSpec, data) -> Rep:
     return Rep(quiver, field, dims, maps)
 
 
+rep_from_jsonable = _read_once(_parse_rep)
+
+
 def morphism_to_jsonable(f: RepMorphism) -> dict:
     return {
         "source": rep_to_jsonable(f.source),
@@ -83,7 +94,7 @@ def morphism_to_jsonable(f: RepMorphism) -> dict:
     }
 
 
-def morphism_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> RepMorphism:
+def _parse_morphism(quiver: Quiver, field: FieldSpec, data) -> RepMorphism:
     source = rep_from_jsonable(quiver, field, _need(data, "source"))
     target = rep_from_jsonable(quiver, field, _need(data, "target"))
     blocks = _need(data, "components", list)
@@ -95,6 +106,9 @@ def morphism_from_jsonable(quiver: Quiver, field: FieldSpec, data) -> RepMorphis
     ]
     # naturality is the certificate verifier's job, not the parser's
     return RepMorphism(source, target, comps, check=False)
+
+
+morphism_from_jsonable = _read_once(_parse_morphism)
 
 
 def ses_to_jsonable(s: ShortExactSeq) -> dict:
@@ -153,7 +167,7 @@ def evidence_to_jsonable(ev) -> dict:
     raise CertificateError(f"not membership evidence: {ev!r}")
 
 
-def evidence_from_jsonable(quiver: Quiver, field: FieldSpec, data):
+def _parse_evidence(quiver: Quiver, field: FieldSpec, data):
     kind = _need(data, "kind")
     if kind == "add":
         mults = tuple(_typed(c, int, "multiplicities") for c in _need(data, "multiplicities", list))
@@ -165,6 +179,9 @@ def evidence_from_jsonable(quiver: Quiver, field: FieldSpec, data):
             evidence_from_jsonable(quiver, field, _need(data, "quot_evidence")),
         )
     raise CertificateError(f"unknown evidence kind {kind!r}")
+
+
+evidence_from_jsonable = _read_once(_parse_evidence)
 
 
 def filtration_to_jsonable(f: Filtration) -> dict:

@@ -14,8 +14,16 @@ F3, F5 and Q, on A2 and the one-loop quiver:
 - a z' built separately from z, equal to it, reads z's systems and
   per-copy answers: it adds no miss to _factor_system or _copy_lift;
 - two different z with the same ends each get their own answer, the one
-  the block-matrix reference of rep_oracles gives.
+  the block-matrix reference of rep_oracles gives;
+- every rep, morphism and evidence in the JSON of a certificate of each
+  kind, read by each of the three cached readers over each field and
+  quiver, gives the same value (or the same refusal) warm as after
+  cache_clear(), and so do the certificate and verify_certificate; a
+  one-entry tamper of cached data, equal to it as a Python value but of
+  another JSON type, is parsed afresh and verifies False.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,11 +36,22 @@ from approxcat.approx import (
     left_approx_add,
     verify_evidence,
 )
+from approxcat.errors import ApproxcatError
 from approxcat.matrix import Matrix
-from approxcat.quiver import a2_quiver, loop_quiver
+from approxcat.quiver import Quiver, a2_quiver, loop_quiver
 from approxcat.rep import Rep, RepMorphism, _copy_lift, _factor_system, hom_basis
+from approxcat.serialize import (
+    certificate_from_jsonable,
+    certificate_to_jsonable,
+    config_from_jsonable,
+    evidence_from_jsonable,
+    morphism_from_jsonable,
+    rep_from_jsonable,
+    verify_certificate,
+)
 from rep_oracles import ref_factor
 from test_factor_props import FIELDS, combination, reps
+from test_round_trip_props import values
 
 QUIVERS = [a2_quiver(), loop_quiver(1)]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -146,3 +165,86 @@ def test_different_z_with_the_same_ends_answer_apart(case, data):
         if not z.is_zero():
             assert factor_through(z, z) is not None
             assert factor_through(z, zs[0]) is None
+
+
+READERS = (rep_from_jsonable, morphism_from_jsonable, evidence_from_jsonable)
+# the keys under which a certificate's JSON holds integers that the cached
+# readers parse: dimensions, matrix entries and multiplicities
+TYPED = ("dims", "maps", "components", "multiplicities")
+
+
+def parts(node):
+    """Every object in a JSON tree that one of READERS could parse: a rep,
+    a morphism, a piece of evidence (or a handle, which they refuse)."""
+    if isinstance(node, dict):
+        if node.keys() & {"dims", "source", "kind"}:
+            yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from parts(child)
+
+
+def int_leaves(node, typed=False, path=()):
+    """The path of every int (not bool) below one of the TYPED keys."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if typed and type(node) is int:
+            yield path
+        return
+    for key, child in items:
+        yield from int_leaves(child, typed or key in TYPED, path + (key,))
+
+
+def read_outcome(read, quiver, field, data):
+    """What read gives for data: a value, or the class of its refusal."""
+    try:
+        return read(quiver, field, data)
+    except ApproxcatError as exc:
+        return type(exc)
+
+
+@st.composite
+def certificates(draw):
+    """(JSON of a drawn certificate, its quiver): approximation,
+    filtration and refutation certificates over F2, F3, F5 and Q, on A2,
+    the one-loop quiver and their neighbours of test_round_trip_props."""
+    cases = [value for value, write, _ in draw(values()) if write is certificate_to_jsonable]
+    data = json.loads(json.dumps(certificate_to_jsonable(draw(st.sampled_from(cases)))))
+    if "quiver" in data:
+        return data, Quiver.from_jsonable(data["quiver"])
+    return data, config_from_jsonable(data["config"]).quiver()
+
+
+@SETTINGS
+@given(certificates(), st.data())
+def test_a_cached_read_answers_as_a_fresh_one(case, data):
+    cert, quiver = case
+    reads = [(read, q, field, part) for part in parts(cert) for read in READERS
+             for q in [quiver] + [q for q in QUIVERS if q is not quiver] for field in FIELDS]
+    warm_cert = certificate_from_jsonable(cert)
+    assert verify_certificate(cert) is True
+    warm = [read_outcome(*r) for r in reads]
+    for r, answer in zip(reads, warm):
+        assert read_outcome(*r) == answer
+        serialize._read.cache_clear()
+        assert read_outcome(*r) == answer
+    clear_every_cache()
+    assert certificate_from_jsonable(cert) == warm_cert
+    assert verify_certificate(cert) is True
+    # with the certificate cached again, one integer becomes a float or a
+    # bool: equal as a Python value, refused by the typed readers
+    path = data.draw(st.sampled_from(list(int_leaves(cert))))
+    tampered = json.loads(json.dumps(cert))
+    node = tampered
+    for key in path[:-1]:
+        node = node[key]
+    old = node[path[-1]]
+    node[path[-1]] = data.draw(st.sampled_from([float(old)] + [bool(old)] * (old in (0, 1))))
+    assert tampered == cert
+    misses = serialize._read.cache_info().misses
+    assert verify_certificate(tampered) is False
+    assert serialize._read.cache_info().misses > misses

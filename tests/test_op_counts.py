@@ -25,7 +25,12 @@ records them as their own approximations, so checking the approximation
 property adds no factorization system to those bounds. Every memo of the
 package is a bounded lru_cache: the five that hold results computed from
 several values (factorization systems, per-copy answers, canonical sums,
-zero-map evidence and verified evidence) are listed with 256 entries.
+zero-map evidence and verified evidence) are listed with 256 entries, and
+so is the one reader cache, serialize._read. Each witness is verified
+from its JSON, and the reader cache reads each distinct rep, morphism and
+evidence once, so at most 300 RepMorphisms are constructed (220; 2,484
+when only reps were read once) and Matrix._fill runs at most 5,500 times
+(4,755; 9,283 before).
 
 On loop-filt, seed 0: a rep computes its hash once and keeps it, so of
 the 28,248 Rep.__hash__ calls at most 4,000 compute one (3,532 distinct
@@ -78,8 +83,10 @@ def test_refute_factors_into_semisimple_ends_copy_by_copy():
     assert 0 < counts["hom_systems"] <= 400
     assert counts["hom_kernels"] == counts["hom_systems"]
     assert 0 < counts["rref_computed"] <= 200
+    assert 0 < counts["RepMorphism.__init__"] <= 300
+    assert 0 < counts["Matrix._fill"] <= 5500
     for name in ("rep._factor_system", "rep._copy_lift", "approx._canonical_sum",
-                 "approx._zero_map_evidence", "counterex._member_verified"):
+                 "approx._zero_map_evidence", "counterex._member_verified", "serialize._read"):
         assert counts["caches"][name]["maxsize"] == 256
 
 

@@ -333,18 +333,19 @@ class TestStrictReads:
 
 
 class TestSharedReads:
-    """rep_from_jsonable reads equal data once, from a bounded cache keyed
-    on the data's marshal text; a copy that differs in one typed value
-    misses it and is read, and refused, afresh."""
+    """rep_from_jsonable, morphism_from_jsonable and evidence_from_jsonable
+    read equal data once, from one bounded cache keyed on the parser, the
+    quiver, the field and the data's marshal text; a copy that differs in
+    one typed value misses it and is read, and refused, afresh."""
 
     def _warm_witness(self):
         # W recurs in the witness: as w, in its evidence, in the nonzero map
         # and as the target of every vanishing-proof morphism
         data = json.loads((GOLDEN / "refutation-F3.json").read_text())
         assert verify_certificate(data)
-        hits = serialize._read_rep.cache_info().hits
+        hits = serialize._read.cache_info().hits
         assert verify_certificate(data)
-        assert serialize._read_rep.cache_info().hits > hits
+        assert serialize._read.cache_info().hits > hits
         return data
 
     @pytest.mark.parametrize("value", [True, 1.0])
@@ -368,6 +369,29 @@ class TestSharedReads:
                 rep_from_jsonable(quiver, F3, w)
         assert verify_certificate(data)
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize("where", ["component", "multiplicities"])
+    def test_a_recurring_morphism_or_evidence_with_a_non_integer_is_refused(self, where, value):
+        data = self._warm_witness()
+        quiver = config_from_jsonable(data["config"]).quiver()
+        tampered = copy.deepcopy(data)
+        if where == "component":
+            key, read = "nonzero_target_map", morphism_from_jsonable
+            entry = tampered[key]["components"][1][0]
+        else:
+            key, read = "w_evidence", evidence_from_jsonable
+            entry = tampered[key]["sub_evidence"]["multiplicities"]
+        assert entry[0] == 1
+        entry[0] = value
+        assert tampered[key] == data[key]  # equal as Python values
+        # the integer form stays cached: it is read again as one shared object
+        assert read(quiver, F3, data[key]) is read(quiver, F3, copy.deepcopy(data[key]))
+        for _ in range(2):  # a refusal is not cached, so it is raised again
+            assert verify_certificate(tampered) is False
+            with pytest.raises(ApproxcatError):
+                read(quiver, F3, tampered[key])
+        assert verify_certificate(data)
+
     def test_a_tuple_is_not_read_as_the_cached_list(self):
         data = {"dims": [1, 1], "maps": {"a": [[1]]}}
         assert rep_from_jsonable(A2, F2, data) == p1(F2)
@@ -375,14 +399,29 @@ class TestSharedReads:
             rep_from_jsonable(A2, F2, {"dims": (1, 1), "maps": {"a": [[1]]}})
 
     def test_data_marshal_refuses_is_read_uncached(self):
-        size = serialize._read_rep.cache_info().currsize
+        size = serialize._read.cache_info().currsize
         data = {"dims": [1, 1], "maps": {"a": [[Fraction(1, 2)]]}}
         assert rep_from_jsonable(A2, Q, data).map("a") == Matrix(Q, 1, 1, ["1/2"])
-        assert serialize._read_rep.cache_info().currsize == size
+        assert serialize._read.cache_info().currsize == size
 
     def test_equal_data_shares_one_rep_and_the_cache_is_bounded(self):
         data = through_json(rep_to_jsonable(p1(F2)))
         assert rep_from_jsonable(A2, F2, data) is rep_from_jsonable(A2, F2, copy.deepcopy(data))
         assert rep_from_jsonable(A2, F2, data) is not rep_from_jsonable(A2, Q, data)
-        info = serialize._read_rep.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+        info = serialize._read.cache_info()
+        assert info.maxsize == 256 and info.currsize <= info.maxsize
+
+    def test_equal_morphism_and_evidence_data_share_one_object(self):
+        s1 = Rep.simple(A2, F2, 0)
+        cert = left_approx_add(s1, AddCategory([p1(F2)]))
+        for value, write, read in ((cert.morphism, morphism_to_jsonable, morphism_from_jsonable),
+                                   (cert.evidence, evidence_to_jsonable, evidence_from_jsonable)):
+            data = through_json(write(value))
+            back = read(A2, F2, data)
+            assert back == value
+            assert read(A2, F2, copy.deepcopy(data)) is back
+            assert read(A2, Q, data) is not back
+        # the morphism inside the evidence is the one read from equal data
+        iso = through_json(morphism_to_jsonable(cert.evidence.iso))
+        ev = evidence_from_jsonable(A2, F2, through_json(evidence_to_jsonable(cert.evidence)))
+        assert ev.iso is morphism_from_jsonable(A2, F2, iso)
