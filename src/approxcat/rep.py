@@ -429,32 +429,52 @@ def _simple(quiver: Quiver, field: FieldSpec, x: int) -> Rep:
     return _zero_map_rep(quiver, field, dims)
 
 
+@lru_cache(maxsize=256)
 def _simple_summands(w: Rep):
     """The vertices x of the simple summands S_x of w, w_x copies each in
-    vertex order, when every arrow of w acts by zero and w is neither zero
-    nor simple; None otherwise."""
+    vertex order, as a tuple, when every arrow of w acts by zero and w is
+    neither zero nor simple; None otherwise."""
     if w.total_dim < 2 or not all(m.is_zero() for m in w.maps.values()):
         return None
-    return [x for x, d in enumerate(w.dims) for _ in range(d)]
+    return tuple(x for x, d in enumerate(w.dims) for _ in range(d))
 
 
 @lru_cache(maxsize=256)
 def _hom_kernel(v: Rep, w: Rep):
     """(K, free): the kernel basis of the hom system of (v, w), whose
     columns are the vectorized hom_basis(v, w), and its free columns, the
-    unit rows of K (Matrix.kernel). hom_basis, hom_dim and _factor_system
-    all read it here, since they meet the same few hom spaces many times
-    (every candidate of one member in refute and RefutationWitness.verify,
-    every z of a factorization), and ext1_dim reads hom_dim; ext1_basis
-    builds its own system, whose rref it needs and not its kernel. Into a
-    w with simple summands, hom_basis and the left factorizations read the
-    kernels of Hom(v, S_x) instead, one per vertex of a summand."""
+    unit rows of K (Matrix.kernel). hom_dim and _factor_system read it
+    here, since they meet the same few hom spaces many times (every z of a
+    factorization), and ext1_dim reads hom_dim; ext1_basis builds its own
+    system, whose rref it needs and not its kernel. _hom_basis reads it
+    only when it builds a basis, which it then keeps as morphisms, since
+    refute and RefutationWitness.verify ask for the same bases many times.
+    Into a w with simple summands, _hom_basis and the left factorizations
+    read the kernels of Hom(v, S_x) instead, one per vertex of a
+    summand."""
     return _hom_system(v, w).kernel()
 
 
 def hom_basis(v: Rep, w: Rep):
     """Deterministic basis of Hom(v, w) as a list of morphisms: the columns
-    of the kernel of the hom system. Hom is additive: into a w with simple
+    of the kernel of the hom system, built once per (v, w) while the
+    bounded cache _hom_basis holds it. Each call returns a new list, which
+    the caller may change. The cached morphisms are immutable, and their
+    ends are the reps of the call that built them: equal to v and w, and
+    when they are other objects, each morphism's components are taken
+    onto v and w, so the ends are always the caller's."""
+    basis = _hom_basis(v, w)
+    if basis and (basis[0].source is not v or basis[0].target is not w):
+        return [RepMorphism._make(v, w, f.components) for f in basis]
+    return list(basis)
+
+
+# the bases asked for again are few and asked for close together; a larger
+# bound mostly holds bases asked for once (tools/op_counts.py on
+# refute-approx-f3: 1,796 misses at 32, 1,782 at 256, with more memory)
+@lru_cache(maxsize=32)
+def _hom_basis(v: Rep, w: Rep) -> tuple:
+    """hom_basis(v, w) as a tuple. Hom is additive: into a w with simple
     summands (_simple_summands), whose arrows act by zero, the system ties
     row i of f_x to itself alone, and that row is the contiguous slice of
     the copy (x, i) in the row-major ambient. So the system is block
@@ -470,7 +490,7 @@ def hom_basis(v: Rep, w: Rep):
         e, k, before, after = ker.flat(), ker.cols, (zero,) * off, (zero,) * (n - off - ker.rows)
         out += [_unpack_hom_vector(v, w, before + e[j::k] + after) for j in range(k)]
         off += ker.rows
-    return out
+    return tuple(out)
 
 
 def hom_dim(v: Rep, w: Rep) -> int:

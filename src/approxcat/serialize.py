@@ -19,6 +19,11 @@ that repeats a value (a witness names W in many morphisms and repeats its
 vanishing maps) shares one immutable object. Handles, filtrations and
 certificates are read afresh each time: their slots hold what this process
 has computed, which a read must never inherit.
+
+Equal reps are written once: rep_to_jsonable keeps each rep's JSON form
+as marshal text in a bounded lru_cache keyed by the rep, and every writer
+returns a fresh dict, which its caller may change without reaching
+another certificate.
 """
 
 import marshal
@@ -41,10 +46,17 @@ FORMAT = 1
 
 
 def rep_to_jsonable(rep: Rep) -> dict:
-    return {
+    return marshal.loads(_rep_text(rep))
+
+
+@lru_cache(maxsize=256)
+def _rep_text(rep: Rep) -> bytes:
+    """rep's JSON form as marshal text, which rep_to_jsonable loads into a
+    fresh dict for every caller."""
+    return marshal.dumps({
         "dims": list(rep.dims),
         "maps": {a.id: rep.map(a.id).to_jsonable() for a in rep.quiver.arrows},
-    }
+    }, 2)
 
 
 def _read_once(parse):

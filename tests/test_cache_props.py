@@ -21,6 +21,21 @@ F3, F5 and Q, on A2 and the one-loop quiver:
   cache_clear(), and so do the certificate and verify_certificate; a
   one-entry tamper of cached data, equal to it as a Python value but of
   another JSON type, is parsed afresh and verifies False.
+
+Hom bases, semisimple summand splits and rep JSON forms are built once
+per distinct input (rep._hom_basis, rep._simple_summands and
+serialize._rep_text). Over F2, F3, F5 and Q, on A2, linear A3 and the
+one-loop quiver:
+
+- hom_basis, _simple_summands, rep_to_jsonable, morphism_to_jsonable and
+  certificate_to_jsonable give the same answers warm as after
+  cache_clear() of every cache of the package, and the same as a form
+  written afresh by the reference below, on reps of one dimension vector
+  with different maps;
+- a rep built through Rep(...), through Rep._make and read from JSON
+  finds the entries another of them left: no cache adds a miss;
+- a caller that changes the list hom_basis returns, or any entry of a
+  dict a writer returns, leaves the next call's answer unchanged.
 """
 
 import json
@@ -39,19 +54,31 @@ from approxcat.approx import (
 from approxcat.errors import ApproxcatError
 from approxcat.matrix import Matrix
 from approxcat.quiver import Quiver, a2_quiver, loop_quiver
-from approxcat.rep import Rep, RepMorphism, _copy_lift, _factor_system, hom_basis
+from approxcat.rep import (
+    Rep,
+    RepMorphism,
+    _copy_lift,
+    _factor_system,
+    _hom_basis,
+    _simple_summands,
+    hom_basis,
+)
 from approxcat.serialize import (
+    _rep_text,
     certificate_from_jsonable,
     certificate_to_jsonable,
     config_from_jsonable,
     evidence_from_jsonable,
     morphism_from_jsonable,
+    morphism_to_jsonable,
     rep_from_jsonable,
+    rep_to_jsonable,
     verify_certificate,
 )
 from rep_oracles import ref_factor
 from test_factor_props import FIELDS, combination, reps
-from test_round_trip_props import values
+from test_round_trip_props import A3, values
+from test_semisimple_hom_props import ref_hom_basis
 
 QUIVERS = [a2_quiver(), loop_quiver(1)]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -70,12 +97,14 @@ def clear_every_cache():
 
 
 def test_every_cache_is_cleared():
-    # the five caches of results computed from several values are among them
-    assert clear_every_cache() >= 16
+    # the five caches of results computed from several values, and the
+    # three that build a value once per distinct input, are among them
+    assert clear_every_cache() >= 19
     names = {f"{m.__name__}.{n}" for m in MODULES for n, o in vars(m).items()
              if hasattr(o, "cache_clear")}
     for name in ("rep._factor_system", "rep._copy_lift", "approx._canonical_sum",
-                 "approx._zero_map_evidence", "counterex._member_verified"):
+                 "approx._zero_map_evidence", "counterex._member_verified",
+                 "rep._hom_basis", "rep._simple_summands", "serialize._rep_text"):
         assert "approxcat." + name in names
 
 
@@ -248,3 +277,121 @@ def test_a_cached_read_answers_as_a_fresh_one(case, data):
     misses = serialize._read.cache_info().misses
     assert verify_certificate(tampered) is False
     assert serialize._read.cache_info().misses > misses
+
+
+WRITE_QUIVERS = QUIVERS + [A3]
+WRITE_CACHES = (_hom_basis, _simple_summands, _rep_text)
+
+
+def ref_rep_json(r):
+    """rep_to_jsonable's form of r, written afresh."""
+    return {"dims": list(r.dims),
+            "maps": {a.id: r.map(a.id).to_jsonable() for a in r.quiver.arrows}}
+
+
+def ref_morphism_json(f):
+    return {"source": ref_rep_json(f.source), "target": ref_rep_json(f.target),
+            "components": [c.to_jsonable() for c in f.components]}
+
+
+def ref_simple_summands(w):
+    if w.total_dim < 2 or any(not m.is_zero() for m in w.maps.values()):
+        return None
+    return tuple(x for x, d in enumerate(w.dims) for _ in range(d))
+
+
+@st.composite
+def writes(draw):
+    """(reps, certificate): a drawn rep v, the rep of v's dims whose arrows
+    act by zero (a sum of simples, equal to v only when v's maps are zero),
+    another drawn rep, and a drawn certificate of test_round_trip_props."""
+    F = draw(st.sampled_from(FIELDS))
+    q = draw(st.sampled_from(WRITE_QUIVERS))
+    v = draw(reps(q, F))
+    cases = [value for value, write, _ in draw(values()) if write is certificate_to_jsonable]
+    return [v, Rep(q, F, v.dims), draw(reps(q, F))], draw(st.sampled_from(cases))
+
+
+def written(rs, cert):
+    """What the three caches give for rs and cert: each rep's summand split
+    and JSON form, the hom basis of each ordered pair with its morphisms'
+    JSON forms, and the certificate's JSON form."""
+    out = [(_simple_summands(r), rep_to_jsonable(r)) for r in rs]
+    for v in rs:
+        for w in rs:
+            basis = hom_basis(v, w)
+            out.append((basis, [morphism_to_jsonable(f) for f in basis]))
+    return out + [certificate_to_jsonable(cert)]
+
+
+@SETTINGS
+@given(writes())
+def test_warm_writes_answer_as_cold_ones(case):
+    rs, cert = case
+    warm = written(rs, cert)
+    assert written(rs, cert) == warm
+    clear_every_cache()
+    assert written(rs, cert) == warm
+    for r in rs:
+        assert _simple_summands(r) == ref_simple_summands(r)
+        assert rep_to_jsonable(r) == ref_rep_json(r)
+    for v in rs:
+        for w in rs:
+            basis = hom_basis(v, w)
+            assert basis == ref_hom_basis(v, w) and type(basis) is list
+            assert all(f.source is v and f.target is w for f in basis)
+            assert [morphism_to_jsonable(f) for f in basis] == [
+                ref_morphism_json(f) for f in basis]
+    data = json.loads(json.dumps(certificate_to_jsonable(cert)))
+    assert certificate_from_jsonable(data) == cert
+
+
+def built_three_ways(r):
+    """Reps equal to r: through Rep(...), through Rep._make and read from
+    r's JSON form."""
+    maps = {a: Matrix(r.field, m.rows, m.cols, m.flat()) for a, m in r.maps.items()}
+    return [Rep(r.quiver, r.field, r.dims, maps),
+            Rep._make(r.quiver, r.field, r.dims, dict(maps)),
+            rep_from_jsonable(r.quiver, r.field, json.loads(json.dumps(ref_rep_json(r))))]
+
+
+@SETTINGS
+@given(writes(), st.permutations(range(3)))
+def test_equal_reps_built_three_ways_find_the_same_entries(case, order):
+    rs = case[0]
+    ways = [built_three_ways(r) for r in rs]
+    first, *others = [[w[i] for w in ways] for i in order]
+    assert first == rs and all(o == rs for o in others)
+    warm = written(first, case[1])
+    misses = [c.cache_info().misses for c in WRITE_CACHES]
+    for built in others:
+        assert written(built, case[1]) == warm
+        for v in built:
+            for w in built:
+                assert all(f.source is v and f.target is w for f in hom_basis(v, w))
+    assert [c.cache_info().misses for c in WRITE_CACHES] == misses
+
+
+def change_an_entry(data, path):
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] += 1
+
+
+@SETTINGS
+@given(writes(), st.data())
+def test_a_caller_cannot_change_a_cached_answer(case, data):
+    rs, cert = case
+    v, w = rs[0], rs[2]
+    want = hom_basis(v, w)
+    basis = hom_basis(v, w)
+    basis.append(RepMorphism.zero(v, w))
+    basis.reverse()
+    assert hom_basis(v, w) == want
+    for write, value in ((rep_to_jsonable, v), (morphism_to_jsonable, RepMorphism.identity(w)),
+                         (certificate_to_jsonable, cert)):
+        text = json.dumps(write(value), sort_keys=True)
+        out = write(value)
+        change_an_entry(out, data.draw(st.sampled_from(list(int_leaves(out)))))
+        assert json.dumps(write(value), sort_keys=True) == text

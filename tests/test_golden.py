@@ -45,6 +45,7 @@ from approxcat.serialize import (
     rep_to_jsonable,
     verify_certificate,
 )
+from test_cache_props import clear_every_cache
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 A2 = a2_quiver()
@@ -330,6 +331,26 @@ def test_certificate_reserializes_and_verifies(name):
     for data in _certificates(json.loads((GOLDEN / f"{name}.json").read_text())):
         assert dumps(certificate_to_jsonable(certificate_from_jsonable(data))) == dumps(data)
         assert verify_certificate(data)
+
+
+def _rewritten(data):
+    """The golden file's text with every certificate in it read and written
+    again."""
+    if "type" in data:
+        return dumps(certificate_to_jsonable(certificate_from_jsonable(data)))
+    return dumps({k: certificate_to_jsonable(certificate_from_jsonable(v)) for k, v in data.items()})
+
+
+# equal reps are written once (serialize._rep_text): the second write reads
+# every rep's JSON form from the warm cache, the third writes it afresh
+@pytest.mark.parametrize("name", sorted(set(CASES) - NOT_CERTIFICATES))
+def test_warm_and_cold_writes_give_the_same_bytes(name):
+    text = (GOLDEN / f"{name}.json").read_text()
+    data = json.loads(text)
+    assert _rewritten(data) == text
+    assert _rewritten(data) == text
+    assert clear_every_cache() > 0
+    assert _rewritten(data) == text
 
 
 @pytest.mark.parametrize("name", sorted(set(CASES) - NOT_CERTIFICATES))

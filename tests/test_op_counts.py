@@ -30,7 +30,13 @@ so is the one reader cache, serialize._read. Each witness is verified
 from its JSON, and the reader cache reads each distinct rep, morphism and
 evidence once, so at most 300 RepMorphisms are constructed (220; 2,484
 when only reps were read once) and Matrix._fill runs at most 5,500 times
-(4,755; 9,283 before).
+(4,755; 9,283 before). Hom bases, summand splits and rep JSON forms are
+each built once per distinct input while their bounded caches hold it:
+rep._hom_basis misses at most 1,900 times (1,796 at its bound of 32; every
+one of the 2,658 calls built its basis before), serialize._rep_text at
+most 100 (35 distinct reps, of 5,184 writes) and rep._simple_summands at
+most 100 (47, of 8,514 splits computed before); each is listed with its
+bound.
 
 On loop-filt, seed 0: a rep computes its hash once and keeps it, so of
 the 28,248 Rep.__hash__ calls at most 4,000 compute one (3,532 distinct
@@ -87,6 +93,12 @@ def test_refute_factors_into_semisimple_ends_copy_by_copy():
     assert 0 < counts["Matrix._fill"] <= 5500
     for name in ("rep._factor_system", "rep._copy_lift", "approx._canonical_sum",
                  "approx._zero_map_evidence", "counterex._member_verified", "serialize._read"):
+        assert counts["caches"][name]["maxsize"] == 256
+    assert 0 < counts["hom_bases_built"] <= 1900
+    assert 0 < counts["rep_writes"] <= 100
+    assert 0 < counts["summand_splits"] <= 100
+    assert counts["caches"]["rep._hom_basis"]["maxsize"] == 32
+    for name in ("rep._simple_summands", "serialize._rep_text"):
         assert counts["caches"][name]["maxsize"] == 256
 
 

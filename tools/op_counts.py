@@ -40,13 +40,15 @@ matrix._matmul, kernels_computed: matrix._kernel), that is the cache
 misses, where rref, matmul and solve count the method calls; a checkout
 without those caches counts none. "caches" holds, for every
 functools.lru_cache a module of the package defines, its hits and misses
-over the run, its size at the end and its bound. Three counts are misses
+over the run, its size at the end and its bound. Six counts are misses
 of such caches: the factorization systems built (factor_systems:
 rep._factor_system), the per-copy answers computed when a map into a
 semisimple far end is factored on the left one simple copy at a time
-(copy_factorizations: rep._copy_lift) and the canonical sums built
-(canonical_sums_built: approx._canonical_sum); a checkout without one
-counts 0.
+(copy_factorizations: rep._copy_lift), the canonical sums built
+(canonical_sums_built: approx._canonical_sum), the hom bases built
+(hom_bases_built: rep._hom_basis), the semisimple summand splits computed
+(summand_splits: rep._simple_summands) and the rep JSON forms written
+(rep_writes: serialize._rep_text); a checkout without one counts 0.
 """
 
 import collections
@@ -140,7 +142,10 @@ def main(root: pathlib.Path, workload: str, seed: int) -> dict:
                      "currsize": info.currsize, "maxsize": info.maxsize}
     for name, cache in (("factor_systems", "rep._factor_system"),
                         ("copy_factorizations", "rep._copy_lift"),
-                        ("canonical_sums_built", "approx._canonical_sum")):
+                        ("canonical_sums_built", "approx._canonical_sum"),
+                        ("hom_bases_built", "rep._hom_basis"),
+                        ("summand_splits", "rep._simple_summands"),
+                        ("rep_writes", "serialize._rep_text")):
         counts[name] = run.get(cache, {"misses": 0})["misses"]
     return dict(sorted(counts.items()), caches=run)
 
